@@ -62,16 +62,18 @@ class DefectRecord:
     leakage: float
 
 
-def _middle_pair_dressing(enc, chi: float) -> np.ndarray:
+def _qubit_signs(enc) -> np.ndarray:
+    """(logical_dim, n_qubits) sigma^z signs of each qubit's first site."""
+    bits = np.array([[enc.chain_bits(j)[g[0]] for g in enc.qubit_sites]
+                     for j in range(enc.logical_dim)])
+    return 1 - 2 * bits
+
+
+def _middle_pair_dressing(signs: np.ndarray, chi: float) -> np.ndarray:
     """Per-logical-basis phase of a differential z rotation on the two gate
     qubits.  Only the difference angle can change overlap moduli; common
     z phases factor into the global/linear fit."""
-    phases = np.zeros(enc.logical_dim)
-    for j in range(enc.logical_dim):
-        bits = [enc.chain_bits(j)[g[0]] for g in enc.qubit_sites]
-        s1, s2 = 1 - 2 * bits[1], 1 - 2 * bits[2]
-        phases[j] = 0.5 * chi * (s1 - s2)
-    return np.exp(1j * phases)
+    return np.exp(1j * (0.5 * chi * (signs[:, 1] - signs[:, 2])))
 
 
 def _walsh_phase_residual(overlaps: Sequence[complex], signs: np.ndarray) -> float:
@@ -111,9 +113,10 @@ def _sweep_point(delta: float, coupling: float) -> DefectRecord:
     logical = basis.conj().T @ actual          # logical-subspace block, per input
     # overlap_j(chi) = sum_k conj(dress_k * target[k, j]) * logical[k, j]
     amp = target.conj() * logical
+    signs = _qubit_signs(enc)
 
     def worst_defect(chi: float) -> float:
-        ov = _middle_pair_dressing(enc, chi).conj() @ amp
+        ov = _middle_pair_dressing(signs, chi).conj() @ amp
         return float(np.max(1.0 - np.abs(ov) ** 2))
 
     grid = np.linspace(-np.pi, np.pi, CHI_SCAN_POINTS, endpoint=False)
@@ -139,15 +142,9 @@ def _sweep_point(delta: float, coupling: float) -> DefectRecord:
 
     # phase noise over the inputs whose middle pair is |00> or |11>: there the
     # ideal map is diagonal and any honest phase model is global + per-qubit z
-    undressed = amp.sum(axis=0)
-    mid_diag = []
-    signs = []
-    for j in range(enc.logical_dim):
-        bits = [enc.chain_bits(j)[g[0]] for g in enc.qubit_sites]
-        if bits[1] == bits[2]:
-            mid_diag.append(undressed[j])
-            signs.append([1 - 2 * bits[0], 1 - 2 * bits[1], 1 - 2 * bits[3]])
-    phase_noise = _walsh_phase_residual(mid_diag, np.array(signs))
+    mid_diag = signs[:, 1] == signs[:, 2]
+    phase_noise = _walsh_phase_residual(amp.sum(axis=0)[mid_diag],
+                                        signs[mid_diag][:, [0, 1, 3]])
 
     mass = (np.abs(logical) ** 2).sum(axis=0)
     leakage = float(np.clip(1.0 - mass.min(), 0.0, 1.0))

@@ -42,13 +42,18 @@ _NUM = {"type": "number"}
 _POSNUM = {"type": "number", "exclusiveMinimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
 
+
+def _nullable(schema: dict) -> dict:
+    return {**schema, "type": [schema["type"], "null"]}
+
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
         "coupling": _POSNUM,
         "seed": {"type": "integer", "minimum": 0},
-        "threads": _POSINT,
+        "threads": _nullable(_POSINT),
         "output_dir": {"type": "string"},
         "verify_g": {
             "type": "object",
@@ -59,7 +64,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {"delta": _POSNUM, "tolerance": _POSNUM,
-                           "target_phase": _NUM, "eps": _NUM},
+                           "target_phase": _NUM, "eps": _nullable(_NUM)},
         },
         "sweep": {
             "type": "object",
@@ -97,7 +102,7 @@ CONFIG_SCHEMA = {
                 "gates": _POSINT,
                 "trials": _POSINT,
                 "jitter_stddev": {"type": "number", "minimum": 0},
-                "collapse_every_gates": {"anyOf": [_POSINT, {"type": "null"}]},
+                "collapse_every_gates": _nullable(_POSINT),
                 "jitter_mode": {"enum": ["independent", "systematic"]},
                 "min_fidelity": _NUM,
                 "delta": _POSNUM,
@@ -106,7 +111,7 @@ CONFIG_SCHEMA = {
         "six_settings": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"delta": _POSNUM, "tol_identity": _POSNUM,
+            "properties": {"delta": _POSNUM, "tol_identity": _nullable(_POSNUM),
                            "tol_same": _POSNUM},
         },
     },
@@ -153,13 +158,18 @@ def load_config(path: str | None) -> dict:
             raise ConfigInvalid(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
-    errors = sorted(Draft7Validator(CONFIG_SCHEMA).iter_errors(user),
+    _validate_config(user)
+    return _merge(DEFAULT_CONFIG, user)
+
+
+def _validate_config(doc: dict) -> None:
+    """Raise ConfigInvalid at the first schema violation, by path."""
+    errors = sorted(Draft7Validator(CONFIG_SCHEMA).iter_errors(doc),
                     key=lambda e: list(e.absolute_path))
     if errors:
         first = errors[0]
         where = "/".join(str(p) for p in first.absolute_path) or "<root>"
         raise ConfigInvalid(f"config invalid at {where}: {first.message}")
-    return _merge(DEFAULT_CONFIG, user)
 
 
 def _emit(doc: dict, path: Path) -> None:
@@ -466,6 +476,7 @@ def main(argv=None) -> int:
             section = args.command.replace("-", "_")
             if isinstance(cfg.get(section), dict) and "tolerance" in cfg[section]:
                 cfg[section]["tolerance"] = args.tolerance
+        _validate_config(cfg)
         if cfg["threads"] is None:
             cfg["threads"] = os.cpu_count() or 1
         out = Path(cfg["output_dir"])

@@ -2,24 +2,27 @@
 
 Control is a sequence of (duration, per-site energies) segments with abrupt
 switching between them.  Every segment Hamiltonian commutes with total
-sigma^z, so each one is diagonalized once per distinct energy vector, in
-magnetization sector blocks, and cached; time evolution for any duration is
-then a cheap phase rotation.  The optional linear-ramp helper approximates
-non-sudden switching with a stack of short constant segments and is off
-unless explicitly invoked.
+sigma^z and is real in the z basis, so it is diagonalized one real
+magnetization-sector block at a time, only for the sectors the evolved state
+occupies, and the eigensystems are kept in a byte-bounded LRU cache; time
+evolution for any duration is then a cheap phase rotation.  The optional
+linear-ramp helper approximates non-sudden switching with a stack of short
+constant segments and is off unless explicitly invoked.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import LengthMismatch
-from .model import ChainSpec, classical_ising_energies, sigma_z_values
+from .model import ChainSpec, heisenberg_block, sigma_z_values
 
 STATE_NORM_ATOL = 1e-10
 
@@ -91,102 +94,82 @@ def check_state_norm(psi: np.ndarray, atol: float = STATE_NORM_ATOL) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sector-blocked eigensystems, cached per (n, J, energies)
+# the sector kernel: real eigensystems per (n, J, energies, sector), filled
+# lazily and kept in an LRU cache under a byte budget
 
-@dataclass(frozen=True)
-class _SectorEig:
-    perm: np.ndarray          # basis indices grouped by magnetization sector
-    rank: np.ndarray          # inverse of perm
-    starts: np.ndarray        # block offsets into perm, len = n_blocks + 1
-    values: list[np.ndarray]
-    vectors: list[np.ndarray]
+EIG_CACHE_BYTES = 128 << 20
 
-
-_EIG_CACHE: dict[tuple, _SectorEig] = {}
+_EIG_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _EIG_LOCK = threading.Lock()
+_eig_bytes = 0
 
 
-def _popcounts(n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _sectors(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Number of down spins of each basis index, and the basis indices of
+    each magnetization sector in ascending order."""
     idx = np.arange(1 << n)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        counts += (idx >> i) & 1
-    return counts
+    down = sum((idx >> i) & 1 for i in range(n))
+    return down, tuple(np.flatnonzero(down == k) for k in range(n + 1))
 
 
-def _sector_eig(chain: ChainSpec, energies: tuple[float, ...]) -> _SectorEig:
-    key = (chain.n, chain.coupling, energies)
-    hit = _EIG_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    n, dim, J = chain.n, chain.dim, chain.coupling
-    counts = _popcounts(n)
-    perm = np.argsort(counts, kind="stable")
-    rank = np.empty(dim, dtype=np.int64)
-    rank[perm] = np.arange(dim)
-    starts = np.searchsorted(counts[perm], np.arange(n + 2))
-
-    diag_all = classical_ising_energies(chain, np.asarray(energies))
-    s = sigma_z_values(n)
-    values: list[np.ndarray] = []
-    vectors: list[np.ndarray] = []
-    for k in range(n + 1):
-        sector = perm[starts[k]:starts[k + 1]]
-        m = sector.size
-        block = np.zeros((m, m), dtype=complex)
-        local = np.arange(m)
-        block[local, local] = diag_all[sector]
-        for i in range(n - 1):
-            anti = s[i, sector] * s[i + 1, sector] < 0
-            src = sector[anti]
-            dst = src ^ ((1 << (n - 1 - i)) | (1 << (n - 2 - i)))
-            block[rank[dst] - starts[k], rank[src] - starts[k]] += 2.0 * J
-        w, v = np.linalg.eigh(block)
-        values.append(w)
-        vectors.append(v)
-
-    out = _SectorEig(perm=perm, rank=rank, starts=starts, values=values, vectors=vectors)
+def _sector_eig(chain: ChainSpec, energies: tuple[float, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and real eigenvectors of the block of sector k (k spins
+    down), from the cache or from one eigh whose result is then cached."""
+    global _eig_bytes
+    key = (chain.n, chain.coupling, energies, k)
     with _EIG_LOCK:
-        _EIG_CACHE.setdefault(key, out)
+        hit = _EIG_CACHE.get(key)
+        if hit is not None:
+            _EIG_CACHE.move_to_end(key)
+            return hit
+    wv = np.linalg.eigh(heisenberg_block(chain, energies, _sectors(chain.n)[1][k]))
+    with _EIG_LOCK:
+        if key not in _EIG_CACHE:
+            _EIG_CACHE[key] = wv
+            _eig_bytes += wv[0].nbytes + wv[1].nbytes
+        wv = _EIG_CACHE[key]
+        while _eig_bytes > EIG_CACHE_BYTES:
+            w, v = _EIG_CACHE.popitem(last=False)[1]
+            _eig_bytes -= w.nbytes + v.nbytes
+    return wv
+
+
+def _apply(chain: ChainSpec, energies: tuple[float, ...], t, psi: np.ndarray) -> np.ndarray:
+    """exp(-i H t) on the columns of a C-contiguous complex (dim, m) psi.
+
+    t is one duration for every column or an array of one per column.  A
+    sector is diagonalized only when some column has amplitude in it; the
+    rows of the others stay exactly zero.  The real eigenvectors act on the
+    float view of the complex columns.
+    """
+    if len(energies) != chain.n:
+        raise LengthMismatch(f"segment has {len(energies)} energies, chain has {chain.n} sites")
+    down, sector_rows = _sectors(chain.n)
+    out = np.zeros_like(psi)
+    for k in np.unique(down[psi.any(axis=1)]):
+        rows = sector_rows[k]
+        block = psi[rows]
+        w, v = _sector_eig(chain, energies, int(k))
+        amp = (v.T @ block.view(float)).view(complex)
+        amp *= np.exp(-1j * w[:, None] * t)
+        out[rows] = (v @ amp.view(float)).view(complex)
     return out
-
-
-def _apply_segment(eig: _SectorEig, t: float, psi: np.ndarray) -> np.ndarray:
-    flat = psi.ndim == 1
-    cols = psi[:, None] if flat else psi
-    out = np.empty_like(cols)
-    grouped = cols[eig.perm]
-    for k, (w, v) in enumerate(zip(eig.values, eig.vectors)):
-        lo, hi = eig.starts[k], eig.starts[k + 1]
-        amp = v.conj().T @ grouped[lo:hi]
-        amp *= np.exp(-1j * w * t)[:, None]
-        grouped[lo:hi] = v @ amp
-    out[eig.perm] = grouped
-    return out[:, 0] if flat else out
 
 
 # ---------------------------------------------------------------------------
 # public evolution API
-
-def _segment_eigs(chain: ChainSpec, schedule: ZeemanSchedule) -> list[tuple[_SectorEig, float]]:
-    out = []
-    for seg in schedule.segments:
-        if len(seg.energies) != chain.n:
-            raise LengthMismatch(f"segment has {len(seg.energies)} energies, chain has {chain.n} sites")
-        out.append((_sector_eig(chain, seg.energies), seg.duration))
-    return out
-
 
 def evolve(chain: ChainSpec, schedule: ZeemanSchedule, psi0: np.ndarray) -> np.ndarray:
     """Apply the schedule to a state (or a (dim, m) batch of states).
 
     An empty schedule is the zero-duration limit and returns the input.
     """
-    psi = np.asarray(psi0, dtype=complex).copy()
-    for eig, t in _segment_eigs(chain, schedule):
-        psi = _apply_segment(eig, t, psi)
-    return psi
+    psi = np.array(psi0, dtype=complex, order="C")
+    cols = psi.reshape(psi.shape[0], -1)
+    for seg in schedule.segments:
+        cols = _apply(chain, seg.energies, seg.duration, cols)
+    return cols.reshape(psi.shape)
 
 
 def propagator(chain: ChainSpec, schedule: ZeemanSchedule) -> np.ndarray:
@@ -194,8 +177,8 @@ def propagator(chain: ChainSpec, schedule: ZeemanSchedule) -> np.ndarray:
     if not schedule.segments:
         raise ValueError("schedule must contain at least one segment")
     u = np.eye(chain.dim, dtype=complex)
-    for eig, t in _segment_eigs(chain, schedule):
-        u = _apply_segment(eig, t, u)
+    for seg in schedule.segments:
+        u = _apply(chain, seg.energies, seg.duration, u)
     return u
 
 
@@ -206,25 +189,11 @@ def apply_hold(chain: ChainSpec, energies: Sequence[float], durations: np.ndarra
     durations has one entry per column; used for jittered-timing ensembles
     where every trajectory sees the same Hamiltonian for a different time.
     """
-    e = tuple(float(x) for x in energies)
-    if len(e) != chain.n:
-        raise LengthMismatch(f"expected {chain.n} energies, got {len(e)}")
     durations = np.asarray(durations, dtype=float)
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.ascontiguousarray(psi, dtype=complex)
     if psi.ndim != 2 or durations.shape != (psi.shape[1],):
         raise LengthMismatch("durations must match the number of state columns")
-    eig = _sector_eig(chain, e)
-    grouped = psi[eig.perm]
-    out = np.empty_like(grouped)
-    for k in range(len(eig.starts) - 1):
-        lo, hi = eig.starts[k], eig.starts[k + 1]
-        v, w = eig.vectors[k], eig.values[k]
-        amp = v.conj().T @ grouped[lo:hi]
-        amp *= np.exp(-1j * np.outer(w, durations))
-        out[lo:hi] = v @ amp
-    result = np.empty_like(out)
-    result[eig.perm] = out
-    return result
+    return _apply(chain, tuple(float(x) for x in energies), durations, psi)
 
 
 def zeeman_frame(chain: ChainSpec, energies: Sequence[float], t: float) -> np.ndarray:
@@ -246,10 +215,3 @@ def rotating_frame_strip(u: np.ndarray, chain: ChainSpec, energies_passive: Sequ
     frame = zeeman_frame(chain, energies_passive, t_total)
     return u * frame.conj()[:, None] if u.ndim == 2 else u * frame.conj()
 
-
-def schedule_function(chain: ChainSpec,
-                      build: Callable[[float], ZeemanSchedule]) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Convenience wrapper turning a schedule family into a state map t, psi -> psi(t)."""
-    def run(t: float, psi: np.ndarray) -> np.ndarray:
-        return evolve(chain, build(t), psi)
-    return run

@@ -66,12 +66,6 @@ def expm_i(mat, t: float, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     return (eig.vectors * phases) @ eig.vectors.conj().T
 
 
-def expm_i_from_eig(eig: EigenSystem, t: float) -> np.ndarray:
-    """Same as expm_i but reusing a precomputed eigendecomposition."""
-    phases = np.exp(-1j * eig.values * t)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
-
-
 def unitarity_defect(mat) -> float:
     """Entrywise max deviation of U+ U from the identity."""
     arr = _as_square(mat)

@@ -161,23 +161,33 @@ def classical_ising_energies(chain: ChainSpec, energies: Sequence[float]) -> np.
     return diag
 
 
-def build_heisenberg(chain: ChainSpec, energies: Sequence[float]) -> np.ndarray:
-    """Dense H = sum_i E_i sigma^z_i + J sum_i vec(sigma)_i . vec(sigma)_{i+1}.
+def heisenberg_block(chain: ChainSpec, energies: Sequence[float], states) -> np.ndarray:
+    """Real block of H = sum_i E_i sigma^z_i + J sum_i vec(sigma)_i . vec(sigma)_{i+1}
+    on the given basis indices, rows and columns in their order.
 
     The xx + yy exchange appears as a 2J flip-flop element between basis
-    states whose spins differ by one neighboring up-down swap.
+    states whose spins differ by one neighboring up-down swap; flip-flops
+    leading out of `states` are dropped.
     """
     e = _check_energies(chain, energies)
-    n, dim, J = chain.n, chain.dim, chain.coupling
-    idx = np.arange(dim)
-    h = np.zeros((dim, dim), dtype=complex)
-    h[idx, idx] = classical_ising_energies(chain, e)
-    s = sigma_z_values(n)
+    n, J = chain.n, chain.coupling
+    states = np.asarray(states)
+    local = np.arange(states.size)
+    pos = np.full(chain.dim, -1)
+    pos[states] = local
+    h = np.zeros((states.size, states.size))
+    h[local, local] = classical_ising_energies(chain, e)[states]
+    s = sigma_z_values(n)[:, states]
     for i in range(n - 1):
-        anti = s[i] * s[i + 1] < 0
-        flip = idx[anti] ^ ((1 << (n - 1 - i)) | (1 << (n - 2 - i)))
-        h[flip, idx[anti]] += 2.0 * J
+        src = local[s[i] * s[i + 1] < 0]
+        dst = pos[states[src] ^ ((1 << (n - 1 - i)) | (1 << (n - 2 - i)))]
+        h[dst[dst >= 0], src[dst >= 0]] += 2.0 * J
     return h
+
+
+def build_heisenberg(chain: ChainSpec, energies: Sequence[float]) -> np.ndarray:
+    """Dense complex H on the full basis; see heisenberg_block."""
+    return heisenberg_block(chain, energies, np.arange(chain.dim)).astype(complex)
 
 
 def build_effective_ising(chain: ChainSpec, energies: Sequence[float]) -> np.ndarray:

@@ -71,6 +71,15 @@ def test_help_documents_flags(capsys):
         assert flag in text
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "-3")])
+def test_out_of_range_flag_is_config_error(capsys, tmp_path, flag, value):
+    code, summary = run_cli(capsys, "zeno", out=tmp_path / "out", extra=[flag, value])
+    assert code == 2
+    assert summary["reason"] == "config_invalid"
+    assert flag[2:] in summary["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-g
 

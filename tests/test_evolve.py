@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,3 +153,101 @@ def test_rotating_frame_strip_removes_zeeman_winding():
     assert np.allclose(np.abs(frame), 1.0)
     stripped = evolve.rotating_frame_strip(np.diag(frame), chain, energies, t)
     assert np.abs(stripped - np.eye(4)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the sector kernel against dense exp(-iHt) built from the full Hamiltonian
+
+
+def test_apply_hold_per_column_durations_match_dense():
+    chain, energies, rng = random_chain_and_energies(seed=23, n=4)
+    psi = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+    psi /= np.linalg.norm(psi, axis=0)
+    durations = np.array([0.3, 1.1, 2.7])
+    out = evolve.apply_hold(chain, energies, durations, psi)
+    h = model.build_heisenberg(chain, energies)
+    for j, t in enumerate(durations):
+        assert np.abs(out[:, j] - linalg.expm_i(h, t) @ psi[:, j]).max() < 1e-10
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 4))
+def test_schedule_on_sector_subset_matches_dense(seed, n, n_segments):
+    chain, _, rng = random_chain_and_energies(seed, n)
+    steps = [(float(rng.uniform(0.05, 3.0)), tuple(rng.uniform(-4, 4, n)))
+             for _ in range(n_segments)]
+    down = model.total_sz_diagonal(n)
+    levels = np.unique(down)
+    keep = rng.choice(levels, size=int(rng.integers(1, levels.size + 1)), replace=False)
+    inside = np.isin(down, keep)
+    psi0 = np.zeros((chain.dim, 2), dtype=complex)
+    psi0[inside] = rng.normal(size=(inside.sum(), 2)) + 1j * rng.normal(size=(inside.sum(), 2))
+    psi0 /= np.linalg.norm(psi0, axis=0)
+
+    psi = evolve.evolve(chain, evolve.ZeemanSchedule.from_steps(steps), psi0)
+    dense = psi0
+    for t, e in steps:
+        dense = linalg.expm_i(model.build_heisenberg(chain, e), t) @ dense
+    assert np.abs(psi - dense).max() < 1e-10
+    assert not psi[~inside].any()
+    evolve.check_state_norm(psi)
+
+
+def test_product_state_diagonalizes_only_its_sector(monkeypatch):
+    chain = model.ChainSpec(n=6, coupling=0.7, roles="A" * 6)
+    energies = (0.31, -1.7, 2.9, 0.05, -0.66, 1.23)   # used by no other test
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    bits = (0, 1, 1, 0, 1, 0)
+    psi0 = model.product_state(bits)
+    sched = evolve.ZeemanSchedule.from_steps([(0.9, energies)])
+    psi = evolve.evolve(chain, sched, psi0)
+    assert shapes == [(20, 20)]           # 3 of 6 spins down: C(6, 3) states
+    evolve.evolve(chain, sched, psi0)
+    assert len(shapes) == 1               # second run is a cache hit
+    dense = linalg.expm_i(model.build_heisenberg(chain, energies), 0.9) @ psi0
+    assert np.abs(psi - dense).max() < 1e-10
+
+
+def test_eig_cache_stays_within_byte_budget(monkeypatch):
+    budget = 40_000
+    monkeypatch.setattr(evolve, "EIG_CACHE_BYTES", budget)
+    chain = model.ChainSpec(n=6, coupling=1.3, roles="A" * 6)
+    rng = np.random.default_rng(29)
+    vectors = [tuple(rng.uniform(-4, 4, 6)) for _ in range(12)]
+    for energies in vectors:
+        u = evolve.propagator(chain, evolve.ZeemanSchedule.from_steps([(0.7, energies)]))
+        held = sum(w.nbytes + v.nbytes for w, v in evolve._EIG_CACHE.values())
+        assert 0 < held <= budget
+        # the sector used last (all spins down) is the newest entry
+        assert next(reversed(evolve._EIG_CACHE)) == (6, 1.3, energies, 6)
+        assert np.abs(u - linalg.expm_i(model.build_heisenberg(chain, energies), 0.7)).max() < 1e-10
+    # one propagator fills all seven sectors (7904 bytes), so the oldest went
+    assert not any(key[2] == vectors[0] for key in evolve._EIG_CACHE)
+
+
+def test_eig_cache_byte_count_survives_concurrent_fills(monkeypatch):
+    # more workers than cores, switching threads as often as possible: a lost
+    # update to the running byte count would leave it off the entries' sum
+    monkeypatch.setattr(evolve, "EIG_CACHE_BYTES", 30_000)
+    chain = model.ChainSpec(n=6, coupling=0.9, roles="A" * 6)
+    rng = np.random.default_rng(31)
+    vectors = [tuple(rng.uniform(-4, 4, 6)) for _ in range(24)]
+    sched = [evolve.ZeemanSchedule.from_steps([(0.4, e)]) for e in vectors]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(evolve.propagator, chain, s) for s in sched]
+            units = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    held = sum(w.nbytes + v.nbytes for w, v in evolve._EIG_CACHE.values())
+    assert evolve._eig_bytes == held <= 30_000
+    assert max(linalg.unitarity_defect(u) for u in units) < 1e-10
