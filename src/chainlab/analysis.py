@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigInvalid, IoFailure, NoRevivalFound
 from .evolve import evolve, rotating_frame_strip, zeeman_frame
 from .gates import exchange_gate_target, find_revival
+from .linalg import golden_section
 from .model import ZeemanLevels
 from .schemes import arch1_gate_family, arch1_section
 
@@ -123,21 +124,7 @@ def _sweep_point(delta: float, coupling: float) -> DefectRecord:
     vals = [worst_defect(c) for c in grid]
     k = int(np.argmin(vals))
     lo, hi = grid[k] - 2 * np.pi / CHI_SCAN_POINTS, grid[k] + 2 * np.pi / CHI_SCAN_POINTS
-    # golden-section minimize
-    invphi = (np.sqrt(5.0) - 1) / 2
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = worst_defect(c), worst_defect(d)
-    while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = worst_defect(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = worst_defect(d)
-    chi_opt = 0.5 * (a + b)
+    chi_opt, _ = golden_section(worst_defect, lo, hi, 1e-10)
     defect_worst = worst_defect(chi_opt)
 
     # phase noise over the inputs whose middle pair is |00> or |11>: there the

@@ -474,8 +474,9 @@ def main(argv=None) -> int:
             cfg["output_dir"] = args.out
         if args.tolerance is not None:
             section = args.command.replace("-", "_")
-            if isinstance(cfg.get(section), dict) and "tolerance" in cfg[section]:
-                cfg[section]["tolerance"] = args.tolerance
+            if "tolerance" not in cfg[section]:
+                raise ConfigInvalid(f"--tolerance does not apply to {args.command}")
+            cfg[section]["tolerance"] = args.tolerance
         _validate_config(cfg)
         if cfg["threads"] is None:
             cfg["threads"] = os.cpu_count() or 1

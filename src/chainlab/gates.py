@@ -19,12 +19,13 @@ from scipy.optimize import minimize
 from . import linalg
 from .errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                      NotDiagonalizableLocally, NotUnitary, SynthesisFailed)
-from .evolve import ZeemanSchedule, evolve
+from .evolve import ZeemanSchedule, apply_hold, evolve
 from .model import ChainSpec, basis_index
 
 REVIVAL_THRESHOLD = 0.999
 REVIVAL_DIP_LEVEL = 0.9
 REVIVAL_REFINE_TOL = 1e-6
+REVIVAL_BATCH_COLUMNS = 32   # state columns per batched grid evaluation
 LEAKAGE_REUNITARIZE = 1e-3
 LEAKAGE_MEANINGLESS = 0.1
 UNITARY_CHECK_ATOL = 1e-8
@@ -71,9 +72,6 @@ class EncodingMap:
     @property
     def logical_dim(self) -> int:
         return 2 ** self.n_qubits
-
-    def barrier_sites(self) -> tuple[int, ...]:
-        return tuple(site for site, _ in self.barrier_refs)
 
     def reference_bit(self, site: int) -> int:
         for s, bit in self.barrier_refs:
@@ -145,23 +143,21 @@ def reference_population(psi: np.ndarray, site: int, ref_bit: int, n: int) -> np
     return psi2[mask].sum(axis=0)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = f(x1)
-    t = (a + b) / 2.0
-    return t, f(t)
+def _split_family(schedule_family: Callable[[float], ZeemanSchedule], window: tuple[float, float]
+                  ) -> tuple[ZeemanSchedule, tuple[float, ...], ZeemanSchedule]:
+    """(leading segments, energies of the segment lasting t, trailing segments)
+    of a family probed at the window ends; ValueError unless exactly one
+    segment's duration varies and it is t itself under fixed energies."""
+    s0, s1 = (schedule_family(t).segments for t in window)
+    varying = [j for j, (a, b) in enumerate(zip(s0, s1)) if a.duration != b.duration]
+    if len(s0) != len(s1) or len(varying) != 1:
+        raise ValueError(f"schedule family must keep its segments and vary one duration: "
+                         f"{len(s0)} then {len(s1)} segments, {len(varying)} durations vary")
+    j = varying[0]
+    if ([a.energies for a in s0] != [b.energies for b in s1]
+            or (s0[j].duration, s1[j].duration) != tuple(window)):
+        raise ValueError("the varying segment must last t under fixed energies")
+    return ZeemanSchedule(s0[:j]), s0[j].energies, ZeemanSchedule(s0[j + 1:])
 
 
 def find_revival(chain: ChainSpec,
@@ -182,14 +178,21 @@ def find_revival(chain: ChainSpec,
     `refine_tol` (in units of 1/J).
     """
     ref = enc.reference_bit(barrier_site)
-    basis = enc.embed_basis()
+    head, energies, tail = _split_family(schedule_family, window)
+    lead = evolve(chain, head, enc.embed_basis())
+    n_in = enc.logical_dim
+
+    def probs(times: np.ndarray) -> np.ndarray:
+        psi = apply_hold(chain, energies, np.repeat(times, n_in), np.tile(lead, len(times)))
+        pop = reference_population(evolve(chain, tail, psi), barrier_site, ref, chain.n)
+        return pop.reshape(len(times), n_in).min(axis=1)
 
     def prob(t: float) -> float:
-        psi = evolve(chain, schedule_family(t), basis)
-        return float(reference_population(psi, barrier_site, ref, chain.n).min())
+        return float(probs(np.array([t]))[0])
 
     ts = np.linspace(window[0], window[1], grid_points)
-    ps = np.array([prob(t) for t in ts])
+    step = max(1, REVIVAL_BATCH_COLUMNS // n_in)
+    ps = np.concatenate([probs(ts[i:i + step]) for i in range(0, grid_points, step)])
     dipped = np.flatnonzero(ps < dip_level)
     if dipped.size == 0:
         raise NoRevivalFound(
@@ -209,9 +212,9 @@ def find_revival(chain: ChainSpec,
             f"no revival above {threshold} in window (best {best_p:.6f})",
             best_probability=best_p,
             best_time=float(ts[np.argmax(ps[start:]) + start]))
-    tol = refine_tol / chain.coupling
-    t_r, p_r = _golden_max(prob, ts[best_i - 1], ts[best_i + 1], tol)
-    return float(t_r), float(p_r)
+    t_r, _ = linalg.golden_section(prob, ts[best_i - 1], ts[best_i + 1],
+                                   refine_tol / chain.coupling, maximize=True)
+    return float(t_r), prob(t_r)
 
 
 # ---------------------------------------------------------------------------

@@ -99,21 +99,30 @@ def op_distance(u, v, refine_tol: float = PHASE_REFINE_TOL) -> float:
 
     # Golden-section refinement in a bracket around the best candidate.
     span = 2.0 * np.pi / 64
-    lo, hi = best_phi - span, best_phi + span
-    inv_gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_gr * (hi - lo)
-    d = lo + inv_gr * (hi - lo)
-    fc, fd = dist(c), dist(d)
-    while hi - lo > refine_tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_gr * (hi - lo)
-            fc = dist(c)
+    _, refined = golden_section(dist, best_phi - span, best_phi + span, refine_tol)
+    return min(dist(best_phi), refined)
+
+
+def golden_section(f, lo: float, hi: float, tol: float,
+                   maximize: bool = False) -> tuple[float, float]:
+    """Golden-section search of a unimodal f on [lo, hi] to a bracket of width
+    tol: (bracket midpoint, better of the last two interior values).  On a tie
+    the minimizer keeps the upper part of the bracket, the maximizer the lower."""
+    inv = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - inv * (b - a)
+    x2 = a + inv * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if (f1 < f2) != maximize:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv * (b - a)
+            f1 = f(x1)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_gr * (hi - lo)
-            fd = dist(d)
-    return min(dist(best_phi), fc, fd)
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (b - a)
+            f2 = f(x2)
+    return (a + b) / 2.0, (max if maximize else min)(f1, f2)
 
 
 def polar_unitary(mat) -> np.ndarray:

@@ -146,13 +146,6 @@ def arch2_two_qubit_schedule(levels: ZeemanLevels, t_gate: float,
     return _steps((t_gate, gate)), arch.enc
 
 
-def arch2_gate_family(levels: ZeemanLevels, coupling: float = 1.0,
-                      eps: float | None = None) -> Callable[[float], ZeemanSchedule]:
-    def family(t: float) -> ZeemanSchedule:
-        return arch2_two_qubit_schedule(levels, t, coupling, eps)[0]
-    return family
-
-
 # ---------------------------------------------------------------------------
 # architecture 3: two global knobs, six settings
 

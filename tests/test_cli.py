@@ -80,6 +80,16 @@ def test_out_of_range_flag_is_config_error(capsys, tmp_path, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "synthesize", "zeno", "six-settings"])
+def test_tolerance_flag_without_tolerance_field_is_config_error(capsys, tmp_path, command):
+    code, summary = run_cli(capsys, command, out=tmp_path / "out",
+                            extra=["--tolerance", "-1"])
+    assert code == 2
+    assert summary["reason"] == "config_invalid"
+    assert "--tolerance" in summary["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-g
 
@@ -327,5 +337,16 @@ def chainlab_on_path(tmp_path, monkeypatch):
 def test_console_script_runs(tmp_path, chainlab_on_path):
     proc = subprocess.run(["chainlab", "verify-m", "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip())["command"] == "verify-m"
+
+
+def test_python_dash_m_runs(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(chainlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "chainlab", "verify-m",
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip())["command"] == "verify-m"

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainlab import gates, linalg, model
+from chainlab import gates, linalg, model, schemes
 from chainlab.errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                              NotDiagonalizableLocally, SynthesisFailed)
-from chainlab.evolve import ZeemanSchedule, propagator, rotating_frame_strip
+from chainlab.evolve import ZeemanSchedule, evolve, propagator, rotating_frame_strip
 from chainlab.model import ChainSpec
 
 
@@ -136,6 +136,99 @@ def test_find_revival_window_too_short():
     with pytest.raises(NoRevivalFound, match="no revival above") as info:
         gates.find_revival(chain, family, 1, window=(0.4, 0.8), enc=enc)
     assert info.value.best_time is not None
+
+
+def pointwise_revival(chain, family, site, window, enc, threshold, dip_level,
+                      grid_points=800):
+    """The revival search evaluated one schedule at a time: each grid time
+    evolves the whole family(t) from the encoded basis."""
+    ref = enc.reference_bit(site)
+    basis = enc.embed_basis()
+
+    def prob(t):
+        psi = evolve(chain, family(t), basis)
+        return float(gates.reference_population(psi, site, ref, chain.n).min())
+
+    ts = np.linspace(window[0], window[1], grid_points)
+    ps = np.array([prob(t) for t in ts])
+    start = np.flatnonzero(ps < dip_level)[0]
+    best = next(i for i in range(start + 1, grid_points - 1)
+                if ps[i - 1] <= ps[i] >= ps[i + 1] and ps[i] >= threshold)
+    t_r, _ = linalg.golden_section(prob, ts[best - 1], ts[best + 1],
+                                   gates.REVIVAL_REFINE_TOL / chain.coupling,
+                                   maximize=True)
+    return t_r, prob(t_r)
+
+
+def arch1_revival_case(delta):
+    levels = model.ZeemanLevels.from_delta(1.0, delta)
+    arch = schemes.arch1_section(levels, 1.0)
+    family = schemes.arch1_gate_family(levels, 1.0)
+    nominal = np.pi / 3.0
+    return (arch.chain, family, arch.gate_barrier, (0.4 * nominal, 2.2 * nominal),
+            arch.enc_gate_pair, 0.5, 0.85)
+
+
+def reduced_revival_case():
+    chain, enc = reduced_resonant_chain()
+
+    def family(t):
+        return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0))])
+
+    return (chain, family, 1, (0.5, 2.0), enc,
+            gates.REVIVAL_THRESHOLD, gates.REVIVAL_DIP_LEVEL)
+
+
+@pytest.mark.parametrize("case", [reduced_revival_case, lambda: arch1_revival_case(100.0)],
+                         ids=["reduced-3-site", "arch1-delta-100"])
+def test_batched_revival_matches_pointwise_search(case):
+    args = case()
+    chain, family, site, window, enc, threshold, dip = args
+    got = gates.find_revival(chain, family, site, window, enc,
+                             threshold=threshold, dip_level=dip)
+    want = pointwise_revival(*args)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def _two_durations(t):
+    return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0)), (t, (1.0, 5.0, 1.0))])
+
+
+def _segment_count_changes(t):
+    return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0))] * (1 if t < 1.0 else 2))
+
+
+def _energies_change(t):
+    return ZeemanSchedule.from_steps([(0.1, (t, 1.0, 1.0)), (t, (1.0, 1.0, 1.0))])
+
+
+def _duration_is_not_t(t):
+    return ZeemanSchedule.from_steps([(2.0 * t, (1.0, 1.0, 1.0))])
+
+
+@pytest.mark.parametrize("family", [_two_durations, _segment_count_changes,
+                                    _energies_change, _duration_is_not_t])
+def test_find_revival_rejects_family_not_varying_one_duration(family):
+    chain, enc = reduced_resonant_chain()
+    with pytest.raises(ValueError):
+        gates.find_revival(chain, family, 1, window=(0.5, 2.0), enc=enc)
+
+
+def test_find_revival_batches_stay_within_column_cap(monkeypatch):
+    widths = []
+    apply_hold = gates.apply_hold
+
+    def recording(chain, energies, durations, psi):
+        widths.append(psi.shape[1])
+        return apply_hold(chain, energies, durations, psi)
+
+    monkeypatch.setattr(gates, "apply_hold", recording)
+    chain, family, site, window, enc, threshold, dip = arch1_revival_case(100.0)
+    gates.find_revival(chain, family, site, window, enc, threshold=threshold, dip_level=dip)
+    assert max(widths) <= gates.REVIVAL_BATCH_COLUMNS
+    # the 800-point grid went through full batches, not one time per call
+    full = gates.REVIVAL_BATCH_COLUMNS
+    assert widths.count(full) == 800 * enc.logical_dim // full
 
 
 # ---------------------------------------------------------------------------
