@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from chainlab import analysis, gates, schemes
-from chainlab.model import ChainSpec, ZeemanLevels
+from chainlab.model import ChainSpec, ZeemanLevels, site_energies
 
 
 def parse_args():
@@ -36,8 +36,8 @@ def main():
     analysis.emit_table(records, out / "refocus.csv", fmt="csv")
 
     tau = max(periods)
-    u_free = schemes._echo_cycle(chain, schemes._passive(chain, levels), tau,
-                                 pulsed_sites=(), cycles=args.cycles)
+    u_free = schemes.echo_cycle(chain, site_energies(chain, levels), tau,
+                                pulsed_sites=(), cycles=args.cycles)
     baseline = gates.invariant_deviation(u_free, np.eye(4))
     print(f"unpulsed baseline at period={tau}: {baseline:.6e}")
 

@@ -9,11 +9,8 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
 from chainlab import gates, schemes
 from chainlab.errors import NoRevivalFound
-from chainlab.evolve import propagator, rotating_frame_strip
 from chainlab.model import ZeemanLevels
 
 
@@ -28,19 +25,8 @@ def parse_args():
 
 def pipeline(delta, coupling, pad):
     levels = ZeemanLevels.from_delta(coupling, delta)
-    arch = schemes.arch1_section(levels, coupling)
-    family = schemes.arch1_gate_family(levels, coupling, pad=pad)
-    nominal = np.pi / (3.0 * coupling)
-    t_r, p = gates.find_revival(arch.chain, family, arch.gate_barrier,
-                                window=(0.4 * nominal, 2.2 * nominal),
-                                enc=arch.enc_gate_pair,
-                                threshold=0.5, dip_level=0.85)
-    u = propagator(arch.chain, family(t_r))
-    u = rotating_frame_strip(u, arch.chain, arch.passive_energies,
-                             family(t_r).total_duration)
-    report = gates.extract_gate(u, arch.enc_gate_pair)
+    _, t_r, p, report, aligned = schemes.arch1_exchange_gate(levels, coupling, pad=pad)
     target = gates.exchange_gate_target()
-    aligned = gates.align_phases(report.logical_unitary, target)
     return {
         "delta": delta,
         "revival_time": t_r,

@@ -10,9 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from chainlab import gates, schemes
-from chainlab.evolve import ZeemanSchedule
-from chainlab.model import ChainSpec, ZeemanLevels
+from chainlab import schemes
+from chainlab.model import ZeemanLevels
 
 
 def parse_args():
@@ -34,14 +33,8 @@ def main():
     args = parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    levels = ZeemanLevels.from_delta(1.0, args.delta)
-    chain = ChainSpec(n=3, coupling=1.0, roles="ABA")
-    enc = gates.EncodingMap.single_site(3, [0, 2], {1: 1})
-    t_gate = np.pi / 3.0
-    gate = ZeemanSchedule.from_steps([(t_gate, (levels.a + 1.0,) * 3)])
-    qa = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    qb = np.array([1.0, np.exp(1j * np.pi / 4.0)]) / np.sqrt(2.0)
-    psi0 = enc.embed_state(np.kron(qa, qb))
+    chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train(
+        ZeemanLevels.from_delta(1.0, args.delta))
 
     rows = []
     for mode in args.modes.split(","):

@@ -5,7 +5,8 @@ Submodules:
   model     chain spec, Zeeman levels, Heisenberg / effective-Ising builders
   evolve    piecewise-constant schedules and cached sector-blocked evolution
   gates     revival search, gate extraction, invariants, CNOT synthesis
-  schemes   the three chain architectures, Zeno runs, refocusing demo
+  schemes   the three chain architectures, the arch-1 exchange-gate
+            pipeline, Zeno runs, refocusing demo
   analysis  detuning sweeps, Ising-limit convergence, table output
   cli       the `chainlab` command line tool
 """

@@ -19,23 +19,18 @@ import numpy as np
 
 from .errors import ConfigInvalid, IoFailure, NoRevivalFound
 from .evolve import evolve, rotating_frame_strip, zeeman_frame
-from .gates import exchange_gate_target, find_revival
+from .gates import exchange_gate_target
 from .linalg import golden_section
 from .model import ZeemanLevels
-from .schemes import arch1_gate_family, arch1_section
+from .schemes import arch1_revival
 
 DEFAULT_DELTA_GRID = (5.0, 10.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
-SWEEP_METRICS = ("defect_worst", "phase_noise", "leakage", "trace_distance")
-SWEEP_REVIVAL_THRESHOLD = 0.5   # strongly detuned points never reach 0.999
-SWEEP_REVIVAL_DIP = 0.85
 CHI_SCAN_POINTS = 720
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     delta_values: tuple[float, ...]
-    scheme: str = "alternate_site_exchange"
-    metrics: tuple[str, ...] = ("defect_worst", "phase_noise", "leakage")
     coupling: float = 1.0
 
     def __post_init__(self):
@@ -47,11 +42,6 @@ class SweepSpec:
             raise ConfigInvalid("delta_values must be positive")
         if list(dv) != sorted(dv):
             raise ConfigInvalid("delta_values must be ascending")
-        if self.scheme != "alternate_site_exchange":
-            raise ConfigInvalid(f"unknown sweep scheme {self.scheme!r}")
-        unknown = set(self.metrics) - set(SWEEP_METRICS)
-        if unknown:
-            raise ConfigInvalid(f"unknown metrics {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -94,16 +84,7 @@ def _walsh_phase_residual(overlaps: Sequence[complex], signs: np.ndarray) -> flo
 
 
 def _sweep_point(delta: float, coupling: float) -> DefectRecord:
-    levels = ZeemanLevels.from_delta(coupling, delta)
-    arch = arch1_section(levels, coupling)
-    family = arch1_gate_family(levels, coupling)
-    nominal = np.pi / (3.0 * coupling)
-    t_r, _ = find_revival(arch.chain, family, barrier_site=arch.gate_barrier,
-                          window=(0.4 * nominal, 2.2 * nominal),
-                          enc=arch.enc_gate_pair,
-                          threshold=SWEEP_REVIVAL_THRESHOLD,
-                          dip_level=SWEEP_REVIVAL_DIP)
-    sched = family(t_r)
+    arch, sched, t_r, _ = arch1_revival(ZeemanLevels.from_delta(coupling, delta), coupling)
     enc = arch.enc
     basis = enc.embed_basis()
     actual = evolve(arch.chain, sched, basis)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,15 +20,14 @@ import numpy as np
 from jsonschema import Draft7Validator
 
 from . import analysis, schemes
-from .errors import (ChainlabError, ConfigInvalid, ExcessiveLeakage,
+from .errors import (ChainlabError, ConfigInvalid, ExcessiveLeakage, IoFailure,
                      NoRevivalFound, NotDiagonalizableLocally, SynthesisFailed)
-from .evolve import ZeemanSchedule, evolve, propagator, rotating_frame_strip
-from .gates import (align_phases, controlled_phase, EncodingMap,
-                    derive_local_corrections, exchange_gate_target,
-                    extract_gate, find_revival, operator_schmidt_factor,
+from .evolve import evolve, propagator, rotating_frame_strip
+from .gates import (controlled_phase, derive_local_corrections,
+                    exchange_gate_target, extract_gate, operator_schmidt_factor,
                     synthesize_cnot)
 from .linalg import op_distance
-from .model import ChainSpec, ZeemanLevels, site_energies
+from .model import ZeemanLevels, site_energies
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -53,7 +51,7 @@ CONFIG_SCHEMA = {
     "properties": {
         "coupling": _POSNUM,
         "seed": {"type": "integer", "minimum": 0},
-        "threads": _nullable(_POSINT),
+        "threads": _POSINT,
         "output_dir": {"type": "string"},
         "verify_g": {
             "type": "object",
@@ -120,7 +118,7 @@ CONFIG_SCHEMA = {
 DEFAULT_CONFIG = {
     "coupling": 1.0,
     "seed": 1234,
-    "threads": None,
+    "threads": 1,   # both worker pools measured slower than serial on 2 vCPU
     "output_dir": "chainlab_out",
     "verify_g": {"delta": 1000.0, "tolerance": 1e-3, "pad": 0.2},
     "verify_m": {"delta": 4000.0, "tolerance": 1e-3,
@@ -172,8 +170,15 @@ def _validate_config(doc: dict) -> None:
         raise ConfigInvalid(f"config invalid at {where}: {first.message}")
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
 def _emit(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    _write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _summary(command: str, code: int, reason: str | None, **extra) -> dict:
@@ -200,19 +205,9 @@ def cmd_verify_g(cfg: dict, out: Path) -> dict:
     c = cfg["verify_g"]
     coupling = cfg["coupling"]
     levels = ZeemanLevels.from_delta(coupling, c["delta"])
-    arch = schemes.arch1_section(levels, coupling)
-    family = schemes.arch1_gate_family(levels, coupling, pad=c["pad"])
-    nominal = np.pi / (3.0 * coupling)
     doc = {"delta": c["delta"], "tolerance": c["tolerance"]}
     try:
-        t_r, p = find_revival(arch.chain, family, arch.gate_barrier,
-                              window=(0.4 * nominal, 2.2 * nominal),
-                              enc=arch.enc_gate_pair, threshold=0.5, dip_level=0.85)
-        u = propagator(arch.chain, family(t_r))
-        u = rotating_frame_strip(u, arch.chain, arch.passive_energies,
-                                 family(t_r).total_duration)
-        report = extract_gate(u, arch.enc_gate_pair)
-        al = align_phases(report.logical_unitary, exchange_gate_target())
+        _, t_r, p, report, al = schemes.arch1_exchange_gate(levels, coupling, pad=c["pad"])
         doc.update(json.loads(report.to_json()))
         doc.update({"revival_time": t_r, "revival_probability": p,
                     "distance_to_target": al.distance})
@@ -308,24 +303,11 @@ def cmd_synthesize(cfg: dict, out: Path) -> dict:
                     fidelities=[r.get("fidelity", r.get("best_fidelity")) for r in results])
 
 
-def _zeno_setup(cfg: dict):
-    coupling = cfg["coupling"]
-    c = cfg["zeno"]
-    levels = ZeemanLevels.from_delta(coupling, c["delta"])
-    chain = ChainSpec(n=3, coupling=coupling, roles="ABA")
-    enc = EncodingMap.single_site(3, [0, 2], {1: 1})
-    t_gate = np.pi / (3.0 * coupling)
-    gate = ZeemanSchedule.from_steps(
-        [(t_gate, (levels.a + coupling,) * 3)])
-    qa = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    qb = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2.0)
-    psi0 = enc.embed_state(np.kron(qa, qb))
-    return chain, enc, gate, t_gate, psi0
-
-
 def cmd_zeno(cfg: dict, out: Path) -> dict:
     c = cfg["zeno"]
-    chain, enc, gate, t_gate, psi0 = _zeno_setup(cfg)
+    coupling = cfg["coupling"]
+    chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train(
+        ZeemanLevels.from_delta(coupling, c["delta"]), coupling)
     k = c["collapse_every_gates"]
     interval = np.inf if k is None else k * t_gate
     zcfg = schemes.ZenoConfig(collapse_interval=interval,
@@ -334,7 +316,7 @@ def cmd_zeno(cfg: dict, out: Path) -> dict:
     stats = schemes.zeno_run(chain, [gate] * c["gates"], enc, zcfg, psi0=psi0,
                              jitter_mode=c["jitter_mode"])
     stats.write_csv(out / "zeno_stats.csv")
-    (out / "zeno_summary.json").write_text(stats.to_json() + "\n")
+    _write(out / "zeno_summary.json", stats.to_json() + "\n")
     ok = stats.mean_fidelity >= c["min_fidelity"]
     reason = None if ok else "tolerance_exceeded"
     return _summary("zeno", EXIT_OK if ok else EXIT_TOLERANCE, reason,
@@ -478,10 +460,11 @@ def main(argv=None) -> int:
                 raise ConfigInvalid(f"--tolerance does not apply to {args.command}")
             cfg[section]["tolerance"] = args.tolerance
         _validate_config(cfg)
-        if cfg["threads"] is None:
-            cfg["threads"] = os.cpu_count() or 1
         out = Path(cfg["output_dir"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create output directory: {exc}") from exc
         summary = COMMANDS[args.command](cfg, out)
     except ConfigInvalid as exc:
         summary = _summary(args.command, EXIT_CONFIG, "config_invalid", detail=str(exc))

@@ -13,7 +13,6 @@ constant segments and is off unless explicitly invoked.
 from __future__ import annotations
 
 import functools
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -48,43 +47,6 @@ class ZeemanSchedule:
     @property
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
-
-    def to_json(self) -> str:
-        doc = {"segments": [{"duration": s.duration, "energies": list(s.energies)} for s in self.segments]}
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ZeemanSchedule":
-        doc = json.loads(text)
-        return cls.from_steps([(seg["duration"], seg["energies"]) for seg in doc["segments"]])
-
-
-def with_linear_ramps(schedule: ZeemanSchedule, ramp_time: float, steps: int = 8) -> ZeemanSchedule:
-    """Replace abrupt switches with piecewise-constant linear ramps.
-
-    Between consecutive segments whose energies differ, inserts `steps` short
-    segments interpolating the energy vectors over `ramp_time`.  The ramp is
-    carved out of the two neighbors (half each), so total duration and the
-    hold energy vectors are unchanged.
-    """
-    if not schedule.segments or ramp_time <= 0:
-        return schedule
-    half = ramp_time / 2.0
-    if any(s.duration <= half for s in schedule.segments):
-        raise ValueError("ramp_time too long for the shortest segment")
-    segs = list(schedule.segments)
-    out: list[Segment] = []
-    for j, seg in enumerate(segs):
-        lead = half if j > 0 and segs[j - 1].energies != seg.energies else 0.0
-        trail = half if j + 1 < len(segs) and segs[j + 1].energies != seg.energies else 0.0
-        out.append(Segment(seg.duration - lead - trail, seg.energies))
-        if trail:
-            e0 = np.array(seg.energies)
-            e1 = np.array(segs[j + 1].energies)
-            for k in range(1, steps + 1):
-                frac = (k - 0.5) / steps
-                out.append(Segment(ramp_time / steps, tuple(e0 + frac * (e1 - e0))))
-    return ZeemanSchedule(tuple(out))
 
 
 def check_state_norm(psi: np.ndarray, atol: float = STATE_NORM_ATOL) -> None:

@@ -113,20 +113,11 @@ def _matrix_json(m: np.ndarray) -> list:
 class GateReport:
     logical_unitary: np.ndarray
     leakage: float
-    revival_time: float | None = None
-    residual_local_phases: tuple | None = None
-    invariants_pair: tuple[complex, complex] | None = None
-    defect_worst: float | None = None
 
     def to_json(self) -> str:
         doc = {
             "logical_unitary": _matrix_json(self.logical_unitary),
             "leakage": self.leakage,
-            "revival_time": self.revival_time,
-            "residual_local_phases": self.residual_local_phases,
-            "invariants_pair": None if self.invariants_pair is None else
-                [[z.real, z.imag] for z in map(complex, self.invariants_pair)],
-            "defect_worst": self.defect_worst,
         }
         return json.dumps(doc, sort_keys=True)
 

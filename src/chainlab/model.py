@@ -15,7 +15,6 @@ Basis convention, used everywhere in this package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -208,24 +207,3 @@ def reduced_three_spin(qubit_energy: float, coupling: float, eps: float) -> np.n
     chain = ChainSpec(n=3, coupling=coupling, roles="ABA")
     shifted = qubit_energy + coupling
     return build_heisenberg(chain, (shifted, eps, shifted))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def chain_to_json(chain: ChainSpec, levels: ZeemanLevels) -> str:
-    doc = {
-        "n": chain.n,
-        "J": chain.coupling,
-        "roles": chain.roles,
-        "levels": {"A": levels.a, "B": levels.b, "C": levels.c},
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def chain_from_json(text: str) -> tuple[ChainSpec, ZeemanLevels]:
-    doc = json.loads(text)
-    chain = ChainSpec(n=int(doc["n"]), coupling=float(doc["J"]), roles=str(doc["roles"]))
-    lv = doc["levels"]
-    levels = ZeemanLevels(a=float(lv["A"]), b=float(lv["B"]), c=float(lv["C"]))
-    return chain, levels

@@ -1,5 +1,6 @@
-"""The three chain architectures, the six-setting global switch, the
-barrier-collapse trajectory engine, and the refocusing demo.
+"""The three chain architectures, the architecture-1 exchange-gate pipeline,
+the six-setting global switch, the barrier-collapse trajectory engine, and
+the refocusing demo.
 
 Architecture 1 places qubits on alternate sites of an ...ABAB... chain with
 barrier spins between them (guards up, the gate-mediating barrier down);
@@ -18,13 +19,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidGrouping, IoFailure
-from .evolve import ZeemanSchedule, apply_hold, evolve, propagator
-from .gates import EncodingMap
+from .evolve import ZeemanSchedule, apply_hold, evolve, propagator, rotating_frame_strip
+from .gates import (EncodingMap, GateReport, PhaseAlignment, align_phases,
+                    exchange_gate_target, extract_gate, find_revival)
 from .model import ChainSpec, ZeemanLevels, pauli_site, site_energies
 
 ARCH1_SECTION_SITES = 9
 ARCH1_GATE_BARRIER = 4
 DEFAULT_PAD = 0.2
+ARCH1_REVIVAL_WINDOW = (0.4, 2.2)   # in units of the nominal gate time pi / (3J)
+ARCH1_REVIVAL_THRESHOLD = 0.5       # strongly detuned points never reach 0.999
+ARCH1_REVIVAL_DIP = 0.85
 
 
 def _passive(chain: ChainSpec, levels: ZeemanLevels) -> tuple[float, ...]:
@@ -85,6 +90,40 @@ def arch1_gate_family(levels: ZeemanLevels, coupling: float = 1.0,
     def family(t: float) -> ZeemanSchedule:
         return arch1_two_qubit_schedule(levels, t, coupling, pad)[0]
     return family
+
+
+def arch1_revival(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFAULT_PAD
+                  ) -> tuple[ArchitectureOne, ZeemanSchedule, float, float]:
+    """Barrier revival of the two-qubit gate: (section, schedule at the
+    revival, revival time, revival probability).
+
+    The gate-barrier revival is searched on the gate pair within
+    ARCH1_REVIVAL_WINDOW times the nominal pi / (3J); raises NoRevivalFound.
+    """
+    arch = arch1_section(levels, coupling)
+    family = arch1_gate_family(levels, coupling, pad)
+    nominal = np.pi / (3.0 * coupling)
+    lo, hi = ARCH1_REVIVAL_WINDOW
+    t_r, p_r = find_revival(arch.chain, family, arch.gate_barrier,
+                            window=(lo * nominal, hi * nominal), enc=arch.enc_gate_pair,
+                            threshold=ARCH1_REVIVAL_THRESHOLD, dip_level=ARCH1_REVIVAL_DIP)
+    return arch, family(t_r), t_r, p_r
+
+
+def arch1_exchange_gate(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFAULT_PAD
+                        ) -> tuple[ArchitectureOne, float, float, GateReport, PhaseAlignment]:
+    """The exchange gate at the barrier revival: (section, revival time,
+    revival probability, gate-pair report, z-phase alignment to the ideal
+    exchange gate).
+
+    The full propagator is taken out of the passive Zeeman frame and
+    restricted to the gate pair; raises NoRevivalFound or ExcessiveLeakage.
+    """
+    arch, sched, t_r, p_r = arch1_revival(levels, coupling, pad)
+    u = propagator(arch.chain, sched)
+    u = rotating_frame_strip(u, arch.chain, arch.passive_energies, sched.total_duration)
+    report = extract_gate(u, arch.enc_gate_pair)
+    return arch, t_r, p_r, report, align_phases(report.logical_unitary, exchange_gate_target())
 
 
 # ---------------------------------------------------------------------------
@@ -214,29 +253,16 @@ def arch3_apply(setting: SixSetting, chain: ChainSpec,
     return _steps((setting.duration, energies))
 
 
-def qubit_encoding(arch_enc: EncodingMap, qubit: int) -> EncodingMap:
-    """Single-qubit view: every other qubit frozen in its |0>_L pattern."""
-    refs = dict(arch_enc.barrier_refs)
-    for q, group in enumerate(arch_enc.qubit_sites):
-        if q == qubit:
-            continue
-        bits = arch_enc.chain_bits(0)
-        for site in group:
-            refs[site] = bits[site]
-    return EncodingMap(arch_enc.n, (arch_enc.qubit_sites[qubit],), tuple(sorted(refs.items())))
-
-
-def pair_encoding(arch_enc: EncodingMap, qubit_a: int, qubit_b: int) -> EncodingMap:
-    """Two-qubit view of a multi-qubit encoding, rest frozen in |0>_L."""
-    refs = dict(arch_enc.barrier_refs)
-    for q, group in enumerate(arch_enc.qubit_sites):
-        if q in (qubit_a, qubit_b):
-            continue
-        bits = arch_enc.chain_bits(0)
-        for site in group:
-            refs[site] = bits[site]
-    keep = (arch_enc.qubit_sites[qubit_a], arch_enc.qubit_sites[qubit_b])
-    return EncodingMap(arch_enc.n, keep, tuple(sorted(refs.items())))
+def restrict_encoding(enc: EncodingMap, keep: Sequence[int]) -> EncodingMap:
+    """View of an encoding on the qubits `keep`, in that order; the sites of
+    every other qubit become barriers frozen in its |0>_L pattern."""
+    refs = dict(enc.barrier_refs)
+    bits = enc.chain_bits(0)
+    for q, group in enumerate(enc.qubit_sites):
+        if q not in keep:
+            refs.update((site, bits[site]) for site in group)
+    return EncodingMap(enc.n, tuple(enc.qubit_sites[q] for q in keep),
+                       tuple(sorted(refs.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +330,24 @@ class ZenoStats:
                     writer.writerow([i, int(w), f"{f:.12g}"])
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
+
+
+def zeno_gate_train(levels: ZeemanLevels, coupling: float = 1.0
+                    ) -> tuple[ChainSpec, EncodingMap, ZeemanSchedule, float, np.ndarray]:
+    """Three-spin gate train of the Zeno study: (chain, encoding, gate,
+    gate time, input state).
+
+    Qubits sit on the ends of an ABA chain around an up barrier; one gate
+    holds every site at A + J for the nominal pi / (3J).  The input is the
+    product (|0> + |1>)(|0> + e^{i pi/4}|1>) / 2.
+    """
+    chain = ChainSpec(n=3, coupling=coupling, roles="ABA")
+    enc = EncodingMap.single_site(3, [0, 2], {1: 1})
+    t_gate = np.pi / (3.0 * coupling)
+    gate = ZeemanSchedule.from_steps([(t_gate, (levels.a + coupling,) * 3)])
+    qa = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    qb = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2.0)
+    return chain, enc, gate, t_gate, enc.embed_state(np.kron(qa, qb))
 
 
 def _collapse_after(schedules: Sequence[ZeemanSchedule], interval: float) -> list[bool]:
@@ -401,8 +445,10 @@ class RefocusRecord:
     residual: float   # deviation of the echo cycle from the identity class
 
 
-def _echo_cycle(chain: ChainSpec, energies: Sequence[float], tau: float,
-                pulsed_sites: Sequence[int], cycles: int = 1) -> np.ndarray:
+def echo_cycle(chain: ChainSpec, energies: Sequence[float], tau: float,
+               pulsed_sites: Sequence[int], cycles: int = 1) -> np.ndarray:
+    """Propagator of `cycles` echo cycles; each cycle is twice a hold for tau
+    under `energies` followed by x on every pulsed site."""
     pulse = np.eye(chain.dim, dtype=complex)
     for site in pulsed_sites:
         pulse = pauli_site("x", site, chain.n) @ pulse
@@ -429,7 +475,7 @@ def refocus_demo(chain: ChainSpec, levels: ZeemanLevels,
     energies = _passive(chain, levels)
     out = []
     for tau in pulse_periods:
-        u = _echo_cycle(chain, energies, tau, pulsed_sites=(0,), cycles=cycles)
+        u = echo_cycle(chain, energies, tau, pulsed_sites=(0,), cycles=cycles)
         g1, g2 = local_equivalence_invariants(u)
         residual = max(abs(g1 - IDENTITY_INVARIANTS[0]), abs(g2 - IDENTITY_INVARIANTS[1]))
         out.append(RefocusRecord(pulse_period=float(tau), residual=float(residual)))

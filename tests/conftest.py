@@ -5,11 +5,9 @@ they are computed once per session and reused by the unit and acceptance
 tests.
 """
 
-import numpy as np
 import pytest
 
-from chainlab import analysis, gates, schemes
-from chainlab.evolve import propagator, rotating_frame_strip
+from chainlab import analysis, schemes
 from chainlab.model import ZeemanLevels
 
 
@@ -18,21 +16,7 @@ def arch1_pipeline():
     """Nine-site exchange gate at detuning 1000: revival, extraction, alignment."""
     coupling = 1.0
     levels = ZeemanLevels.from_delta(coupling=coupling, delta=1000.0)
-    arch = schemes.arch1_section(levels, coupling)
-    family = schemes.arch1_gate_family(levels, coupling, pad=schemes.DEFAULT_PAD)
-    nominal = np.pi / (3.0 * coupling)
-    t_r, p_r = gates.find_revival(
-        arch.chain, family, arch.gate_barrier,
-        window=(0.4 * nominal, 2.2 * nominal), enc=arch.enc_gate_pair,
-        threshold=0.5, dip_level=0.85)
-    sched, _ = schemes.arch1_two_qubit_schedule(levels, t_r, coupling,
-                                                pad=schemes.DEFAULT_PAD)
-    u = propagator(arch.chain, sched)
-    u = rotating_frame_strip(u, arch.chain, arch.passive_energies,
-                             sched.total_duration)
-    report = gates.extract_gate(u, arch.enc_gate_pair)
-    alignment = gates.align_phases(report.logical_unitary,
-                                   gates.exchange_gate_target())
+    arch, t_r, p_r, report, alignment = schemes.arch1_exchange_gate(levels, coupling)
     return {
         "coupling": coupling,
         "levels": levels,

@@ -341,12 +341,56 @@ def test_console_script_runs(tmp_path, chainlab_on_path):
     assert json.loads(proc.stdout.strip())["command"] == "verify-m"
 
 
-def test_python_dash_m_runs(tmp_path):
+def python_m(*argv):
+    """Run ``python -m chainlab`` on the imported package's source tree."""
     env = dict(os.environ)
     src = str(Path(chainlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "chainlab", "verify-m",
-                           "--out", str(tmp_path / "out")],
+    return subprocess.run([sys.executable, "-m", "chainlab", *argv],
                           capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_python_dash_m_runs(tmp_path):
+    proc = python_m("verify-m", "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip())["command"] == "verify-m"
+
+
+# ---------------------------------------------------------------------------
+# honest failures and defaults
+
+
+def test_unwritable_output_is_an_io_failure(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    proc = python_m("verify-m", "--out", str(blocker))
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    summary = json.loads(lines[0])
+    assert summary["reason"] == "internal_error" and "IoFailure" in summary["detail"]
+    assert "Traceback" not in proc.stderr
+    assert blocker.read_text() == "not a directory\n"
+    # an artifact path taken by a directory fails the same way
+    (tmp_path / "out" / "pair_gate_report.json").mkdir(parents=True)
+    code, summary = run_cli(capsys, "verify-m", out=tmp_path / "out")
+    assert code == 3 and "IoFailure" in summary["detail"]
+
+
+def test_default_thread_count_starts_no_pool(capsys, tmp_path, monkeypatch):
+    import concurrent.futures
+    from chainlab import analysis
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started at the default thread count")
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    path = write_config(tmp_path, {
+        "sweep": {"delta_values": [300, 1000]},
+        "synthesize": {"jobs": [{"entangler": "cphase", "phase": np.pi,
+                                 "n_uses": 1, "n_starts": 1}]}})
+    code, _ = run_cli(capsys, "sweep", config=path, out=tmp_path / "sweep")
+    assert code == 0
+    code, _ = run_cli(capsys, "synthesize", config=path, out=tmp_path / "synth")
+    assert code in (0, 1)

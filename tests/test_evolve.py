@@ -22,22 +22,6 @@ def test_segment_validation():
         evolve.Segment(duration=-1.0, energies=(1.0,))
 
 
-def test_schedule_json_round_trip():
-    sched = evolve.ZeemanSchedule.from_steps([(0.5, (1.0, 2.0)), (1.25, (0.0, -3.0))])
-    again = evolve.ZeemanSchedule.from_json(sched.to_json())
-    assert again == sched
-    assert again.total_duration == pytest.approx(1.75)
-
-
-def test_linear_ramps_preserve_duration_and_endpoints():
-    sched = evolve.ZeemanSchedule.from_steps([(1.0, (0.0, 0.0)), (2.0, (4.0, 0.0))])
-    ramped = evolve.with_linear_ramps(sched, ramp_time=0.2, steps=4)
-    assert ramped.total_duration == pytest.approx(sched.total_duration)
-    assert len(ramped.segments) > len(sched.segments)
-    assert ramped.segments[0].energies == (0.0, 0.0)
-    assert ramped.segments[-1].energies == (4.0, 0.0)
-
-
 def test_propagator_matches_dense_matrix_exponential():
     # Oracle: the sector-blocked path must agree with exp(-iHt) of the full matrix.
     chain, energies, _ = random_chain_and_energies(seed=7, n=4)

@@ -164,9 +164,10 @@ def arch1_revival_case(delta):
     levels = model.ZeemanLevels.from_delta(1.0, delta)
     arch = schemes.arch1_section(levels, 1.0)
     family = schemes.arch1_gate_family(levels, 1.0)
+    lo, hi = schemes.ARCH1_REVIVAL_WINDOW
     nominal = np.pi / 3.0
-    return (arch.chain, family, arch.gate_barrier, (0.4 * nominal, 2.2 * nominal),
-            arch.enc_gate_pair, 0.5, 0.85)
+    return (arch.chain, family, arch.gate_barrier, (lo * nominal, hi * nominal),
+            arch.enc_gate_pair, schemes.ARCH1_REVIVAL_THRESHOLD, schemes.ARCH1_REVIVAL_DIP)
 
 
 def reduced_revival_case():
@@ -281,13 +282,11 @@ def test_gate_report_json_round_trip():
     rng = np.random.default_rng(13)
     g = random_unitary(rng, 4)
     report = gates.extract_gate(embed_gate(g, enc), enc)
-    report.invariants_pair = gates.local_equivalence_invariants(g)
     doc = json.loads(report.to_json())
     mat = np.array([[complex(re, im) for re, im in row]
                     for row in doc["logical_unitary"]])
     assert np.allclose(mat, report.logical_unitary)
     assert doc["leakage"] == report.leakage
-    assert doc["invariants_pair"][0][0] == pytest.approx(report.invariants_pair[0].real)
 
 
 # ---------------------------------------------------------------------------

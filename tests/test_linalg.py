@@ -104,3 +104,16 @@ def test_norm_preservation(seed, t):
     psi /= np.linalg.norm(psi)
     out = linalg.expm_i(h, t) @ psi
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+def test_golden_section_extrema_and_tie_rule():
+    tol = 1e-6
+    x, fx = linalg.golden_section(lambda x: (x - 0.3) ** 2, -1.0, 2.0, tol)
+    assert abs(x - 0.3) <= tol and fx <= tol ** 2
+    x, fx = linalg.golden_section(lambda x: -(x + 0.6) ** 2, -1.0, 2.0, tol, maximize=True)
+    assert abs(x + 0.6) <= tol and fx >= -tol ** 2
+    # on a tie the minimizer keeps the upper part of the bracket, the maximizer the lower
+    flat = lambda x: 1.0  # noqa: E731
+    assert linalg.golden_section(flat, 0.0, 1.0, tol)[0] == pytest.approx(1.0, abs=tol)
+    assert linalg.golden_section(flat, 0.0, 1.0, tol, maximize=True)[0] == pytest.approx(
+        0.0, abs=tol)

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -163,13 +162,3 @@ def test_reduced_three_spin_middle_energy_is_z_axis():
     # eps couples through sigma^z on the middle spin only
     d = model.reduced_three_spin(0.0, 1.0, 10.0) - model.reduced_three_spin(0.0, 1.0, 0.0)
     assert np.allclose(d, 10.0 * model.pauli_site("z", 1, 3), atol=1e-12)
-
-
-def test_chain_json_round_trip():
-    chain = model.ChainSpec(n=4, coupling=1.5, roles="ABCA")
-    lv = model.ZeemanLevels.from_delta(coupling=1.5, delta=8.0)
-    text = model.chain_to_json(chain, lv)
-    doc = json.loads(text)
-    assert doc["roles"] == "ABCA" and doc["n"] == 4 and doc["J"] == 1.5
-    chain2, lv2 = model.chain_from_json(text)
-    assert chain2 == chain and lv2 == lv

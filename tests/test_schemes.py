@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from chainlab import gates, schemes
 from chainlab.errors import InvalidGrouping
 from chainlab.evolve import ZeemanSchedule, evolve
-from chainlab.model import ChainSpec, ZeemanLevels
+from chainlab.model import ChainSpec, ZeemanLevels, site_energies
 
 LEVELS = ZeemanLevels.from_delta(coupling=1.0, delta=1000.0)
 
@@ -158,7 +158,7 @@ def test_arch3_apply_rejects_other_layouts():
 
 def test_qubit_encoding_freezes_others():
     arch = schemes.arch2_section(LEVELS, n_triples=2)
-    enc0 = schemes.qubit_encoding(arch.enc, 0)
+    enc0 = schemes.restrict_encoding(arch.enc, [0])
     assert enc0.n_qubits == 1
     assert enc0.qubit_sites == ((0, 1),)
     refs = dict(enc0.barrier_refs)
@@ -168,7 +168,7 @@ def test_qubit_encoding_freezes_others():
 
 def test_pair_encoding_keeps_two_qubits():
     arch = schemes.arch3_section(LEVELS, n_triples=4)
-    enc12 = schemes.pair_encoding(arch.enc, 1, 2)
+    enc12 = schemes.restrict_encoding(arch.enc, [1, 2])
     assert enc12.qubit_sites == ((3, 4), (6, 7))
     refs = dict(enc12.barrier_refs)
     assert refs[0] == 1 and refs[1] == 0
@@ -301,8 +301,8 @@ def test_refocus_suppresses_entanglement_growth():
     rec = schemes.refocus_demo(chain, LEVELS, [0.1])[0]
     assert rec.residual == pytest.approx(8.1994e-6, rel=1e-3)
     # without pulses the same window entangles four orders harder
-    u_free = schemes._echo_cycle(chain, schemes._passive(chain, LEVELS), 0.1,
-                                 pulsed_sites=(), cycles=1)
+    u_free = schemes.echo_cycle(chain, site_energies(chain, LEVELS), 0.1,
+                                pulsed_sites=(), cycles=1)
     dev_free = gates.invariant_deviation(u_free, np.eye(4))
     assert dev_free == pytest.approx(0.30331, rel=1e-3)
     assert dev_free / rec.residual > 1e4
