@@ -37,6 +37,7 @@ EXIT_INTERNAL = 3
 ENTANGLING_PHASE = 2.0 * np.pi / np.sqrt(5.0)  # measured conditional phase of the pair gate
 
 _NUM = {"type": "number"}
+_NONNEG = {"type": "number", "minimum": 0}
 _POSNUM = {"type": "number", "exclusiveMinimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
 
@@ -56,7 +57,7 @@ CONFIG_SCHEMA = {
         "verify_g": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"delta": _POSNUM, "tolerance": _POSNUM, "pad": _NUM},
+            "properties": {"delta": _POSNUM, "tolerance": _POSNUM, "pad": _NONNEG},
         },
         "verify_m": {
             "type": "object",
@@ -99,7 +100,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "gates": _POSINT,
                 "trials": _POSINT,
-                "jitter_stddev": {"type": "number", "minimum": 0},
+                "jitter_stddev": _NONNEG,
                 "collapse_every_gates": _nullable(_POSINT),
                 "jitter_mode": {"enum": ["independent", "systematic"]},
                 "min_fidelity": _NUM,
@@ -118,7 +119,7 @@ CONFIG_SCHEMA = {
 DEFAULT_CONFIG = {
     "coupling": 1.0,
     "seed": 1234,
-    "threads": 1,   # both worker pools measured slower than serial on 2 vCPU
+    "threads": 1,   # the sweep pool measured slower than serial on 2 vCPU
     "output_dir": "chainlab_out",
     "verify_g": {"delta": 1000.0, "tolerance": 1e-3, "pad": 0.2},
     "verify_m": {"delta": 4000.0, "tolerance": 1e-3,
@@ -289,7 +290,7 @@ def cmd_synthesize(cfg: dict, out: Path) -> dict:
         entry = {"entangler": label, "n_uses": job["n_uses"], "n_starts": n_starts}
         try:
             res = synthesize_cnot(ent, job["n_uses"], seed=cfg["seed"],
-                                  n_starts=n_starts, threads=cfg["threads"])
+                                  n_starts=n_starts)
             entry.update(json.loads(res.to_json()))
             entry["status"] = "ok" if res.fidelity > 1 - 1e-6 else "below_target"
             ok = ok and entry["status"] == "ok"
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--threads", type=int, help="worker threads (overrides config)")
+        p.add_argument("--threads", type=int, help="sweep worker threads (overrides config)")
         p.add_argument("--tolerance", type=float,
                        help="override the command's tolerance field")
     return parser
@@ -451,6 +452,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.threads is not None:
+            if args.command != "sweep":
+                raise ConfigInvalid(f"--threads does not apply to {args.command}")
             cfg["threads"] = args.threads
         if args.out is not None:
             cfg["output_dir"] = args.out

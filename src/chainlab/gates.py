@@ -466,17 +466,60 @@ def circuit_fidelity(entangler: np.ndarray, angles: np.ndarray, target: np.ndarr
     return float(abs(t) ** 2 / 16.0)
 
 
+# Rz(a) Ry(b) Rz(c) has entries e^{-i(s_j a + s_k c)/2} cos(b/2 + o_jk)
+_ZYZ_SIGNS = np.array([1.0, -1.0])
+_ZYZ_OFFSETS = np.array([[0.0, 0.5 * np.pi], [-0.5 * np.pi, 0.0]])
+
+
+def _zyz_with_grad(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rz(a) Ry(b) Rz(c) for angle triples (..., 3), as (..., 2, 2), and its
+    partial derivatives in (a, b, c), as (..., 3, 2, 2), in closed form."""
+    a, b, c = (angles[..., i, None, None] for i in range(3))
+    s = _ZYZ_SIGNS
+    phase = np.exp(-0.5j * (s[:, None] * a + s * c))
+    half_b = 0.5 * b + _ZYZ_OFFSETS
+    u = phase * np.cos(half_b)
+    du = np.stack([-0.5j * s[:, None] * u, -0.5 * phase * np.sin(half_b),
+                   -0.5j * s * u], axis=-3)
+    return u, du
+
+
+def _fidelity_and_grad(entangler: np.ndarray, angles: np.ndarray,
+                       target: np.ndarray) -> tuple[float, np.ndarray]:
+    """circuit_fidelity and its exact gradient in the (n_uses + 1, 6) angles.
+
+    With U = P_k L_k Q_k for the products above and below layer k,
+    g = tr(T^dag U) = tr(M_k L_k) with M_k = Q_k T^dag P_k, so each layer's
+    partials need one contraction of M_k with dL_k = dA (x) B or A (x) dB.
+    """
+    u, du = _zyz_with_grad(angles.reshape(-1, 2, 3))
+    a, b, da, db = u[:, 0], u[:, 1], du[:, 0], du[:, 1]
+    layers = np.einsum("kac,kbd->kabcd", a, b).reshape(-1, 4, 4)
+    n = len(layers)
+    below = [np.eye(4, dtype=complex)]   # E L_{k-1} ... L_0
+    for k in range(1, n):
+        below.append(entangler @ layers[k - 1] @ below[-1])
+    above = [np.eye(4, dtype=complex)]   # L_{n-1} E ... L_{k+1} E, built downward
+    for k in range(n - 1, 0, -1):
+        above.append(above[-1] @ layers[k] @ entangler)
+    g = np.vdot(target, layers[-1] @ below[-1])
+    m = (np.stack(below) @ target.conj().T @ np.stack(above[::-1])).reshape(n, 2, 2, 2, 2)
+    grad_a = np.einsum("kabcd,kdb,kpca->kp", m, b, da)
+    grad_b = np.einsum("kabcd,kca,kpdb->kp", m, a, db)
+    dg = np.concatenate([grad_a, grad_b], axis=1).ravel()
+    return float(abs(g) ** 2 / 16.0), (g.conjugate() * dg).real / 8.0
+
+
 def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int = 0,
-                    n_starts: int = 64, threads: int | None = None,
-                    target: np.ndarray | None = None,
+                    n_starts: int = 64, target: np.ndarray | None = None,
                     success_fidelity: float = 1.0 - 1e-6,
                     fail_fidelity: float = 0.999) -> SynthesisResult:
     """Search interleaving single-qubit layers for a CNOT realization.
 
-    Multi-start derivative-free maximization of circuit fidelity; start k
-    draws its initial angles from a stream seeded by (seed, k), so the
-    result does not depend on evaluation order or worker count.  Starts run
-    in fixed batches with early stop once a batch contains a success.
+    Multi-start exact-gradient (L-BFGS-B) maximization of circuit fidelity;
+    start k draws its initial angles from a stream seeded by (seed, k), so
+    the result does not depend on evaluation order.  Starts run in fixed
+    batches with early stop once a batch contains a success.
     """
     entangler = np.asarray(entangler, dtype=complex)
     defect = linalg.unitarity_defect(entangler)
@@ -486,27 +529,23 @@ def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int = 0,
         target = cnot_target()
     shape = (n_uses + 1, 6)
 
+    def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
+        f, grad = _fidelity_and_grad(entangler, x, target)
+        return 1.0 - f, -grad
+
     def run_start(k: int) -> tuple[float, np.ndarray]:
         rng = np.random.default_rng([seed, k])
         x0 = rng.uniform(-np.pi, np.pi, shape).ravel()
-        res = minimize(
-            lambda x: 1.0 - circuit_fidelity(entangler, x.reshape(shape), target),
-            x0, method="Powell",
-            options={"xtol": 1e-11, "ftol": 1e-13, "maxfev": 40000})
+        res = minimize(cost, x0, jac=True, method="L-BFGS-B",
+                       options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 2000})
         return 1.0 - res.fun, res.x.reshape(shape)
 
     best_f, best_x, used = -1.0, None, 0
     batch = 8
     for lo in range(0, n_starts, batch):
         ids = range(lo, min(lo + batch, n_starts))
-        if threads and threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(run_start, ids))
-        else:
-            results = [run_start(k) for k in ids]
         used = max(ids) + 1
-        for f, x in results:
+        for f, x in map(run_start, ids):
             if f > best_f:
                 best_f, best_x = f, x
         if best_f > success_fidelity:

@@ -6,9 +6,7 @@ import pytest
 
 from chainlab import analysis, linalg
 from chainlab.errors import ConfigInvalid, IoFailure
-from chainlab.evolve import propagator, rotating_frame_strip, zeeman_frame
-from chainlab.model import ChainSpec, ZeemanLevels, build_effective_ising, build_heisenberg
-from chainlab.evolve import ZeemanSchedule
+from chainlab.model import ChainSpec, build_effective_ising, build_heisenberg
 
 
 # ---------------------------------------------------------------------------

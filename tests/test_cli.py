@@ -90,6 +90,17 @@ def test_tolerance_flag_without_tolerance_field_is_config_error(capsys, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["verify-g", "verify-m", "synthesize", "zeno",
+                                     "six-settings"])
+def test_threads_flag_outside_sweep_is_config_error(capsys, tmp_path, command):
+    code, summary = run_cli(capsys, command, out=tmp_path / "out",
+                            extra=["--threads", "2"])
+    assert code == 2
+    assert summary["reason"] == "config_invalid"
+    assert "--threads" in summary["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-g
 
@@ -119,6 +130,17 @@ def test_verify_g_malformed_config(capsys, tmp_path):
     assert code == 2
     assert summary["reason"] == "config_invalid"
     assert "verify_g/delta" in summary["detail"]
+
+
+def test_verify_g_negative_pad_is_config_error(capsys, tmp_path):
+    path = write_config(tmp_path, {"verify_g": {"pad": -1}})
+    code, summary = run_cli(capsys, "verify-g", config=path, out=tmp_path / "out")
+    assert code == 2
+    assert summary["reason"] == "config_invalid"
+    assert "verify_g/pad" in summary["detail"]
+    assert not (tmp_path / "out").exists()
+    zero = write_config(tmp_path, {"verify_g": {"pad": 0}}, name="zero.json")
+    assert cli.load_config(str(zero))["verify_g"]["pad"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,37 @@ def test_synthesize_from_controlled_phase_pi():
     assert f == pytest.approx(res.fidelity, abs=1e-9)
 
 
+@pytest.mark.parametrize("entangler", [gates.exchange_gate_target(),
+                                       gates.controlled_phase(2.0 * np.pi / np.sqrt(5.0))],
+                         ids=["exchange", "cphase"])
+@pytest.mark.parametrize("n_uses", [1, 2, 3, 4])
+def test_fidelity_gradient_matches_reference(entangler, n_uses):
+    rng = np.random.default_rng(n_uses)
+    target = gates.cnot_target()
+    for _ in range(3):
+        angles = rng.uniform(-np.pi, np.pi, (n_uses + 1, 6))
+        f, grad = gates._fidelity_and_grad(entangler, angles, target)
+        assert abs(f - gates.circuit_fidelity(entangler, angles, target)) < 1e-12
+        h = 1e-5
+        steps = h * np.eye(angles.size).reshape(-1, *angles.shape)
+        central = [(gates.circuit_fidelity(entangler, angles + e, target)
+                    - gates.circuit_fidelity(entangler, angles - e, target)) / (2 * h)
+                   for e in steps]
+        np.testing.assert_allclose(grad, central, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("entangler, n_uses, best", [
+    pytest.param(gates.controlled_phase(-np.pi / np.sqrt(5.0)), 2,
+                 np.cos(np.pi / 4 - np.pi / (2 * np.sqrt(5.0))) ** 2, id="cphase-2"),
+    pytest.param(gates.exchange_gate_target(), 2, np.cos(np.pi / 12) ** 2, id="exchange-2"),
+    pytest.param(gates.exchange_gate_target(), 3, 13.0 / 16.0, id="exchange-3"),
+])
+def test_synthesis_reaches_closed_form_optimum(entangler, n_uses, best):
+    with pytest.raises(SynthesisFailed) as info:
+        gates.synthesize_cnot(entangler, n_uses, seed=1234, n_starts=16)
+    assert abs(info.value.best_fidelity - best) < 1e-9
+
+
 def test_synthesize_json_round_trip():
     res = gates.synthesize_cnot(gates.cnot_target(), 1, seed=3, n_starts=4)
     doc = json.loads(res.to_json())
