@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator
+from jsonschema import Draft7Validator, validators
 
 from . import analysis, schemes
 from .errors import (ChainlabError, ConfigInvalid, ExcessiveLeakage, IoFailure,
@@ -44,6 +44,17 @@ _POSINT = {"type": "integer", "minimum": 1}
 
 def _nullable(schema: dict) -> dict:
     return {**schema, "type": [schema["type"], "null"]}
+
+
+def _finite(kind: str):
+    """Draft 7's check for `kind`, refusing the NaN, +-inf and integers beyond
+    float range that Python's json accepts."""
+    return lambda checker, x: (Draft7Validator.TYPE_CHECKER.is_type(x, kind)
+                               and abs(x) <= sys.float_info.max)
+
+
+_Validator = validators.extend(Draft7Validator, type_checker=Draft7Validator.TYPE_CHECKER
+                               .redefine_many({k: _finite(k) for k in ("number", "integer")}))
 
 
 CONFIG_SCHEMA = {
@@ -163,7 +174,7 @@ def load_config(path: str | None) -> dict:
 
 def _validate_config(doc: dict) -> None:
     """Raise ConfigInvalid at the first schema violation, by path."""
-    errors = sorted(Draft7Validator(CONFIG_SCHEMA).iter_errors(doc),
+    errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(doc),
                     key=lambda e: list(e.absolute_path))
     if errors:
         first = errors[0]

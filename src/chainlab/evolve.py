@@ -5,9 +5,7 @@ switching between them.  Every segment Hamiltonian commutes with total
 sigma^z and is real in the z basis, so it is diagonalized one real
 magnetization-sector block at a time, only for the sectors the evolved state
 occupies, and the eigensystems are kept in a byte-bounded LRU cache; time
-evolution for any duration is then a cheap phase rotation.  The optional
-linear-ramp helper approximates non-sudden switching with a stack of short
-constant segments and is off unless explicitly invoked.
+evolution for any duration is then a cheap phase rotation.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ equivalence invariants that no single-qubit dressing can move.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,7 +21,7 @@ from . import linalg
 from .errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                      NotDiagonalizableLocally, NotUnitary, SynthesisFailed)
 from .evolve import ZeemanSchedule, apply_hold, evolve
-from .model import ChainSpec, basis_index
+from .model import ChainSpec, basis_index, sigma_z_values
 
 REVIVAL_THRESHOLD = 0.999
 REVIVAL_DIP_LEVEL = 0.9
@@ -29,6 +30,8 @@ REVIVAL_BATCH_COLUMNS = 32   # state columns per batched grid evaluation
 LEAKAGE_REUNITARIZE = 1e-3
 LEAKAGE_MEANINGLESS = 0.1
 UNITARY_CHECK_ATOL = 1e-8
+ALIGN_ANGLE_TOL = 1e-13     # coordinate ascent stops once no z-angle moves more
+ALIGN_MAX_SWEEPS = 1000
 
 # |0>_L, |1>_L bit patterns on a (lower-level, upper-level) site pair
 PAIR_LOGICAL_BITS = ((1, 0), (0, 1))
@@ -310,64 +313,50 @@ def euler_zyz(a: float, b: float, c: float) -> np.ndarray:
 class PhaseAlignment:
     distance: float
     dressed: np.ndarray
-    pre_angles: tuple[float, ...]
-    post_angles: tuple[float, ...]
 
 
-def _z_dress(gate: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    if gate.shape[0] == 4:
-        zpre = np.kron(rz(pre[0]), rz(pre[1]))
-        zpost = np.kron(rz(post[0]), rz(post[1]))
-    else:
-        zpre, zpost = rz(pre[0]), rz(post[0])
-    return zpost @ gate @ zpre
-
-
-def align_phases(gate: np.ndarray, target: np.ndarray, two_sided: bool = True,
-                 n_starts: int = 8, seed: int = 0) -> PhaseAlignment:
+def align_phases(gate: np.ndarray, target: np.ndarray, two_sided: bool = True) -> PhaseAlignment:
     """Dress a gate with per-qubit z-rotations to best match a target.
 
-    Minimizes global-phase-invariant distance over pre and post z-angles
-    (post only, if two_sided is false).  Deterministic multi-start.
+    Maximizes |tr(target^dag Z_post gate Z_pre)| over the z-angles (post
+    only, if two_sided is false) by exact coordinate ascent: the dressed gate
+    is gate * (p q^T) for the dressings' diagonals p and q, so each angle
+    enters the trace as a e^{-i theta/2} + b e^{i theta/2} and moves straight
+    to its maximizer theta = arg a - arg b.  The ascent runs from every
+    corner of {0, pi}^k for the k free angles and keeps the best overlap; the
+    reported distance is op_distance at that trace optimum.
     """
     gate = np.asarray(gate, dtype=complex)
     target = np.asarray(target, dtype=complex)
     if gate.shape != target.shape or gate.shape[0] not in (2, 4):
         raise DimensionMismatch(f"cannot align shapes {gate.shape} and {target.shape}")
-    per_side = 2 if gate.shape[0] == 4 else 1
-    n_par = per_side * 2 if two_sided else per_side
-    dim = gate.shape[0]
+    n_qubits = 2 if gate.shape[0] == 4 else 1
+    signs = sigma_z_values(n_qubits)
+    weights = target.conj() * gate
+    sides = 2 if two_sided else 1
 
-    def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if two_sided:
-            return x[:per_side], x[per_side:]
-        return np.zeros(per_side), x
+    def dressing(x: np.ndarray) -> np.ndarray:   # x rows: post angles, pre angles
+        return np.outer(np.exp(-0.5j * x[0] @ signs), np.exp(-0.5j * x[1] @ signs))
 
-    def trace_cost(x: np.ndarray) -> float:
-        pre, post = split(x)
-        return 1.0 - abs(np.trace(target.conj().T @ _z_dress(gate, pre, post))) / dim
-
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(n_par)] + [rng.uniform(-np.pi, np.pi, n_par) for _ in range(n_starts - 1)]
-    best_x, best_c = None, np.inf
-    for x0 in starts:
-        res = minimize(trace_cost, x0, method="Powell",
-                       options={"xtol": 1e-12, "ftol": 1e-14, "maxfev": 20000})
-        if res.fun < best_c:
-            best_c, best_x = res.fun, res.x
-
-    def dist_cost(x: np.ndarray) -> float:
-        pre, post = split(x)
-        return linalg.op_distance(_z_dress(gate, pre, post), target)
-
-    res = minimize(dist_cost, best_x, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 20000})
-    if res.fun < dist_cost(best_x):
-        best_x = res.x
-    pre, post = split(best_x)
-    dressed = _z_dress(gate, pre, post)
-    return PhaseAlignment(distance=float(dist_cost(best_x)), dressed=dressed,
-                          pre_angles=tuple(pre), post_angles=tuple(post))
+    best_overlap, best_x = -1.0, None
+    for corner in itertools.product((0.0, np.pi), repeat=sides * n_qubits):
+        x = np.zeros((2, n_qubits))
+        x[:sides] = np.reshape(corner, (sides, n_qubits))
+        for _ in range(ALIGN_MAX_SWEEPS):
+            step = 0.0
+            for side, q in itertools.product(range(sides), range(n_qubits)):
+                # post angles weigh the rows of the dressed trace, pre angles the columns
+                sums = (weights * dressing(x)).sum(axis=1 - side)
+                delta = np.angle(sums[signs[q] > 0].sum() * np.conj(sums[signs[q] < 0].sum()))
+                x[side, q] += delta
+                step = max(step, abs(delta))
+            if step <= ALIGN_ANGLE_TOL:
+                break
+        overlap = abs((weights * dressing(x)).sum())
+        if overlap > best_overlap:
+            best_overlap, best_x = overlap, x
+    dressed = gate * dressing(best_x)
+    return PhaseAlignment(distance=linalg.op_distance(dressed, target), dressed=dressed)
 
 
 def derive_local_corrections(k: np.ndarray, atol: float = UNITARY_CHECK_ATOL

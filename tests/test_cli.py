@@ -1,3 +1,4 @@
+import copy
 import importlib
 import json
 import os
@@ -98,6 +99,51 @@ def test_threads_flag_outside_sweep_is_config_error(capsys, tmp_path, command):
     assert code == 2
     assert summary["reason"] == "config_invalid"
     assert "--threads" in summary["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def numeric_leaves(schema, path=()):
+    """(path, schema) of every number or integer field; list items at index 0."""
+    kinds = schema.get("type")
+    if {"number", "integer"} & set(kinds if isinstance(kinds, list) else [kinds]):
+        yield path, schema
+    for key, sub in schema.get("properties", {}).items():
+        yield from numeric_leaves(sub, path + (key,))
+    if "items" in schema:
+        yield from numeric_leaves(schema["items"], path + (0,))
+
+
+@pytest.mark.parametrize("path, schema", [pytest.param(p, s, id="/".join(map(str, p)))
+                                          for p, s in numeric_leaves(cli.CONFIG_SCHEMA)])
+def test_non_finite_or_below_minimum_number_is_config_error(capsys, tmp_path, path, schema):
+    # Python's json reads NaN, Infinity and 1e400 (= inf) as numbers
+    values = ["NaN", "Infinity", "-Infinity", "1e400"]
+    low = schema.get("minimum", schema.get("exclusiveMinimum"))
+    if low is not None:
+        values.append(repr(low - 1))
+    doc = copy.deepcopy(cli.DEFAULT_CONFIG)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "VALUE"
+    for value in values:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({path[0]: doc[path[0]]}).replace('"VALUE"', value))
+        code = cli.main(["verify-m", "--config", str(config), "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2, (path, value)
+        assert len(lines) == 1 and json.loads(lines[0])["reason"] == "config_invalid"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify-g", "verify-m"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_flag_is_config_error(capsys, tmp_path, command, value):
+    code, summary = run_cli(capsys, command, out=tmp_path / "out",
+                            extra=["--tolerance", value])
+    assert code == 2
+    assert summary["reason"] == "config_invalid"
+    assert "tolerance" in summary["detail"]
     assert not (tmp_path / "out").exists()
 
 

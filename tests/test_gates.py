@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from chainlab import gates, linalg, model, schemes
 from chainlab.errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
@@ -360,6 +361,45 @@ def test_align_phases_single_qubit():
     dressed = gates.rz(0.3) @ target @ gates.rz(-0.9)
     aligned = gates.align_phases(dressed, target)
     assert aligned.distance < 1e-7
+
+
+def z_diagonal(angles):
+    """Diagonal of Rz(a_0) (x) Rz(a_1) (x) ..., Rz(a) = diag(e^{-ia/2}, e^{ia/2})."""
+    out = np.ones(1)
+    for a in angles:
+        out = np.outer(out, np.exp([-0.5j * a, 0.5j * a])).ravel()
+    return out
+
+
+@pytest.mark.parametrize("dim, target", [(2, gates.ry(0.4)), (4, gates.exchange_gate_target()),
+                                         (4, gates.cnot_target())])
+@pytest.mark.parametrize("two_sided", [True, False])
+def test_align_phases_reaches_multistart_trace_optimum(dim, target, two_sided):
+    rng = np.random.default_rng(dim + 10 * two_sided)
+    n_qubits = dim // 2
+    n_par = n_qubits * (2 if two_sided else 1)
+    for _ in range(2):
+        gate = random_unitary(rng, dim)
+
+        def cost(x):
+            pre = z_diagonal(x[n_qubits:] if two_sided else np.zeros(n_qubits))
+            dressed = z_diagonal(x[:n_qubits])[:, None] * gate * pre
+            return -abs(np.vdot(target, dressed))
+
+        reference = min(minimize(cost, rng.uniform(-np.pi, np.pi, n_par), method="Powell",
+                                 options={"xtol": 1e-10, "ftol": 1e-14}).fun
+                        for _ in range(8))
+        aligned = gates.align_phases(gate, target, two_sided=two_sided)
+        ratio = aligned.dressed / gate   # a z dressing multiplies entry (j, k) by p_j q_k
+        assert np.allclose(np.abs(ratio), 1.0)
+        assert np.allclose(ratio * ratio[0, 0], np.outer(ratio[:, 0], ratio[0]))
+        assert abs(np.vdot(target, aligned.dressed)) >= -reference - 1e-9
+        assert aligned.distance == linalg.op_distance(aligned.dressed, target)
+
+
+def test_default_gate_alignment_distance(arch1_pipeline):
+    assert arch1_pipeline["alignment"].distance == pytest.approx(2.965828055574488e-04,
+                                                                 rel=1e-9)
 
 
 def test_align_phases_shape_check():
