@@ -2,7 +2,8 @@
 
 For each detuning: revival time, revival probability, distance of the
 extracted two-qubit gate to the ideal exchange gate, leakage, and the
-local-invariant deviation.  Results land in revival_report.json.
+local-invariant deviation.  Results land in revival_report.json; a
+detuning whose pipeline fails gets a row with the failure reason instead.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import json
 from pathlib import Path
 
 from chainlab import gates, schemes
-from chainlab.errors import NoRevivalFound
+from chainlab.errors import ChainlabError
 from chainlab.model import ZeemanLevels
 
 
@@ -47,11 +48,11 @@ def main():
         delta = float(tok)
         try:
             row = pipeline(delta, args.coupling, args.pad)
-        except NoRevivalFound as exc:
+        except ChainlabError as exc:   # no revival, or a gate too leaky to compare
             row = {"delta": delta, "failure": str(exc)}
         rows.append(row)
         if "failure" in row:
-            print(f"delta={delta:8.1f}  no revival: {row['failure']}")
+            print(f"delta={delta:8.1f}  failed: {row['failure']}")
         else:
             print(f"delta={delta:8.1f}  t_r={row['revival_time']:.9f}  "
                   f"distance={row['distance_to_target']:.3e}  "

@@ -60,10 +60,11 @@ def _qubit_signs(enc) -> np.ndarray:
     return 1 - 2 * bits
 
 
-def _middle_pair_dressing(signs: np.ndarray, chi: float) -> np.ndarray:
+def _middle_pair_dressing(signs: np.ndarray, chi: float | np.ndarray) -> np.ndarray:
     """Per-logical-basis phase of a differential z rotation on the two gate
-    qubits.  Only the difference angle can change overlap moduli; common
-    z phases factor into the global/linear fit."""
+    qubits, one row per angle if chi is a column of angles.  Only the
+    difference angle can change overlap moduli; common z phases factor into
+    the global/linear fit."""
     return np.exp(1j * (0.5 * chi * (signs[:, 1] - signs[:, 2])))
 
 
@@ -102,8 +103,8 @@ def _sweep_point(delta: float, coupling: float) -> DefectRecord:
         return float(np.max(1.0 - np.abs(ov) ** 2))
 
     grid = np.linspace(-np.pi, np.pi, CHI_SCAN_POINTS, endpoint=False)
-    vals = [worst_defect(c) for c in grid]
-    k = int(np.argmin(vals))
+    scan = _middle_pair_dressing(signs, grid[:, None]).conj() @ amp
+    k = int(np.argmin(np.max(1.0 - np.abs(scan) ** 2, axis=1)))
     lo, hi = grid[k] - 2 * np.pi / CHI_SCAN_POINTS, grid[k] + 2 * np.pi / CHI_SCAN_POINTS
     chi_opt, _ = golden_section(worst_defect, lo, hi, 1e-10)
     defect_worst = worst_defect(chi_opt)

@@ -14,7 +14,7 @@ import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -103,18 +103,29 @@ def _apply(chain: ChainSpec, energies: tuple[float, ...], t, psi: np.ndarray) ->
     rows of the others stay exactly zero.  The real eigenvectors act on the
     float view of the complex columns.
     """
-    if len(energies) != chain.n:
-        raise LengthMismatch(f"segment has {len(energies)} energies, chain has {chain.n} sites")
-    down, sector_rows = _sectors(chain.n)
     out = np.zeros_like(psi)
-    for k in np.unique(down[psi.any(axis=1)]):
-        rows = sector_rows[k]
-        block = psi[rows]
-        w, v = _sector_eig(chain, energies, int(k))
-        amp = (v.T @ block.view(float)).view(complex)
-        amp *= np.exp(-1j * w[:, None] * t)
-        out[rows] = (v @ amp.view(float)).view(complex)
+    for k, rows in _occupied(chain, psi, energies):
+        out[rows] = _rotate(*_sector_eig(chain, energies, k), t, psi[rows])
     return out
+
+
+def _occupied(chain: ChainSpec, psi: np.ndarray, *energies: tuple[float, ...]
+              ) -> list[tuple[int, np.ndarray]]:
+    """(sector, its basis indices) for each sector in which some column of
+    psi has amplitude, once every segment's energies are checked to fit."""
+    for e in energies:
+        if len(e) != chain.n:
+            raise LengthMismatch(f"segment has {len(e)} energies, chain has {chain.n} sites")
+    down, sector_rows = _sectors(chain.n)
+    return [(int(k), sector_rows[k]) for k in np.unique(down[psi.any(axis=1)])]
+
+
+def _rotate(w: np.ndarray, v: np.ndarray, t, block: np.ndarray) -> np.ndarray:
+    """exp(-i H t) on the C-contiguous complex columns of one sector block,
+    from the block's eigensystem (w, v)."""
+    amp = (v.T @ block.view(float)).view(complex)
+    amp *= np.exp(-1j * w[:, None] * t)
+    return (v @ amp.view(float)).view(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +165,28 @@ def apply_hold(chain: ChainSpec, energies: Sequence[float], durations: np.ndarra
     if psi.ndim != 2 or durations.shape != (psi.shape[1],):
         raise LengthMismatch("durations must match the number of state columns")
     return _apply(chain, tuple(float(x) for x in energies), durations, psi)
+
+
+def hold_modes(chain: ChainSpec, energies: Sequence[float], after: ZeemanSchedule,
+               psi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigenmodes of a hold, carried through the segments after it, in each
+    magnetization sector that a complex (dim, m) psi occupies.
+
+    Yields (rows, w, amp, modes) per occupied sector: the sector's basis
+    indices, the hold's eigenvalues w, the columns' amplitudes amp = v^T psi
+    in the hold eigenbasis v, and modes = (after's block of the sector) v.
+    Evolving psi under the hold for t and then under `after` gives
+    modes @ (exp(-i w t)[:, None] * amp) on those rows, for any t.
+    """
+    energies = tuple(float(x) for x in energies)
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    for k, rows in _occupied(chain, psi, energies, *(seg.energies for seg in after.segments)):
+        w, v = _sector_eig(chain, energies, k)
+        amp = (v.T @ psi[rows].view(float)).view(complex)
+        modes = v.astype(complex)
+        for seg in after.segments:
+            modes = _rotate(*_sector_eig(chain, seg.energies, k), seg.duration, modes)
+        yield rows, w, amp, modes
 
 
 def zeeman_frame(chain: ChainSpec, energies: Sequence[float], t: float) -> np.ndarray:

@@ -20,13 +20,13 @@ from scipy.optimize import minimize
 from . import linalg
 from .errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                      NotDiagonalizableLocally, NotUnitary, SynthesisFailed)
-from .evolve import ZeemanSchedule, apply_hold, evolve
+from .evolve import ZeemanSchedule, evolve, hold_modes
 from .model import ChainSpec, basis_index, sigma_z_values
 
 REVIVAL_THRESHOLD = 0.999
 REVIVAL_DIP_LEVEL = 0.9
 REVIVAL_REFINE_TOL = 1e-6
-REVIVAL_BATCH_COLUMNS = 32   # state columns per batched grid evaluation
+REVIVAL_BATCH_COLUMNS = 256   # (time, input) columns per batched grid evaluation
 LEAKAGE_REUNITARIZE = 1e-3
 LEAKAGE_MEANINGLESS = 0.1
 UNITARY_CHECK_ATOL = 1e-8
@@ -129,14 +129,6 @@ class GateReport:
 # revival search
 
 
-def reference_population(psi: np.ndarray, site: int, ref_bit: int, n: int) -> np.ndarray:
-    """Probability of finding `site` in its reference z-state, per column."""
-    idx = np.arange(2 ** n)
-    mask = ((idx >> (n - 1 - site)) & 1) == ref_bit
-    psi2 = np.abs(np.atleast_2d(psi.T).T) ** 2
-    return psi2[mask].sum(axis=0)
-
-
 def _split_family(schedule_family: Callable[[float], ZeemanSchedule], window: tuple[float, float]
                   ) -> tuple[ZeemanSchedule, tuple[float, ...], ZeemanSchedule]:
     """(leading segments, energies of the segment lasting t, trailing segments)
@@ -152,6 +144,17 @@ def _split_family(schedule_family: Callable[[float], ZeemanSchedule], window: tu
             or (s0[j].duration, s1[j].duration) != tuple(window)):
         raise ValueError("the varying segment must last t under fixed energies")
     return ZeemanSchedule(s0[:j]), s0[j].energies, ZeemanSchedule(s0[j + 1:])
+
+
+def _revival_populations(modes: list, n_in: int, times: np.ndarray) -> np.ndarray:
+    """(n_in, len(times)) barrier reference populations, summed over sectors
+    given as (live inputs, w, their amplitudes a, C) as in find_revival."""
+    pops = np.zeros((n_in, len(times)))
+    for live, w, amp, c in modes:
+        phased = amp[:, :, None] * np.exp(-1j * w[:, None, None] * times)
+        out = c @ phased.reshape(len(w), -1)
+        pops[live] += (np.abs(out) ** 2).sum(axis=0).reshape(len(live), len(times))
+    return pops
 
 
 def find_revival(chain: ChainSpec,
@@ -170,16 +173,26 @@ def find_revival(chain: ChainSpec,
     p to first dip below `dip_level` and then recover above `threshold`;
     the earliest grid maximum doing so is refined by golden section to
     `refine_tol` (in units of 1/J).
+
+    p is scored spectrally: the hold of length t is a phase rotation in its
+    own eigenbasis, so an input's population is the sum over the sectors k
+    it occupies of ||C_k (a_k * exp(-i w_k t))||^2, with a_k its hold
+    eigenbasis amplitudes and C_k the tail-evolved hold eigenmodes on the
+    barrier's reference rows.  The grid is scored in batches of at most
+    REVIVAL_BATCH_COLUMNS (time, input) columns.
     """
     ref = enc.reference_bit(barrier_site)
     head, energies, tail = _split_family(schedule_family, window)
     lead = evolve(chain, head, enc.embed_basis())
     n_in = enc.logical_dim
+    modes = []
+    for rows, w, amp, c in hold_modes(chain, energies, tail, lead):
+        live = np.flatnonzero(amp.any(axis=0))
+        keep = ((rows >> (chain.n - 1 - barrier_site)) & 1) == ref
+        modes.append((live, w, amp[:, live], c[keep]))
 
     def probs(times: np.ndarray) -> np.ndarray:
-        psi = apply_hold(chain, energies, np.repeat(times, n_in), np.tile(lead, len(times)))
-        pop = reference_population(evolve(chain, tail, psi), barrier_site, ref, chain.n)
-        return pop.reshape(len(times), n_in).min(axis=1)
+        return _revival_populations(modes, n_in, times).min(axis=0)
 
     def prob(t: float) -> float:
         return float(probs(np.array([t]))[0])

@@ -154,6 +154,30 @@ def test_apply_hold_per_column_durations_match_dense():
         assert np.abs(out[:, j] - linalg.expm_i(h, t) @ psi[:, j]).max() < 1e-10
 
 
+def test_hold_modes_reproduce_hold_then_tail_against_dense():
+    chain, hold, rng = random_chain_and_energies(seed=29, n=4)
+    tail = [(0.4, tuple(rng.uniform(-4, 4, 4))), (0.7, tuple(rng.uniform(-4, 4, 4)))]
+    psi = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+    psi[model.total_sz_diagonal(4) == 0] = 0.0   # leave the six-state sector empty
+    psi /= np.linalg.norm(psi, axis=0)
+    t = 1.3
+    dense = linalg.expm_i(model.build_heisenberg(chain, hold), t)
+    for d, e in tail:
+        dense = linalg.expm_i(model.build_heisenberg(chain, e), d) @ dense
+    want = dense @ psi
+    got = np.zeros_like(psi)
+    sectors = []
+    for rows, w, amp, modes in evolve.hold_modes(chain, hold,
+                                                 evolve.ZeemanSchedule.from_steps(tail), psi):
+        got[rows] = modes @ (np.exp(-1j * w * t)[:, None] * amp)
+        sectors.append(len(rows))
+    assert sorted(sectors) == [1, 1, 4, 4]
+    assert np.abs(got - want).max() < 1e-10
+    with pytest.raises(LengthMismatch):
+        list(evolve.hold_modes(chain, hold, evolve.ZeemanSchedule.from_steps([(0.1, (1.0,))]),
+                               psi))
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 4))
 def test_schedule_on_sector_subset_matches_dense(seed, n, n_segments):

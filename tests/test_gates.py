@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -42,6 +43,14 @@ def invariants_oracle(u):
     return tr ** 2 / (16.0 * det), (tr ** 2 - np.trace(m @ m)) / (4.0 * det)
 
 
+def reference_population(psi, site, ref_bit, n):
+    """Probability of finding `site` in its reference z-state, per column."""
+    idx = np.arange(2 ** n)
+    mask = ((idx >> (n - 1 - site)) & 1) == ref_bit
+    psi2 = np.abs(np.atleast_2d(psi.T).T) ** 2
+    return psi2[mask].sum(axis=0)
+
+
 def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -84,7 +93,7 @@ def test_reference_population_matches_marginal():
         for ref in (0, 1):
             expect = sum(abs(psi[i]) ** 2 for i in range(16)
                          if (i >> (3 - site)) & 1 == ref)
-            got = gates.reference_population(psi, site, ref, 4)
+            got = reference_population(psi, site, ref, 4)
             assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -148,7 +157,7 @@ def pointwise_revival(chain, family, site, window, enc, threshold, dip_level,
 
     def prob(t):
         psi = evolve(chain, family(t), basis)
-        return float(gates.reference_population(psi, site, ref, chain.n).min())
+        return float(reference_population(psi, site, ref, chain.n).min())
 
     ts = np.linspace(window[0], window[1], grid_points)
     ps = np.array([prob(t) for t in ts])
@@ -181,8 +190,50 @@ def reduced_revival_case():
             gates.REVIVAL_THRESHOLD, gates.REVIVAL_DIP_LEVEL)
 
 
-@pytest.mark.parametrize("case", [reduced_revival_case, lambda: arch1_revival_case(100.0)],
-                         ids=["reduced-3-site", "arch1-delta-100"])
+def two_segment_tail_case():
+    # the tail's segments differ in energies, so the order they compose in matters
+    chain, enc = reduced_resonant_chain()
+
+    def family(t):
+        return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0)), (0.25, (0.0, 1.0, 2.0)),
+                                          (0.35, (1.5, 0.2, 0.7))])
+
+    return chain, family, 1, (0.5, 2.0), enc, 0.8, 0.5
+
+
+class HadamardInputs(gates.EncodingMap):
+    """Encoded basis turned by a Hadamard on every qubit, so each input
+    spans several magnetization sectors."""
+
+    def embed_basis(self):
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        return super().embed_basis() @ functools.reduce(np.kron, [h] * self.n_qubits)
+
+
+def multi_sector_lead_case():
+    chain = ChainSpec(n=5, coupling=1.0, roles="BABAB")
+    enc = HadamardInputs.single_site(5, [1, 3], {0: 0, 2: 1, 4: 0})
+    pad = (5.0, 0.0, 0.5, 0.3, 5.0)
+
+    def family(t):
+        return ZeemanSchedule.from_steps([(0.3, pad), (t, (5.0, 1.0, 1.0, 1.0, 5.0)), (0.3, pad)])
+
+    return chain, family, 2, (0.5, 2.0), enc, 0.85, 0.5
+
+
+def test_multi_sector_case_spans_sectors():
+    chain, _, _, _, enc, _, _ = multi_sector_lead_case()
+    down = np.array([bin(i).count("1") for i in range(chain.dim)])
+    basis = enc.embed_basis()
+    # evolution keeps total sigma^z, so the lead occupies the inputs' sectors
+    assert min(len(set(down[basis[:, j] != 0])) for j in range(enc.logical_dim)) >= 2
+
+
+@pytest.mark.parametrize("case", [reduced_revival_case, lambda: arch1_revival_case(100.0),
+                                  lambda: arch1_revival_case(5.0), two_segment_tail_case,
+                                  multi_sector_lead_case],
+                         ids=["reduced-3-site", "arch1-delta-100", "arch1-delta-5",
+                              "two-segment-tail", "multi-sector-lead"])
 def test_batched_revival_matches_pointwise_search(case):
     args = case()
     chain, family, site, window, enc, threshold, dip = args
@@ -218,19 +269,21 @@ def test_find_revival_rejects_family_not_varying_one_duration(family):
 
 def test_find_revival_batches_stay_within_column_cap(monkeypatch):
     widths = []
-    apply_hold = gates.apply_hold
+    populations = gates._revival_populations
 
-    def recording(chain, energies, durations, psi):
-        widths.append(psi.shape[1])
-        return apply_hold(chain, energies, durations, psi)
+    def recording(modes, n_in, times):
+        widths.append(n_in * len(times))
+        return populations(modes, n_in, times)
 
-    monkeypatch.setattr(gates, "apply_hold", recording)
+    monkeypatch.setattr(gates, "_revival_populations", recording)
     chain, family, site, window, enc, threshold, dip = arch1_revival_case(100.0)
     gates.find_revival(chain, family, site, window, enc, threshold=threshold, dip_level=dip)
     assert max(widths) <= gates.REVIVAL_BATCH_COLUMNS
     # the 800-point grid went through full batches, not one time per call
     full = gates.REVIVAL_BATCH_COLUMNS
-    assert widths.count(full) == 800 * enc.logical_dim // full
+    n_grid = -(-800 * enc.logical_dim // full)
+    assert widths[:n_grid - 1] == [full] * (n_grid - 1)
+    assert sum(widths[:n_grid]) == 800 * enc.logical_dim
 
 
 # ---------------------------------------------------------------------------
