@@ -2,8 +2,9 @@
 
 The central study evaluates the mediated two-qubit gate of the alternate-site
 architecture across barrier detunings: for each detuning the gate schedule is
-rebuilt, the revival relocated, and the full nine-spin propagator compared
-against the ideal exchange gate on all sixteen four-qubit basis inputs.
+rebuilt, the revival relocated, and the sixteen encoded four-qubit basis
+states evolved through the nine-spin chain and compared against the ideal
+exchange gate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, IoFailure, NoRevivalFound
 from .evolve import evolve, rotating_frame_strip, zeeman_frame
-from .gates import exchange_gate_target
+from .gates import exchange_gate_target, logical_block
 from .linalg import golden_section
 from .model import ZeemanLevels
 from .schemes import arch1_revival
@@ -87,13 +88,12 @@ def _walsh_phase_residual(overlaps: Sequence[complex], signs: np.ndarray) -> flo
 def _sweep_point(delta: float, coupling: float) -> DefectRecord:
     arch, sched, t_r, _ = arch1_revival(ZeemanLevels.from_delta(coupling, delta), coupling)
     enc = arch.enc
-    basis = enc.embed_basis()
-    actual = evolve(arch.chain, sched, basis)
+    actual = evolve(arch.chain, sched, enc.embed_basis())
     actual = rotating_frame_strip(actual, arch.chain, arch.passive_energies,
                                   sched.total_duration)
 
     target = np.kron(np.kron(np.eye(2), exchange_gate_target()), np.eye(2))
-    logical = basis.conj().T @ actual          # logical-subspace block, per input
+    logical, leakage = logical_block(actual, enc)
     # overlap_j(chi) = sum_k conj(dress_k * target[k, j]) * logical[k, j]
     amp = target.conj() * logical
     signs = _qubit_signs(enc)
@@ -114,9 +114,6 @@ def _sweep_point(delta: float, coupling: float) -> DefectRecord:
     mid_diag = signs[:, 1] == signs[:, 2]
     phase_noise = _walsh_phase_residual(amp.sum(axis=0)[mid_diag],
                                         signs[mid_diag][:, [0, 1, 3]])
-
-    mass = (np.abs(logical) ** 2).sum(axis=0)
-    leakage = float(np.clip(1.0 - mass.min(), 0.0, 1.0))
     return DefectRecord(delta=float(delta), t_r=float(t_r),
                         defect_worst=defect_worst, phase_noise_rad=phase_noise,
                         leakage=leakage)

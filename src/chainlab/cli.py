@@ -21,11 +21,12 @@ from jsonschema import Draft7Validator, validators
 
 from . import analysis, schemes
 from .errors import (ChainlabError, ConfigInvalid, ExcessiveLeakage, IoFailure,
-                     NoRevivalFound, NotDiagonalizableLocally, SynthesisFailed)
-from .evolve import evolve, propagator, rotating_frame_strip
-from .gates import (controlled_phase, derive_local_corrections,
-                    exchange_gate_target, extract_gate, operator_schmidt_factor,
-                    synthesize_cnot)
+                     NoRevivalFound, NotDiagonalizableLocally, NotUnitary,
+                     SynthesisFailed)
+from .evolve import evolve, rotating_frame_strip
+from .gates import (SYNTH_SUCCESS_FIDELITY, controlled_phase, derive_local_corrections,
+                    exchange_gate_target, extract_gate, logical_block,
+                    operator_schmidt_factor, synthesize_cnot)
 from .linalg import op_distance
 from .model import ZeemanLevels, site_energies
 
@@ -101,6 +102,9 @@ CONFIG_SCHEMA = {
                             "n_starts": _POSINT,
                         },
                         "required": ["entangler", "n_uses"],
+                        # a phase sets the controlled phase, so only cphase takes one
+                        "dependencies": {
+                            "phase": {"properties": {"entangler": {"const": "cphase"}}}},
                     },
                 }
             },
@@ -248,9 +252,9 @@ def cmd_verify_m(cfg: dict, out: Path) -> dict:
     doc = {"delta": c["delta"], "eps": eps, "t_gate": t_gate,
            "target_phase": c["target_phase"], "tolerance": c["tolerance"]}
     try:
-        u = propagator(arch.chain, sched)
-        u = rotating_frame_strip(u, arch.chain, arch.passive_energies, t_gate)
-        report = extract_gate(u, enc)
+        cols = evolve(arch.chain, sched, enc.embed_basis())
+        cols = rotating_frame_strip(cols, arch.chain, arch.passive_energies, t_gate)
+        report = extract_gate(cols, enc)
         q1, q2, phi, resid = derive_local_corrections(report.logical_unitary)
         doc.update({"leakage": report.leakage, "conditional_phase": phi,
                     "off_diagonal_residual": resid})
@@ -258,7 +262,7 @@ def cmd_verify_m(cfg: dict, out: Path) -> dict:
         doc["phase_error"] = err
         ok = err < c["tolerance"] and resid < 1e-3
         reason = None if ok else "tolerance_exceeded"
-    except (NoRevivalFound, ExcessiveLeakage, NotDiagonalizableLocally) as exc:
+    except (NoRevivalFound, ExcessiveLeakage, NotDiagonalizableLocally, NotUnitary) as exc:
         doc.update({"failure": f"{type(exc).__name__}: {exc}"})
         ok, reason = False, "tolerance_exceeded"
     doc["status"] = "ok" if ok else "fail"
@@ -303,7 +307,7 @@ def cmd_synthesize(cfg: dict, out: Path) -> dict:
             res = synthesize_cnot(ent, job["n_uses"], seed=cfg["seed"],
                                   n_starts=n_starts)
             entry.update(json.loads(res.to_json()))
-            entry["status"] = "ok" if res.fidelity > 1 - 1e-6 else "below_target"
+            entry["status"] = "ok" if res.fidelity > SYNTH_SUCCESS_FIDELITY else "below_target"
             ok = ok and entry["status"] == "ok"
         except SynthesisFailed as exc:
             entry.update({"status": "fail", "best_fidelity": exc.best_fidelity})
@@ -370,7 +374,7 @@ def cmd_six_settings(cfg: dict, out: Path) -> dict:
         actual = rotating_frame_strip(actual, arch.chain,
                                       site_energies(arch.chain, levels),
                                       sched.total_duration)
-        logical[setting.label] = basis.conj().T @ actual
+        logical[setting.label] = logical_block(actual, arch.enc)[0]
 
     def factor(label, group):
         return operator_schmidt_factor(logical[label], 4, group)

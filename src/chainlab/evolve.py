@@ -147,10 +147,7 @@ def propagator(chain: ChainSpec, schedule: ZeemanSchedule) -> np.ndarray:
     """Full unitary of the schedule; later segments act on the left."""
     if not schedule.segments:
         raise ValueError("schedule must contain at least one segment")
-    u = np.eye(chain.dim, dtype=complex)
-    for seg in schedule.segments:
-        u = _apply(chain, seg.energies, seg.duration, u)
-    return u
+    return evolve(chain, schedule, np.eye(chain.dim))
 
 
 def apply_hold(chain: ChainSpec, energies: Sequence[float], durations: np.ndarray,

@@ -1,4 +1,4 @@
-"""Logical-gate extraction and identification on top of full-chain propagators.
+"""Logical-gate extraction and identification on top of full-chain evolution.
 
 A logical qubit is carried by one physical site (up = |0>) or by a site pair
 (|0>_L = down-up, |1>_L = up-down); every non-qubit site is a barrier pinned
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -25,6 +25,7 @@ from .model import ChainSpec, basis_index, sigma_z_values
 
 REVIVAL_THRESHOLD = 0.999
 REVIVAL_DIP_LEVEL = 0.9
+REVIVAL_GRID_POINTS = 800
 REVIVAL_REFINE_TOL = 1e-6
 REVIVAL_BATCH_COLUMNS = 256   # (time, input) columns per batched grid evaluation
 LEAKAGE_REUNITARIZE = 1e-3
@@ -32,6 +33,8 @@ LEAKAGE_MEANINGLESS = 0.1
 UNITARY_CHECK_ATOL = 1e-8
 ALIGN_ANGLE_TOL = 1e-13     # coordinate ascent stops once no z-angle moves more
 ALIGN_MAX_SWEEPS = 1000
+SYNTH_SUCCESS_FIDELITY = 1.0 - 1e-6   # a start this good stops the synthesis early
+SYNTH_FAIL_FIDELITY = 0.999          # below this best fidelity the synthesis fails
 
 # |0>_L, |1>_L bit patterns on a (lower-level, upper-level) site pair
 PAIR_LOGICAL_BITS = ((1, 0), (0, 1))
@@ -129,23 +132,6 @@ class GateReport:
 # revival search
 
 
-def _split_family(schedule_family: Callable[[float], ZeemanSchedule], window: tuple[float, float]
-                  ) -> tuple[ZeemanSchedule, tuple[float, ...], ZeemanSchedule]:
-    """(leading segments, energies of the segment lasting t, trailing segments)
-    of a family probed at the window ends; ValueError unless exactly one
-    segment's duration varies and it is t itself under fixed energies."""
-    s0, s1 = (schedule_family(t).segments for t in window)
-    varying = [j for j, (a, b) in enumerate(zip(s0, s1)) if a.duration != b.duration]
-    if len(s0) != len(s1) or len(varying) != 1:
-        raise ValueError(f"schedule family must keep its segments and vary one duration: "
-                         f"{len(s0)} then {len(s1)} segments, {len(varying)} durations vary")
-    j = varying[0]
-    if ([a.energies for a in s0] != [b.energies for b in s1]
-            or (s0[j].duration, s1[j].duration) != tuple(window)):
-        raise ValueError("the varying segment must last t under fixed energies")
-    return ZeemanSchedule(s0[:j]), s0[j].energies, ZeemanSchedule(s0[j + 1:])
-
-
 def _revival_populations(modes: list, n_in: int, times: np.ndarray) -> np.ndarray:
     """(n_in, len(times)) barrier reference populations, summed over sectors
     given as (live inputs, w, their amplitudes a, C) as in find_revival."""
@@ -157,22 +143,18 @@ def _revival_populations(modes: list, n_in: int, times: np.ndarray) -> np.ndarra
     return pops
 
 
-def find_revival(chain: ChainSpec,
-                 schedule_family: Callable[[float], ZeemanSchedule],
-                 barrier_site: int,
-                 window: tuple[float, float],
-                 enc: EncodingMap,
-                 threshold: float = REVIVAL_THRESHOLD,
-                 dip_level: float = REVIVAL_DIP_LEVEL,
-                 grid_points: int = 800,
-                 refine_tol: float = REVIVAL_REFINE_TOL) -> tuple[float, float]:
-    """Earliest time the barrier returns to its reference state after leaving it.
+def find_revival(chain: ChainSpec, head: ZeemanSchedule, hold: Sequence[float],
+                 tail: ZeemanSchedule, barrier_site: int, window: tuple[float, float],
+                 enc: EncodingMap, threshold: float = REVIVAL_THRESHOLD,
+                 dip_level: float = REVIVAL_DIP_LEVEL) -> tuple[float, float]:
+    """Earliest t at which the barrier returns to its reference state after
+    leaving it, under the schedule head, then `hold` energies for t, then tail.
 
     The figure of merit p(t) is the minimum, over encoded logical basis
     inputs, of the barrier's reference-state population.  A revival requires
     p to first dip below `dip_level` and then recover above `threshold`;
-    the earliest grid maximum doing so is refined by golden section to
-    `refine_tol` (in units of 1/J).
+    the earliest of REVIVAL_GRID_POINTS grid maxima doing so is refined by
+    golden section to REVIVAL_REFINE_TOL (in units of 1/J).
 
     p is scored spectrally: the hold of length t is a phase rotation in its
     own eigenbasis, so an input's population is the sum over the sectors k
@@ -182,11 +164,10 @@ def find_revival(chain: ChainSpec,
     REVIVAL_BATCH_COLUMNS (time, input) columns.
     """
     ref = enc.reference_bit(barrier_site)
-    head, energies, tail = _split_family(schedule_family, window)
     lead = evolve(chain, head, enc.embed_basis())
     n_in = enc.logical_dim
     modes = []
-    for rows, w, amp, c in hold_modes(chain, energies, tail, lead):
+    for rows, w, amp, c in hold_modes(chain, hold, tail, lead):
         live = np.flatnonzero(amp.any(axis=0))
         keep = ((rows >> (chain.n - 1 - barrier_site)) & 1) == ref
         modes.append((live, w, amp[:, live], c[keep]))
@@ -197,9 +178,9 @@ def find_revival(chain: ChainSpec,
     def prob(t: float) -> float:
         return float(probs(np.array([t]))[0])
 
-    ts = np.linspace(window[0], window[1], grid_points)
+    ts = np.linspace(window[0], window[1], REVIVAL_GRID_POINTS)
     step = max(1, REVIVAL_BATCH_COLUMNS // n_in)
-    ps = np.concatenate([probs(ts[i:i + step]) for i in range(0, grid_points, step)])
+    ps = np.concatenate([probs(ts[i:i + step]) for i in range(0, len(ts), step)])
     dipped = np.flatnonzero(ps < dip_level)
     if dipped.size == 0:
         raise NoRevivalFound(
@@ -207,7 +188,7 @@ def find_revival(chain: ChainSpec,
             f"(min population {ps.min():.6f})")
     start = dipped[0]
     best_i, best_p = None, 0.0
-    for i in range(start + 1, grid_points - 1):
+    for i in range(start + 1, len(ts) - 1):
         if ps[i] >= ps[i - 1] and ps[i] >= ps[i + 1]:
             if ps[i] > best_p:
                 best_p = float(ps[i])
@@ -220,7 +201,7 @@ def find_revival(chain: ChainSpec,
             best_probability=best_p,
             best_time=float(ts[np.argmax(ps[start:]) + start]))
     t_r, _ = linalg.golden_section(prob, ts[best_i - 1], ts[best_i + 1],
-                                   refine_tol / chain.coupling, maximize=True)
+                                   REVIVAL_REFINE_TOL / chain.coupling, maximize=True)
     return float(t_r), prob(t_r)
 
 
@@ -228,19 +209,29 @@ def find_revival(chain: ChainSpec,
 # extraction and comparison
 
 
-def extract_gate(u_full: np.ndarray, enc: EncodingMap) -> GateReport:
-    """Restrict a full-chain unitary to the encoded subspace.
+def logical_block(columns: np.ndarray, enc: EncodingMap) -> tuple[np.ndarray, float]:
+    """(encoded block, leakage) of the evolved encoded basis, a (2^n,
+    logical_dim) array whose column j is the image of enc.embed_basis()[:, j].
+
+    The block is its rows on the encoded basis states; the leakage is the
+    largest population any input loses from the encoded subspace.
+    """
+    columns = np.asarray(columns)
+    if columns.shape != (2 ** enc.n, enc.logical_dim):
+        raise DimensionMismatch(f"evolved basis shape {columns.shape} does not match "
+                                f"n={enc.n} with {enc.logical_dim} encoded states")
+    block = columns[enc.basis_indices()]
+    col_mass = (np.abs(block) ** 2).sum(axis=0)
+    return block, float(np.clip(1.0 - col_mass.min(), 0.0, 1.0))
+
+
+def extract_gate(columns: np.ndarray, enc: EncodingMap) -> GateReport:
+    """The logical gate carried by the evolved encoded basis (see logical_block).
 
     The block is re-unitarized by polar projection when leakage is small;
     the raw leakage is always reported.
     """
-    u_full = np.asarray(u_full)
-    if u_full.shape != (2 ** enc.n, 2 ** enc.n):
-        raise DimensionMismatch(f"propagator shape {u_full.shape} does not match n={enc.n}")
-    idx = enc.basis_indices()
-    block = u_full[np.ix_(idx, idx)]
-    col_mass = (np.abs(block) ** 2).sum(axis=0)
-    leakage = float(np.clip(1.0 - col_mass.min(), 0.0, 1.0))
+    block, leakage = logical_block(columns, enc)
     if leakage > LEAKAGE_MEANINGLESS:
         raise ExcessiveLeakage(
             f"leakage {leakage:.4f} exceeds {LEAKAGE_MEANINGLESS}; extracted block is meaningless",
@@ -257,14 +248,14 @@ _MAGIC = np.array([
 ], dtype=complex) / np.sqrt(2.0)
 
 
-def local_equivalence_invariants(u: np.ndarray, atol: float = UNITARY_CHECK_ATOL) -> tuple[complex, complex]:
+def local_equivalence_invariants(u: np.ndarray) -> tuple[complex, complex]:
     """Two-qubit local invariants (g1, g2); equal iff gates differ by local unitaries."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4x4 matrix, got {u.shape}")
     defect = linalg.unitarity_defect(u)
-    if defect > atol:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {atol}")
+    if defect > UNITARY_CHECK_ATOL:
+        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARY_CHECK_ATOL}")
     m = _MAGIC.conj().T @ u @ _MAGIC
     mm = m.T @ m
     det = np.linalg.det(u)
@@ -372,8 +363,7 @@ def align_phases(gate: np.ndarray, target: np.ndarray, two_sided: bool = True) -
     return PhaseAlignment(distance=linalg.op_distance(dressed, target), dressed=dressed)
 
 
-def derive_local_corrections(k: np.ndarray, atol: float = UNITARY_CHECK_ATOL
-                             ) -> tuple[np.ndarray, np.ndarray, float, float]:
+def derive_local_corrections(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Split a (near-)diagonal two-qubit gate into local z-phases and a
     controlled phase: (Q1 x Q2) K = diag(1, 1, 1, e^{i phi}).
 
@@ -383,8 +373,8 @@ def derive_local_corrections(k: np.ndarray, atol: float = UNITARY_CHECK_ATOL
     if k.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4x4 matrix, got {k.shape}")
     defect = linalg.unitarity_defect(k)
-    if defect > atol:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {atol}")
+    if defect > UNITARY_CHECK_ATOL:
+        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARY_CHECK_ATOL}")
     off = k - np.diag(np.diag(k))
     residual = float(np.abs(off).max())
     if residual > 1e-3:
@@ -513,9 +503,7 @@ def _fidelity_and_grad(entangler: np.ndarray, angles: np.ndarray,
 
 
 def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int = 0,
-                    n_starts: int = 64, target: np.ndarray | None = None,
-                    success_fidelity: float = 1.0 - 1e-6,
-                    fail_fidelity: float = 0.999) -> SynthesisResult:
+                    n_starts: int = 64) -> SynthesisResult:
     """Search interleaving single-qubit layers for a CNOT realization.
 
     Multi-start exact-gradient (L-BFGS-B) maximization of circuit fidelity;
@@ -527,8 +515,7 @@ def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int = 0,
     defect = linalg.unitarity_defect(entangler)
     if defect > UNITARY_CHECK_ATOL:
         raise NotUnitary(f"entangler unitarity defect {defect:.3e}")
-    if target is None:
-        target = cnot_target()
+    target = cnot_target()
     shape = (n_uses + 1, 6)
 
     def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -550,9 +537,9 @@ def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int = 0,
         for f, x in map(run_start, ids):
             if f > best_f:
                 best_f, best_x = f, x
-        if best_f > success_fidelity:
+        if best_f > SYNTH_SUCCESS_FIDELITY:
             break
-    if best_f < fail_fidelity:
+    if best_f < SYNTH_FAIL_FIDELITY:
         raise SynthesisFailed(
             f"best fidelity {best_f:.6f} after {used} starts",
             best_fidelity=best_f)

@@ -76,7 +76,7 @@ def _maxabs(arr: np.ndarray) -> float:
     return float(np.abs(arr).max())
 
 
-def op_distance(u, v, refine_tol: float = PHASE_REFINE_TOL) -> float:
+def op_distance(u, v) -> float:
     """Entrywise max norm of U - exp(i phi) V, minimized over the phase phi.
 
     Zero exactly when the operators agree up to a global phase.  The optimal
@@ -99,7 +99,7 @@ def op_distance(u, v, refine_tol: float = PHASE_REFINE_TOL) -> float:
 
     # Golden-section refinement in a bracket around the best candidate.
     span = 2.0 * np.pi / 64
-    _, refined = golden_section(dist, best_phi - span, best_phi + span, refine_tol)
+    _, refined = golden_section(dist, best_phi - span, best_phi + span, PHASE_REFINE_TOL)
     return min(dist(best_phi), refined)
 
 

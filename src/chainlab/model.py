@@ -67,19 +67,17 @@ class ZeemanLevels:
     c: float
 
     @classmethod
-    def from_delta(cls, coupling: float, delta: float, delta_bc: float | None = None,
-                   base: float = 0.0) -> "ZeemanLevels":
-        """Levels with (B - A)/J = delta and (C - B)/J = delta_bc (default: same)."""
+    def from_delta(cls, coupling: float, delta: float,
+                   delta_bc: float | None = None) -> "ZeemanLevels":
+        """Levels A = 0, (B - A)/J = delta and (C - B)/J = delta_bc (default: same)."""
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
         if delta_bc is None:
             delta_bc = delta
         if not delta_bc > 0:
             raise ValueError(f"delta_bc must be positive, got {delta_bc}")
-        a = base
-        b = a + delta * coupling
-        c = b + delta_bc * coupling
-        return cls(a=a, b=b, c=c)
+        b = delta * coupling
+        return cls(a=0.0, b=b, c=b + delta_bc * coupling)
 
     def of_role(self, role: str) -> float:
         return {"A": self.a, "B": self.b, "C": self.c}[role]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,22 +74,21 @@ def arch1_section(levels: ZeemanLevels, coupling: float = 1.0) -> ArchitectureOn
                            enc_gate_pair=enc_pair, gate_barrier=ARCH1_GATE_BARRIER)
 
 
+def _arch1_gate_energies(arch: ArchitectureOne) -> tuple[tuple[float, ...], list[float]]:
+    """(passive energies, gate energies): the gate holds the gate barrier at A+J."""
+    passive = arch.passive_energies
+    gate = list(passive)
+    gate[arch.gate_barrier] = arch.levels.a + arch.chain.coupling
+    return passive, gate
+
+
 def arch1_two_qubit_schedule(levels: ZeemanLevels, t_gate: float,
                              coupling: float = 1.0,
                              pad: float = DEFAULT_PAD) -> tuple[ZeemanSchedule, EncodingMap]:
     """Passive hold, gate barrier at A+J for t_gate, passive hold."""
     arch = arch1_section(levels, coupling)
-    passive = arch.passive_energies
-    gate = list(passive)
-    gate[arch.gate_barrier] = levels.a + coupling
+    passive, gate = _arch1_gate_energies(arch)
     return _steps((pad, passive), (t_gate, gate), (pad, passive)), arch.enc
-
-
-def arch1_gate_family(levels: ZeemanLevels, coupling: float = 1.0,
-                      pad: float = DEFAULT_PAD) -> Callable[[float], ZeemanSchedule]:
-    def family(t: float) -> ZeemanSchedule:
-        return arch1_two_qubit_schedule(levels, t, coupling, pad)[0]
-    return family
 
 
 def arch1_revival(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFAULT_PAD
@@ -101,13 +100,14 @@ def arch1_revival(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFA
     ARCH1_REVIVAL_WINDOW times the nominal pi / (3J); raises NoRevivalFound.
     """
     arch = arch1_section(levels, coupling)
-    family = arch1_gate_family(levels, coupling, pad)
+    passive, gate = _arch1_gate_energies(arch)
+    pad_hold = _steps((pad, passive))
     nominal = np.pi / (3.0 * coupling)
     lo, hi = ARCH1_REVIVAL_WINDOW
-    t_r, p_r = find_revival(arch.chain, family, arch.gate_barrier,
-                            window=(lo * nominal, hi * nominal), enc=arch.enc_gate_pair,
-                            threshold=ARCH1_REVIVAL_THRESHOLD, dip_level=ARCH1_REVIVAL_DIP)
-    return arch, family(t_r), t_r, p_r
+    t_r, p_r = find_revival(arch.chain, pad_hold, gate, pad_hold, arch.gate_barrier,
+                            (lo * nominal, hi * nominal), arch.enc_gate_pair,
+                            ARCH1_REVIVAL_THRESHOLD, ARCH1_REVIVAL_DIP)
+    return arch, arch1_two_qubit_schedule(levels, t_r, coupling, pad)[0], t_r, p_r
 
 
 def arch1_exchange_gate(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFAULT_PAD
@@ -116,13 +116,15 @@ def arch1_exchange_gate(levels: ZeemanLevels, coupling: float = 1.0, pad: float 
     revival probability, gate-pair report, z-phase alignment to the ideal
     exchange gate).
 
-    The full propagator is taken out of the passive Zeeman frame and
-    restricted to the gate pair; raises NoRevivalFound or ExcessiveLeakage.
+    The gate pair's encoded basis is evolved, taken out of the passive
+    Zeeman frame and restricted to its encoded block; raises NoRevivalFound
+    or ExcessiveLeakage.
     """
     arch, sched, t_r, p_r = arch1_revival(levels, coupling, pad)
-    u = propagator(arch.chain, sched)
-    u = rotating_frame_strip(u, arch.chain, arch.passive_energies, sched.total_duration)
-    report = extract_gate(u, arch.enc_gate_pair)
+    enc = arch.enc_gate_pair
+    cols = evolve(arch.chain, sched, enc.embed_basis())
+    cols = rotating_frame_strip(cols, arch.chain, arch.passive_energies, sched.total_duration)
+    report = extract_gate(cols, enc)
     return arch, t_r, p_r, report, align_phases(report.logical_unitary, exchange_gate_target())
 
 

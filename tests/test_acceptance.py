@@ -57,8 +57,8 @@ def test_criterion_1_invariants_attainable_bound(arch1_pipeline):
     chain, enc = reduced_chain()
     t_r = np.pi / (3.0 * J)
     sched = ZeemanSchedule.from_steps([(t_r, (J, J, J))])
-    u = rotating_frame_strip(propagator(chain, sched), chain, (J, J, J), t_r)
-    rep = gates.extract_gate(u, enc)
+    cols = rotating_frame_strip(evolve(chain, sched, enc.embed_basis()), chain, (J, J, J), t_r)
+    rep = gates.extract_gate(cols, enc)
     dev_reduced = gates.invariant_deviation(rep.logical_unitary,
                                             gates.exchange_gate_target())
     assert dev_reduced < 1e-9
@@ -75,12 +75,8 @@ def test_criterion_2_revival_time_and_ratio():
     for delta in (100.0, 1000.0):
         levels = ZeemanLevels.from_delta(J, delta)
         chain, enc = reduced_chain()
-        drive = (levels.a + J,) * 3
-
-        def family(t, drive=drive):
-            return ZeemanSchedule.from_steps([(t, drive)])
-
-        t_r, p = gates.find_revival(chain, family, 1, window=(0.5, 2.0), enc=enc)
+        none = ZeemanSchedule(())
+        t_r, p = gates.find_revival(chain, none, (levels.a + J,) * 3, none, 1, (0.5, 2.0), enc)
         assert p > 1.0 - 1e-4
         ratios[delta] = 6.0 * J * t_r
     spread = abs(ratios[100.0] - ratios[1000.0]) / ratios[1000.0]
@@ -101,10 +97,9 @@ def pair_gate_corrections(delta, eps_offset):
     t_gate = np.pi / (np.sqrt(5.0) * J)
     sched, enc = schemes.arch2_two_qubit_schedule(levels, t_gate,
                                                   eps=levels.c + eps_offset)
-    u = propagator(chain, sched)
-    u = rotating_frame_strip(u, chain, schemes.arch2_section(levels).passive_energies,
-                             t_gate)
-    rep = gates.extract_gate(u, enc)
+    cols = rotating_frame_strip(evolve(chain, sched, enc.embed_basis()), chain,
+                                schemes.arch2_section(levels).passive_energies, t_gate)
+    rep = gates.extract_gate(cols, enc)
     return gates.derive_local_corrections(rep.logical_unitary)
 
 

@@ -123,11 +123,17 @@ def test_non_finite_or_below_minimum_number_is_config_error(capsys, tmp_path, pa
         values.append(repr(low - 1))
     doc = copy.deepcopy(cli.DEFAULT_CONFIG)
     node = doc
-    for key in path[:-1]:
+    for i, key in enumerate(path[:-1]):
+        if isinstance(key, int):   # the first default list item that sets the next key
+            key = next((j for j, item in enumerate(node) if path[i + 1] in item), key)
         node = node[key]
     node[path[-1]] = "VALUE"
+    config = tmp_path / "config.json"
+    # control: the same document with an in-range value is valid
+    config.write_text(json.dumps({path[0]: doc[path[0]]})
+                      .replace('"VALUE"', repr(1 if low is None else low + 1)))
+    cli.load_config(str(config))
     for value in values:
-        config = tmp_path / "config.json"
         config.write_text(json.dumps({path[0]: doc[path[0]]}).replace('"VALUE"', value))
         code = cli.main(["verify-m", "--config", str(config), "--out", str(tmp_path / "out")])
         lines = capsys.readouterr().out.splitlines()
@@ -214,6 +220,17 @@ def test_verify_m_tolerance_flag_overrides(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_m_leaky_gate_fails_with_a_report(capsys, tmp_path):
+    # at delta 20 the leaky block is not re-unitarized, so the phase split refuses it
+    path = write_config(tmp_path, {"verify_m": {"delta": 20}})
+    code, summary = run_cli(capsys, "verify-m", config=path, out=tmp_path / "out")
+    assert code == 1
+    assert summary["reason"] == "tolerance_exceeded"
+    report = json.loads((tmp_path / "out" / "pair_gate_report.json").read_text())
+    assert report["status"] == "fail"
+    assert report["failure"].startswith("NotUnitary: unitarity defect")
+
+
 def test_verify_m_malformed_config(capsys, tmp_path):
     path = write_config(tmp_path, {"verify_m": {"eps": "auto"}})
     code, summary = run_cli(capsys, "verify-m", config=path, out=tmp_path / "out")
@@ -291,6 +308,19 @@ def test_synthesize_unreachable_job_fails(capsys, tmp_path):
     doc = json.loads((tmp_path / "out" / "synthesis.json").read_text())
     assert doc["jobs"][0]["status"] == "fail"
     assert doc["jobs"][0]["best_fidelity"] < 0.999
+
+
+def test_synthesize_phase_on_exchange_is_config_error(capsys, tmp_path):
+    path = write_config(tmp_path, {"synthesize": {"jobs": [
+        {"entangler": "exchange", "n_uses": 2, "n_starts": 1, "phase": 1.0}]}})
+    code = cli.main(["synthesize", "--config", str(path), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    summary = json.loads(lines[0])
+    assert summary["reason"] == "config_invalid"
+    assert "synthesize/jobs/0" in summary["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_synthesize_malformed_config(capsys, tmp_path):

@@ -12,6 +12,8 @@ from chainlab.errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound
 from chainlab.evolve import ZeemanSchedule, evolve, propagator, rotating_frame_strip
 from chainlab.model import ChainSpec
 
+NO_SEGMENTS = ZeemanSchedule(())
+
 
 def reduced_resonant_chain():
     # barrier site 1 held down between two qubits, all sites driven to a+J
@@ -105,8 +107,9 @@ def test_reduced_model_reproduces_exchange_gate():
     chain, enc = reduced_resonant_chain()
     t_r = np.pi / 3.0
     sched = ZeemanSchedule.from_steps([(t_r, (1.0, 1.0, 1.0))])
-    u = rotating_frame_strip(propagator(chain, sched), chain, (1.0, 1.0, 1.0), t_r)
-    report = gates.extract_gate(u, enc)
+    cols = rotating_frame_strip(evolve(chain, sched, enc.embed_basis()), chain,
+                                (1.0, 1.0, 1.0), t_r)
+    report = gates.extract_gate(cols, enc)
     assert report.leakage < 1e-12
     aligned = gates.align_phases(report.logical_unitary, gates.exchange_gate_target())
     assert aligned.distance < 1e-9
@@ -118,45 +121,38 @@ def test_reduced_model_reproduces_exchange_gate():
 
 def test_reduced_model_revival_time():
     chain, enc = reduced_resonant_chain()
-
-    def family(t):
-        return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0))])
-
-    t_r, p_r = gates.find_revival(chain, family, 1, window=(0.5, 2.0), enc=enc)
+    t_r, p_r = gates.find_revival(chain, NO_SEGMENTS, (1.0, 1.0, 1.0), NO_SEGMENTS, 1,
+                                  (0.5, 2.0), enc)
     assert t_r == pytest.approx(np.pi / 3.0, rel=1e-6)
     assert p_r > 1.0 - 1e-9
 
 
 def test_find_revival_parked_barrier_never_dips():
     chain, enc = reduced_resonant_chain()
-
-    def family(t):
-        return ZeemanSchedule.from_steps([(t, (1.0, 600.0, 1.0))])
-
     with pytest.raises(NoRevivalFound, match="never left"):
-        gates.find_revival(chain, family, 1, window=(0.5, 2.0), enc=enc)
+        gates.find_revival(chain, NO_SEGMENTS, (1.0, 600.0, 1.0), NO_SEGMENTS, 1,
+                           (0.5, 2.0), enc)
 
 
 def test_find_revival_window_too_short():
     chain, enc = reduced_resonant_chain()
-
-    def family(t):
-        return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0))])
-
     with pytest.raises(NoRevivalFound, match="no revival above") as info:
-        gates.find_revival(chain, family, 1, window=(0.4, 0.8), enc=enc)
+        gates.find_revival(chain, NO_SEGMENTS, (1.0, 1.0, 1.0), NO_SEGMENTS, 1,
+                           (0.4, 0.8), enc)
     assert info.value.best_time is not None
 
 
-def pointwise_revival(chain, family, site, window, enc, threshold, dip_level,
+def pointwise_revival(chain, head, hold, tail, site, window, enc, threshold, dip_level,
                       grid_points=800):
-    """The revival search evaluated one schedule at a time: each grid time
-    evolves the whole family(t) from the encoded basis."""
+    """The revival search evaluated one schedule at a time: each grid time t
+    evolves the whole schedule head, hold for t, tail from the encoded basis."""
     ref = enc.reference_bit(site)
     basis = enc.embed_basis()
 
     def prob(t):
-        psi = evolve(chain, family(t), basis)
+        sched = ZeemanSchedule(head.segments + ZeemanSchedule.from_steps([(t, hold)]).segments
+                               + tail.segments)
+        psi = evolve(chain, sched, basis)
         return float(reference_population(psi, site, ref, chain.n).min())
 
     ts = np.linspace(window[0], window[1], grid_points)
@@ -171,34 +167,29 @@ def pointwise_revival(chain, family, site, window, enc, threshold, dip_level,
 
 
 def arch1_revival_case(delta):
+    """The arch-1 gate schedule's (pad, gate hold, pad) parts, as published by
+    arch1_two_qubit_schedule, with the search settings of arch1_revival."""
     levels = model.ZeemanLevels.from_delta(1.0, delta)
     arch = schemes.arch1_section(levels, 1.0)
-    family = schemes.arch1_gate_family(levels, 1.0)
+    pad, gate, _ = schemes.arch1_two_qubit_schedule(levels, 1.0)[0].segments
     lo, hi = schemes.ARCH1_REVIVAL_WINDOW
     nominal = np.pi / 3.0
-    return (arch.chain, family, arch.gate_barrier, (lo * nominal, hi * nominal),
-            arch.enc_gate_pair, schemes.ARCH1_REVIVAL_THRESHOLD, schemes.ARCH1_REVIVAL_DIP)
+    return (arch.chain, ZeemanSchedule((pad,)), gate.energies, ZeemanSchedule((pad,)),
+            arch.gate_barrier, (lo * nominal, hi * nominal), arch.enc_gate_pair,
+            schemes.ARCH1_REVIVAL_THRESHOLD, schemes.ARCH1_REVIVAL_DIP)
 
 
 def reduced_revival_case():
     chain, enc = reduced_resonant_chain()
-
-    def family(t):
-        return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0))])
-
-    return (chain, family, 1, (0.5, 2.0), enc,
+    return (chain, NO_SEGMENTS, (1.0, 1.0, 1.0), NO_SEGMENTS, 1, (0.5, 2.0), enc,
             gates.REVIVAL_THRESHOLD, gates.REVIVAL_DIP_LEVEL)
 
 
 def two_segment_tail_case():
     # the tail's segments differ in energies, so the order they compose in matters
     chain, enc = reduced_resonant_chain()
-
-    def family(t):
-        return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0)), (0.25, (0.0, 1.0, 2.0)),
-                                          (0.35, (1.5, 0.2, 0.7))])
-
-    return chain, family, 1, (0.5, 2.0), enc, 0.8, 0.5
+    tail = ZeemanSchedule.from_steps([(0.25, (0.0, 1.0, 2.0)), (0.35, (1.5, 0.2, 0.7))])
+    return chain, NO_SEGMENTS, (1.0, 1.0, 1.0), tail, 1, (0.5, 2.0), enc, 0.8, 0.5
 
 
 class HadamardInputs(gates.EncodingMap):
@@ -213,16 +204,12 @@ class HadamardInputs(gates.EncodingMap):
 def multi_sector_lead_case():
     chain = ChainSpec(n=5, coupling=1.0, roles="BABAB")
     enc = HadamardInputs.single_site(5, [1, 3], {0: 0, 2: 1, 4: 0})
-    pad = (5.0, 0.0, 0.5, 0.3, 5.0)
-
-    def family(t):
-        return ZeemanSchedule.from_steps([(0.3, pad), (t, (5.0, 1.0, 1.0, 1.0, 5.0)), (0.3, pad)])
-
-    return chain, family, 2, (0.5, 2.0), enc, 0.85, 0.5
+    pad = ZeemanSchedule.from_steps([(0.3, (5.0, 0.0, 0.5, 0.3, 5.0))])
+    return chain, pad, (5.0, 1.0, 1.0, 1.0, 5.0), pad, 2, (0.5, 2.0), enc, 0.85, 0.5
 
 
 def test_multi_sector_case_spans_sectors():
-    chain, _, _, _, enc, _, _ = multi_sector_lead_case()
+    chain, *_, enc, _, _ = multi_sector_lead_case()
     down = np.array([bin(i).count("1") for i in range(chain.dim)])
     basis = enc.embed_basis()
     # evolution keeps total sigma^z, so the lead occupies the inputs' sectors
@@ -236,35 +223,16 @@ def test_multi_sector_case_spans_sectors():
                               "two-segment-tail", "multi-sector-lead"])
 def test_batched_revival_matches_pointwise_search(case):
     args = case()
-    chain, family, site, window, enc, threshold, dip = args
-    got = gates.find_revival(chain, family, site, window, enc,
-                             threshold=threshold, dip_level=dip)
+    got = gates.find_revival(*args)
     want = pointwise_revival(*args)
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def _two_durations(t):
-    return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0)), (t, (1.0, 5.0, 1.0))])
-
-
-def _segment_count_changes(t):
-    return ZeemanSchedule.from_steps([(t, (1.0, 1.0, 1.0))] * (1 if t < 1.0 else 2))
-
-
-def _energies_change(t):
-    return ZeemanSchedule.from_steps([(0.1, (t, 1.0, 1.0)), (t, (1.0, 1.0, 1.0))])
-
-
-def _duration_is_not_t(t):
-    return ZeemanSchedule.from_steps([(2.0 * t, (1.0, 1.0, 1.0))])
-
-
-@pytest.mark.parametrize("family", [_two_durations, _segment_count_changes,
-                                    _energies_change, _duration_is_not_t])
-def test_find_revival_rejects_family_not_varying_one_duration(family):
-    chain, enc = reduced_resonant_chain()
-    with pytest.raises(ValueError):
-        gates.find_revival(chain, family, 1, window=(0.5, 2.0), enc=enc)
+def test_arch1_revival_searches_its_gate_schedule():
+    levels = model.ZeemanLevels.from_delta(1.0, 100.0)
+    _, sched, t_r, p_r = schemes.arch1_revival(levels)
+    assert (t_r, p_r) == gates.find_revival(*arch1_revival_case(100.0))
+    assert sched == schemes.arch1_two_qubit_schedule(levels, t_r)[0]
 
 
 def test_find_revival_batches_stay_within_column_cap(monkeypatch):
@@ -276,8 +244,9 @@ def test_find_revival_batches_stay_within_column_cap(monkeypatch):
         return populations(modes, n_in, times)
 
     monkeypatch.setattr(gates, "_revival_populations", recording)
-    chain, family, site, window, enc, threshold, dip = arch1_revival_case(100.0)
-    gates.find_revival(chain, family, site, window, enc, threshold=threshold, dip_level=dip)
+    args = arch1_revival_case(100.0)
+    gates.find_revival(*args)
+    enc = args[6]
     assert max(widths) <= gates.REVIVAL_BATCH_COLUMNS
     # the 800-point grid went through full batches, not one time per call
     full = gates.REVIVAL_BATCH_COLUMNS
@@ -291,10 +260,8 @@ def test_find_revival_batches_stay_within_column_cap(monkeypatch):
 
 
 def embed_gate(g, enc):
-    basis = enc.embed_basis()
-    dim = basis.shape[0]
-    proj = basis @ basis.conj().T
-    return basis @ g @ basis.conj().T + (np.eye(dim) - proj)
+    """The encoded basis evolved by a gate acting as g on the encoded subspace."""
+    return enc.embed_basis() @ g
 
 
 def test_extract_gate_round_trip():
@@ -321,7 +288,7 @@ def test_extract_gate_rejects_meaningless_block():
     chain, enc = reduced_resonant_chain()
     flip = model.pauli_site("x", 1, 3)
     with pytest.raises(ExcessiveLeakage) as info:
-        gates.extract_gate(flip, enc)
+        gates.extract_gate(flip @ enc.embed_basis(), enc)
     assert info.value.leakage == pytest.approx(1.0)
 
 
@@ -329,6 +296,40 @@ def test_extract_gate_shape_check():
     _, enc = reduced_resonant_chain()
     with pytest.raises(DimensionMismatch):
         gates.extract_gate(np.eye(4), enc)
+    # a full propagator is not an evolved encoded basis
+    with pytest.raises(DimensionMismatch):
+        gates.extract_gate(np.eye(8), enc)
+
+
+def arch1_gate_case(delta):
+    arch, sched, _, _ = schemes.arch1_revival(model.ZeemanLevels.from_delta(1.0, delta))
+    return arch.chain, sched, arch.enc_gate_pair, arch.passive_energies
+
+
+def verify_m_gate_case():
+    levels = model.ZeemanLevels.from_delta(1.0, 4000.0)
+    arch = schemes.arch2_section(levels)
+    sched, enc = schemes.arch2_two_qubit_schedule(levels, np.pi / np.sqrt(5.0),
+                                                  eps=schemes.arch2_working_point(levels))
+    return arch.chain, sched, enc, arch.passive_energies
+
+
+@pytest.mark.parametrize("case", [lambda: arch1_gate_case(100.0),
+                                  lambda: arch1_gate_case(1000.0), verify_m_gate_case],
+                         ids=["arch1-delta-100", "arch1-delta-1000", "verify-m"])
+def test_extract_gate_from_evolved_basis_equals_propagator_block(case):
+    chain, sched, enc, passive = case()
+    t = sched.total_duration
+    cols = rotating_frame_strip(evolve(chain, sched, enc.embed_basis()), chain, passive, t)
+    u = rotating_frame_strip(propagator(chain, sched), chain, passive, t)
+    idx = enc.basis_indices()
+    block = u[np.ix_(idx, idx)]
+    got, leakage = gates.logical_block(cols, enc)
+    assert np.array_equal(got, block)
+    assert leakage == max(0.0, 1.0 - (np.abs(block) ** 2).sum(axis=0).min())
+    report = gates.extract_gate(cols, enc)
+    want = linalg.polar_unitary(block) if leakage < gates.LEAKAGE_REUNITARIZE else block
+    assert np.array_equal(report.logical_unitary, want)
 
 
 def test_gate_report_json_round_trip():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -29,3 +30,41 @@ def test_revival_report_at_defaults_records_failures(tmp_path):
     for row in rows[1:]:
         assert row["distance_to_target"] < 2e-3
         assert row["leakage"] < 1e-3
+
+
+def test_sweep_defects_with_ising_fit(tmp_path):
+    proc = run_script("sweep_defects.py", tmp_path, "--deltas", "10,100,1000")
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "sweep_out" / "defect_sweep.csv").read_text().splitlines()
+    assert rows[0].startswith("delta,") and len(rows) == 4
+    defects = [float(row.split(",")[2]) for row in rows[1:]]
+    assert defects == sorted(defects, reverse=True)
+    fit = json.loads((tmp_path / "sweep_out" / "ising_fit.json").read_text())
+    assert fit["delta_grid"] == [10.0, 100.0, 1000.0]
+    # distance falls one decade per detuning decade, leakage two
+    assert abs(fit["distance_slope"] + 1.0) < 0.1
+    assert abs(fit["leakage_slope"] + 2.0) < 0.1
+
+
+def test_zeno_study_small_run(tmp_path):
+    proc = run_script("zeno_study.py", tmp_path, "--trials", "200", "--gates", "4")
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "zeno_out" / "zeno_curve.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["mode"], r["interval_gates"], r["n_collapse_points"]) for r in rows] == [
+        (mode, k, n) for mode in ("independent", "systematic")
+        for k, n in (("1", "4"), ("2", "2"), ("4", "1"), ("inf", "1"))]
+    assert all(0.0 <= float(r["wrong_collapse_probability"]) <= 1.0 for r in rows)
+    # collapsing after every gate suppresses the coherent systematic error
+    systematic = {r["interval_gates"]: float(r["mean_fidelity"]) for r in rows
+                  if r["mode"] == "systematic"}
+    assert systematic["1"] > systematic["inf"]
+
+
+def test_refocus_scan_small_run(tmp_path):
+    proc = run_script("refocus_scan.py", tmp_path, "--periods", "0.01,0.3")
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "refocus_out" / "refocus.csv").read_text().splitlines()
+    assert rows[0] == "pulse_period,residual" and len(rows) == 3
+    assert all(float(row.split(",")[1]) < 1e-4 for row in rows[1:])
+    assert "unpulsed baseline at period=0.3" in proc.stdout
