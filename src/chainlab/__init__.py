@@ -1,10 +1,12 @@
 """chainlab: gate construction on always-coupled Heisenberg spin chains.
 
 Submodules:
-  linalg    dense Hermitian eigensolvers, spectral propagators, distances
+  linalg    operator distance, unitarity, polar projection, golden-section
+            search; the dense spectral exp(-iHt) the tests check against
   model     chain spec, Zeeman levels, Heisenberg / effective-Ising builders
-  evolve    piecewise-constant schedules and cached sector-blocked evolution
-  gates     revival search, gate extraction, invariants, CNOT synthesis
+  evolve    piecewise-constant schedules, cached sector-blocked evolution
+            (every propagator) and the passive Zeeman frame
+  gates     revival search, gate readout, invariants, CNOT synthesis
   schemes   the three chain architectures, the arch-1 exchange-gate
             pipeline, Zeno runs, refocusing demo
   analysis  detuning sweeps, Ising-limit convergence, table output

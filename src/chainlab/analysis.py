@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigInvalid, IoFailure, NoRevivalFound
-from .evolve import evolve, rotating_frame_strip, zeeman_frame
+from .evolve import ZeemanSchedule, propagator, zeeman_frame
 from .gates import exchange_gate_target, logical_block
-from .linalg import golden_section
-from .model import ZeemanLevels
+from .linalg import golden_section, op_distance
+from .model import ChainSpec, ZeemanLevels, build_effective_ising, site_energies
 from .schemes import arch1_revival
 
 DEFAULT_DELTA_GRID = (5.0, 10.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
@@ -88,12 +88,8 @@ def _walsh_phase_residual(overlaps: Sequence[complex], signs: np.ndarray) -> flo
 def _sweep_point(delta: float, coupling: float) -> DefectRecord:
     arch, sched, t_r, _ = arch1_revival(ZeemanLevels.from_delta(coupling, delta), coupling)
     enc = arch.enc
-    actual = evolve(arch.chain, sched, enc.embed_basis())
-    actual = rotating_frame_strip(actual, arch.chain, arch.passive_energies,
-                                  sched.total_duration)
-
+    logical, leakage = logical_block(arch.chain, sched, enc, arch.passive_energies)
     target = np.kron(np.kron(np.eye(2), exchange_gate_target()), np.eye(2))
-    logical, leakage = logical_block(actual, enc)
     # overlap_j(chi) = sum_k conj(dress_k * target[k, j]) * logical[k, j]
     amp = target.conj() * logical
     signs = _qubit_signs(enc)
@@ -159,10 +155,6 @@ def ising_convergence(delta_grid: Sequence[float], coupling: float = 1.0,
     """Full-chain vs effective-Ising propagators on a passive alternating
     chain.  Leakage (population escaping each computational basis state)
     falls off two decades per detuning decade; the unitary distance one."""
-    from .evolve import ZeemanSchedule, propagator
-    from .linalg import op_distance
-    from .model import ChainSpec, build_effective_ising, site_energies
-
     grid = [float(d) for d in delta_grid]
     if len(grid) < 3 or max(grid) < 10 * min(grid):
         raise ConfigInvalid("delta_grid needs >= 3 points spanning a decade")
@@ -172,12 +164,11 @@ def ising_convergence(delta_grid: Sequence[float], coupling: float = 1.0,
     for delta in grid:
         levels = ZeemanLevels.from_delta(coupling, delta)
         energies = site_energies(chain, levels)
-        u = propagator(chain, ZeemanSchedule.from_steps([(t, energies)]))
-        u = rotating_frame_strip(u, chain, energies, t)
+        # strip the same Zeeman frame from both propagators
+        frame = zeeman_frame(chain, energies, t).conj()
+        u = propagator(chain, ZeemanSchedule.from_steps([(t, energies)])) * frame[:, None]
         h_ising = build_effective_ising(chain, energies)
-        # strip the same Zeeman frame from the Ising propagator
-        frame = zeeman_frame(chain, energies, t)
-        u_ising = np.diag(np.exp(-1j * np.diag(h_ising) * t) * frame.conj())
+        u_ising = np.diag(np.exp(-1j * np.diag(h_ising) * t) * frame)
         dist = op_distance(u, u_ising)
         leak = float(np.max(1.0 - np.abs(np.diag(u)) ** 2))
         records.append(IsingRecord(delta=delta, distance=float(dist), leakage=leak))

@@ -23,7 +23,6 @@ from . import analysis, schemes
 from .errors import (ChainlabError, ConfigInvalid, ExcessiveLeakage, IoFailure,
                      NoRevivalFound, NotDiagonalizableLocally, NotUnitary,
                      SynthesisFailed)
-from .evolve import evolve, rotating_frame_strip
 from .gates import (SYNTH_SUCCESS_FIDELITY, controlled_phase, derive_local_corrections,
                     exchange_gate_target, extract_gate, logical_block,
                     operator_schmidt_factor, synthesize_cnot)
@@ -251,13 +250,11 @@ def cmd_verify_m(cfg: dict, out: Path) -> dict:
     sched, enc = schemes.arch2_two_qubit_schedule(levels, t_gate, coupling, eps=eps)
     doc = {"delta": c["delta"], "eps": eps, "t_gate": t_gate,
            "target_phase": c["target_phase"], "tolerance": c["tolerance"]}
+    block, doc["leakage"] = logical_block(arch.chain, sched, enc, arch.passive_energies)
     try:
-        cols = evolve(arch.chain, sched, enc.embed_basis())
-        cols = rotating_frame_strip(cols, arch.chain, arch.passive_energies, t_gate)
-        report = extract_gate(cols, enc)
-        q1, q2, phi, resid = derive_local_corrections(report.logical_unitary)
-        doc.update({"leakage": report.leakage, "conditional_phase": phi,
-                    "off_diagonal_residual": resid})
+        report = extract_gate(block, doc["leakage"])
+        _, _, phi, resid = derive_local_corrections(report.logical_unitary)
+        doc.update({"conditional_phase": phi, "off_diagonal_residual": resid})
         err = abs(np.angle(np.exp(1j * (phi - c["target_phase"]))))
         doc["phase_error"] = err
         ok = err < c["tolerance"] and resid < 1e-3
@@ -365,16 +362,12 @@ def cmd_six_settings(cfg: dict, out: Path) -> dict:
     tol_same = c["tol_same"]
     levels = ZeemanLevels.from_delta(coupling, delta)
     arch = schemes.arch3_section(levels, coupling, n_triples=4)
-    basis = arch.enc.embed_basis()
+    passive = site_energies(arch.chain, levels)
     settings = schemes.six_settings(levels, coupling)
     logical = {}
     for setting in settings:
         sched = schemes.arch3_apply(setting, arch.chain, levels)
-        actual = evolve(arch.chain, sched, basis)
-        actual = rotating_frame_strip(actual, arch.chain,
-                                      site_energies(arch.chain, levels),
-                                      sched.total_duration)
-        logical[setting.label] = logical_block(actual, arch.enc)[0]
+        logical[setting.label] = logical_block(arch.chain, sched, arch.enc, passive)[0]
 
     def factor(label, group):
         return operator_schmidt_factor(logical[label], 4, group)

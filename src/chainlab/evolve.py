@@ -193,15 +193,3 @@ def zeeman_frame(chain: ChainSpec, energies: Sequence[float], t: float) -> np.nd
         raise LengthMismatch(f"expected {chain.n} energies, got shape {e.shape}")
     zphase = e @ sigma_z_values(chain.n)
     return np.exp(-1j * t * zphase)
-
-
-def rotating_frame_strip(u: np.ndarray, chain: ChainSpec, energies_passive: Sequence[float],
-                         t_total: float) -> np.ndarray:
-    """Remove the passive Zeeman winding: returns R(t_total)^dagger applied to u.
-
-    Accepts a full propagator or a (dim, m) stack of evolved columns; only
-    trivial single-site phases are removed, so any gate content is intact.
-    """
-    frame = zeeman_frame(chain, energies_passive, t_total)
-    return u * frame.conj()[:, None] if u.ndim == 2 else u * frame.conj()
-

@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 from . import linalg
 from .errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                      NotDiagonalizableLocally, NotUnitary, SynthesisFailed)
-from .evolve import ZeemanSchedule, evolve, hold_modes
+from .evolve import ZeemanSchedule, evolve, hold_modes, zeeman_frame
 from .model import ChainSpec, basis_index, sigma_z_values
 
 REVIVAL_THRESHOLD = 0.999
@@ -209,29 +209,29 @@ def find_revival(chain: ChainSpec, head: ZeemanSchedule, hold: Sequence[float],
 # extraction and comparison
 
 
-def logical_block(columns: np.ndarray, enc: EncodingMap) -> tuple[np.ndarray, float]:
-    """(encoded block, leakage) of the evolved encoded basis, a (2^n,
-    logical_dim) array whose column j is the image of enc.embed_basis()[:, j].
+def logical_block(chain: ChainSpec, schedule: ZeemanSchedule, enc: EncodingMap,
+                  passive: Sequence[float]) -> tuple[np.ndarray, float]:
+    """(encoded block, leakage) of the gate the schedule carries out on the
+    encoded basis, read in the passive Zeeman frame.
 
-    The block is its rows on the encoded basis states; the leakage is the
-    largest population any input loses from the encoded subspace.
+    The encoded basis is evolved through the schedule and kept on its own
+    rows; the passive winding exp(-i t sum_i E_i sigma^z_i) over the whole
+    schedule is taken off those rows.  The leakage is the largest population
+    any input loses from the encoded subspace.
     """
-    columns = np.asarray(columns)
-    if columns.shape != (2 ** enc.n, enc.logical_dim):
-        raise DimensionMismatch(f"evolved basis shape {columns.shape} does not match "
-                                f"n={enc.n} with {enc.logical_dim} encoded states")
-    block = columns[enc.basis_indices()]
+    idx = enc.basis_indices()
+    frame = zeeman_frame(chain, passive, schedule.total_duration)[idx]
+    block = evolve(chain, schedule, enc.embed_basis())[idx] * frame.conj()[:, None]
     col_mass = (np.abs(block) ** 2).sum(axis=0)
     return block, float(np.clip(1.0 - col_mass.min(), 0.0, 1.0))
 
 
-def extract_gate(columns: np.ndarray, enc: EncodingMap) -> GateReport:
-    """The logical gate carried by the evolved encoded basis (see logical_block).
+def extract_gate(block: np.ndarray, leakage: float) -> GateReport:
+    """The logical gate of an encoded block and its leakage (see logical_block).
 
     The block is re-unitarized by polar projection when leakage is small;
     the raw leakage is always reported.
     """
-    block, leakage = logical_block(columns, enc)
     if leakage > LEAKAGE_MEANINGLESS:
         raise ExcessiveLeakage(
             f"leakage {leakage:.4f} exceeds {LEAKAGE_MEANINGLESS}; extracted block is meaningless",
@@ -502,8 +502,8 @@ def _fidelity_and_grad(entangler: np.ndarray, angles: np.ndarray,
     return float(abs(g) ** 2 / 16.0), (g.conjugate() * dg).real / 8.0
 
 
-def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int = 0,
-                    n_starts: int = 64) -> SynthesisResult:
+def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int,
+                    n_starts: int) -> SynthesisResult:
     """Search interleaving single-qubit layers for a CNOT realization.
 
     Multi-start exact-gradient (L-BFGS-B) maximization of circuit fidelity;

@@ -1,9 +1,8 @@
-"""Dense Hermitian linear algebra for small spin chains.
+"""Dense linear algebra for small spin chains.
 
-Everything downstream evolves states with matrix exponentials of Hermitian
-matrices, so the propagator is built from an eigendecomposition rather than
-scaling-and-squaring: U = V exp(-i D t) V+.  Dimensions stay modest (<= 4096)
-and dense numpy routines are the backend throughout.
+Unitarity checks, the phase-invariant operator distance, polar projection and
+golden-section search.  The dense spectral exp(-i H t) = V exp(-i D t) V+ is
+the independent reference that the tests hold the sector kernel of evolve to.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidGrouping, IoFailure
-from .evolve import ZeemanSchedule, apply_hold, evolve, propagator, rotating_frame_strip
+from .evolve import ZeemanSchedule, apply_hold, evolve, propagator
 from .gates import (EncodingMap, GateReport, PhaseAlignment, align_phases,
-                    exchange_gate_target, extract_gate, find_revival)
+                    exchange_gate_target, extract_gate, find_revival, logical_block)
 from .model import ChainSpec, ZeemanLevels, pauli_site, site_energies
 
 ARCH1_SECTION_SITES = 9
@@ -116,15 +116,12 @@ def arch1_exchange_gate(levels: ZeemanLevels, coupling: float = 1.0, pad: float 
     revival probability, gate-pair report, z-phase alignment to the ideal
     exchange gate).
 
-    The gate pair's encoded basis is evolved, taken out of the passive
-    Zeeman frame and restricted to its encoded block; raises NoRevivalFound
-    or ExcessiveLeakage.
+    The gate pair's block is read in the passive Zeeman frame (see
+    gates.logical_block); raises NoRevivalFound or ExcessiveLeakage.
     """
     arch, sched, t_r, p_r = arch1_revival(levels, coupling, pad)
-    enc = arch.enc_gate_pair
-    cols = evolve(arch.chain, sched, enc.embed_basis())
-    cols = rotating_frame_strip(cols, arch.chain, arch.passive_energies, sched.total_duration)
-    report = extract_gate(cols, enc)
+    report = extract_gate(*logical_block(arch.chain, sched, arch.enc_gate_pair,
+                                         arch.passive_energies))
     return arch, t_r, p_r, report, align_phases(report.logical_unitary, exchange_gate_target())
 
 

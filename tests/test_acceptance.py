@@ -11,7 +11,7 @@ import pytest
 
 from chainlab import analysis, gates, linalg, schemes
 from chainlab.errors import ExcessiveLeakage, NotDiagonalizableLocally, SynthesisFailed
-from chainlab.evolve import ZeemanSchedule, evolve, propagator, rotating_frame_strip
+from chainlab.evolve import ZeemanSchedule, evolve, propagator
 from chainlab.model import ChainSpec, ZeemanLevels, site_energies
 
 J = 1.0
@@ -57,8 +57,7 @@ def test_criterion_1_invariants_attainable_bound(arch1_pipeline):
     chain, enc = reduced_chain()
     t_r = np.pi / (3.0 * J)
     sched = ZeemanSchedule.from_steps([(t_r, (J, J, J))])
-    cols = rotating_frame_strip(evolve(chain, sched, enc.embed_basis()), chain, (J, J, J), t_r)
-    rep = gates.extract_gate(cols, enc)
+    rep = gates.extract_gate(*gates.logical_block(chain, sched, enc, (J, J, J)))
     dev_reduced = gates.invariant_deviation(rep.logical_unitary,
                                             gates.exchange_gate_target())
     assert dev_reduced < 1e-9
@@ -97,9 +96,8 @@ def pair_gate_corrections(delta, eps_offset):
     t_gate = np.pi / (np.sqrt(5.0) * J)
     sched, enc = schemes.arch2_two_qubit_schedule(levels, t_gate,
                                                   eps=levels.c + eps_offset)
-    cols = rotating_frame_strip(evolve(chain, sched, enc.embed_basis()), chain,
-                                schemes.arch2_section(levels).passive_energies, t_gate)
-    rep = gates.extract_gate(cols, enc)
+    rep = gates.extract_gate(*gates.logical_block(
+        chain, sched, enc, schemes.arch2_section(levels).passive_energies))
     return gates.derive_local_corrections(rep.logical_unitary)
 
 
@@ -194,12 +192,8 @@ def test_criterion_7_six_setting_isolation():
     setting = schemes.six_settings(levels)[1]
     assert setting.eps_even == levels.b and setting.eps_odd == levels.a + J
     sched = schemes.arch3_apply(setting, arch.chain, levels)
-    basis = arch.enc.embed_basis()
-    out = evolve(arch.chain, sched, basis)
-    out = rotating_frame_strip(out, arch.chain,
-                               site_energies(arch.chain, levels),
-                               sched.total_duration)
-    logical = basis.conj().T @ out
+    logical, _ = gates.logical_block(arch.chain, sched, arch.enc,
+                                     site_energies(arch.chain, levels))
     blocks = [gates.operator_schmidt_factor(logical, 4, (q,))[0] for q in range(4)]
     odd_mismatch = linalg.op_distance(blocks[1], blocks[3])
     assert odd_mismatch < 1e-6

@@ -229,6 +229,7 @@ def test_verify_m_leaky_gate_fails_with_a_report(capsys, tmp_path):
     report = json.loads((tmp_path / "out" / "pair_gate_report.json").read_text())
     assert report["status"] == "fail"
     assert report["failure"].startswith("NotUnitary: unitarity defect")
+    assert report["leakage"] == pytest.approx(1.095e-2, rel=1e-3)
 
 
 def test_verify_m_malformed_config(capsys, tmp_path):
@@ -238,12 +239,18 @@ def test_verify_m_malformed_config(capsys, tmp_path):
     assert summary["reason"] == "config_invalid"
 
 
-def test_verify_m_is_idempotent(capsys, tmp_path):
+def artifacts(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_rerun_gives_byte_identical_artifacts(capsys, tmp_path, command):
     out = tmp_path / "out"
-    run_cli(capsys, "verify-m", out=out)
-    first = (out / "pair_gate_report.json").read_bytes()
-    run_cli(capsys, "verify-m", out=out)
-    assert (out / "pair_gate_report.json").read_bytes() == first
+    run_cli(capsys, command, out=out)
+    first = artifacts(out)
+    assert first
+    run_cli(capsys, command, out=out)
+    assert artifacts(out) == first
 
 
 # ---------------------------------------------------------------------------

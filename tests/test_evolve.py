@@ -129,14 +129,15 @@ def test_guarded_section_matches_reduced_three_spin():
         assert overlap > 1.0 - 1e-4
 
 
-def test_rotating_frame_strip_removes_zeeman_winding():
-    chain = model.ChainSpec(n=2, coupling=1.0, roles="AB")
-    energies = (3.0, -1.5)
+def test_zeeman_frame_matches_dense_expm():
+    chain = model.ChainSpec(n=3, coupling=1.0, roles="ABA")
+    energies = (3.0, -1.5, 0.4)
     t = 0.7
+    h_zeeman = sum(e * model.pauli_site("z", i, chain.n) for i, e in enumerate(energies))
+    dense = linalg.expm_i(h_zeeman, t)
     frame = evolve.zeeman_frame(chain, energies, t)
-    assert np.allclose(np.abs(frame), 1.0)
-    stripped = evolve.rotating_frame_strip(np.diag(frame), chain, energies, t)
-    assert np.abs(stripped - np.eye(4)).max() < 1e-12
+    assert np.abs(dense - np.diag(np.diag(dense))).max() < 1e-12
+    assert np.abs(frame - np.diag(dense)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

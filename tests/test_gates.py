@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 from chainlab import gates, linalg, model, schemes
 from chainlab.errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                              NotDiagonalizableLocally, SynthesisFailed)
-from chainlab.evolve import ZeemanSchedule, evolve, propagator, rotating_frame_strip
+from chainlab.evolve import ZeemanSchedule, evolve, propagator, zeeman_frame
 from chainlab.model import ChainSpec
 
 NO_SEGMENTS = ZeemanSchedule(())
@@ -107,9 +107,7 @@ def test_reduced_model_reproduces_exchange_gate():
     chain, enc = reduced_resonant_chain()
     t_r = np.pi / 3.0
     sched = ZeemanSchedule.from_steps([(t_r, (1.0, 1.0, 1.0))])
-    cols = rotating_frame_strip(evolve(chain, sched, enc.embed_basis()), chain,
-                                (1.0, 1.0, 1.0), t_r)
-    report = gates.extract_gate(cols, enc)
+    report = gates.extract_gate(*gates.logical_block(chain, sched, enc, (1.0, 1.0, 1.0)))
     assert report.leakage < 1e-12
     aligned = gates.align_phases(report.logical_unitary, gates.exchange_gate_target())
     assert aligned.distance < 1e-9
@@ -259,46 +257,49 @@ def test_find_revival_batches_stay_within_column_cap(monkeypatch):
 # extraction
 
 
-def embed_gate(g, enc):
-    """The encoded basis evolved by a gate acting as g on the encoded subspace."""
-    return enc.embed_basis() @ g
-
-
 def test_extract_gate_round_trip():
-    _, enc = reduced_resonant_chain()
     rng = np.random.default_rng(11)
     g = random_unitary(rng, 4)
-    report = gates.extract_gate(embed_gate(g, enc), enc)
-    assert report.leakage < 1e-12
+    report = gates.extract_gate(g, 0.0)
+    assert report.leakage == 0.0
     assert linalg.op_distance(report.logical_unitary, g) < 1e-12
 
 
 def test_extract_gate_reports_small_leakage_and_reunitarizes():
-    chain, enc = reduced_resonant_chain()
+    _, enc = reduced_resonant_chain()
     theta = 0.01
     tilt = np.cos(theta / 2) * np.eye(8) - 1j * np.sin(theta / 2) * model.pauli_site("x", 1, 3)
     rng = np.random.default_rng(12)
     g = random_unitary(rng, 4)
-    report = gates.extract_gate(tilt @ embed_gate(g, enc), enc)
-    assert report.leakage == pytest.approx(np.sin(theta / 2) ** 2, rel=1e-6)
+    block = (tilt @ enc.embed_basis() @ g)[enc.basis_indices()]
+    leakage = np.sin(theta / 2) ** 2
+    assert 1.0 - (np.abs(block) ** 2).sum(axis=0) == pytest.approx([leakage] * 4, rel=1e-6)
+    report = gates.extract_gate(block, leakage)
+    assert report.leakage == leakage
     assert linalg.unitarity_defect(report.logical_unitary) < 1e-12
+    assert linalg.op_distance(report.logical_unitary, g) < 1e-12
 
 
 def test_extract_gate_rejects_meaningless_block():
-    chain, enc = reduced_resonant_chain()
-    flip = model.pauli_site("x", 1, 3)
-    with pytest.raises(ExcessiveLeakage) as info:
-        gates.extract_gate(flip @ enc.embed_basis(), enc)
-    assert info.value.leakage == pytest.approx(1.0)
-
-
-def test_extract_gate_shape_check():
     _, enc = reduced_resonant_chain()
-    with pytest.raises(DimensionMismatch):
-        gates.extract_gate(np.eye(4), enc)
-    # a full propagator is not an evolved encoded basis
-    with pytest.raises(DimensionMismatch):
-        gates.extract_gate(np.eye(8), enc)
+    flip = model.pauli_site("x", 1, 3)
+    block = (flip @ enc.embed_basis())[enc.basis_indices()]
+    with pytest.raises(ExcessiveLeakage) as info:
+        gates.extract_gate(block, 1.0)
+    assert info.value.leakage == 1.0
+
+
+@pytest.mark.parametrize("t", [0.4, 0.8])
+def test_logical_block_leakage_is_the_barrier_population_lost(t):
+    # far from the revival at pi/3 the barrier has left its reference state
+    chain, enc = reduced_resonant_chain()
+    energies = (1.0, 1.0, 1.0)
+    psi = linalg.expm_i(model.build_heisenberg(chain, energies), t) @ enc.embed_basis()
+    pops = reference_population(psi, 1, enc.reference_bit(1), chain.n)
+    _, leakage = gates.logical_block(chain, ZeemanSchedule.from_steps([(t, energies)]),
+                                     enc, energies)
+    assert leakage > gates.LEAKAGE_MEANINGLESS
+    assert leakage == pytest.approx(1.0 - pops.min(), abs=1e-12)
 
 
 def arch1_gate_case(delta):
@@ -319,24 +320,21 @@ def verify_m_gate_case():
                          ids=["arch1-delta-100", "arch1-delta-1000", "verify-m"])
 def test_extract_gate_from_evolved_basis_equals_propagator_block(case):
     chain, sched, enc, passive = case()
-    t = sched.total_duration
-    cols = rotating_frame_strip(evolve(chain, sched, enc.embed_basis()), chain, passive, t)
-    u = rotating_frame_strip(propagator(chain, sched), chain, passive, t)
+    u = propagator(chain, sched) * zeeman_frame(chain, passive, sched.total_duration).conj()[:, None]
     idx = enc.basis_indices()
     block = u[np.ix_(idx, idx)]
-    got, leakage = gates.logical_block(cols, enc)
+    got, leakage = gates.logical_block(chain, sched, enc, passive)
     assert np.array_equal(got, block)
     assert leakage == max(0.0, 1.0 - (np.abs(block) ** 2).sum(axis=0).min())
-    report = gates.extract_gate(cols, enc)
+    report = gates.extract_gate(got, leakage)
     want = linalg.polar_unitary(block) if leakage < gates.LEAKAGE_REUNITARIZE else block
     assert np.array_equal(report.logical_unitary, want)
 
 
 def test_gate_report_json_round_trip():
-    _, enc = reduced_resonant_chain()
     rng = np.random.default_rng(13)
     g = random_unitary(rng, 4)
-    report = gates.extract_gate(embed_gate(g, enc), enc)
+    report = gates.extract_gate(g, 0.0)
     doc = json.loads(report.to_json())
     mat = np.array([[complex(re, im) for re, im in row]
                     for row in doc["logical_unitary"]])
@@ -578,4 +576,4 @@ def test_synthesize_identity_entangler_fails():
 def test_synthesize_rejects_nonunitary_entangler():
     from chainlab.errors import NotUnitary
     with pytest.raises(NotUnitary):
-        gates.synthesize_cnot(np.eye(4) * 1.5, 1)
+        gates.synthesize_cnot(np.eye(4) * 1.5, 1, seed=0, n_starts=1)
