@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from chainlab import schemes
-from chainlab.model import ZeemanLevels
 
 
 def parse_args():
@@ -23,7 +22,6 @@ def parse_args():
     p.add_argument("--intervals", default="1,2,4,inf",
                    help="collapse intervals in gates; inf = final readout only")
     p.add_argument("--modes", default="independent,systematic")
-    p.add_argument("--delta", type=float, default=1000.0)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--out", default="zeno_out")
     return p.parse_args()
@@ -33,8 +31,7 @@ def main():
     args = parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train(
-        ZeemanLevels.from_delta(1.0, args.delta))
+    chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train()
 
     rows = []
     for mode in args.modes.split(","):

@@ -22,11 +22,13 @@ from .errors import ConfigInvalid, IoFailure, NoRevivalFound
 from .evolve import ZeemanSchedule, propagator, zeeman_frame
 from .gates import exchange_gate_target, logical_block
 from .linalg import golden_section, op_distance
-from .model import ChainSpec, ZeemanLevels, build_effective_ising, site_energies
+from .model import ChainSpec, ZeemanLevels, classical_ising_energies, site_energies
 from .schemes import arch1_revival
 
 DEFAULT_DELTA_GRID = (5.0, 10.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
 CHI_SCAN_POINTS = 720
+ISING_CHAIN_SITES = 4
+ISING_HOLD_TIME = 1.0   # in units of 1/J
 
 
 @dataclass(frozen=True)
@@ -150,15 +152,16 @@ class IsingFit:
     leakage_slope: float
 
 
-def ising_convergence(delta_grid: Sequence[float], coupling: float = 1.0,
-                      time: float | None = None, n: int = 4) -> IsingFit:
+def ising_convergence(delta_grid: Sequence[float], coupling: float = 1.0) -> IsingFit:
     """Full-chain vs effective-Ising propagators on a passive alternating
-    chain.  Leakage (population escaping each computational basis state)
-    falls off two decades per detuning decade; the unitary distance one."""
+    chain of ISING_CHAIN_SITES held for ISING_HOLD_TIME.  Leakage (population
+    escaping each computational basis state) falls off two decades per
+    detuning decade; the unitary distance one."""
     grid = [float(d) for d in delta_grid]
     if len(grid) < 3 or max(grid) < 10 * min(grid):
         raise ConfigInvalid("delta_grid needs >= 3 points spanning a decade")
-    t = (1.0 / coupling) if time is None else time
+    t = ISING_HOLD_TIME / coupling
+    n = ISING_CHAIN_SITES
     chain = ChainSpec(n=n, coupling=coupling, roles=("AB" * n)[:n])
     records = []
     for delta in grid:
@@ -167,8 +170,7 @@ def ising_convergence(delta_grid: Sequence[float], coupling: float = 1.0,
         # strip the same Zeeman frame from both propagators
         frame = zeeman_frame(chain, energies, t).conj()
         u = propagator(chain, ZeemanSchedule.from_steps([(t, energies)])) * frame[:, None]
-        h_ising = build_effective_ising(chain, energies)
-        u_ising = np.diag(np.exp(-1j * np.diag(h_ising) * t) * frame)
+        u_ising = np.diag(np.exp(-1j * classical_ising_energies(chain, energies) * t) * frame)
         dist = op_distance(u, u_ising)
         leak = float(np.max(1.0 - np.abs(np.diag(u)) ** 2))
         records.append(IsingRecord(delta=delta, distance=float(dist), leakage=leak))
@@ -210,13 +212,5 @@ def emit_table(records: Sequence, path, fmt: str = "csv") -> None:
                 fh.write("\n")
         else:
             raise ConfigInvalid(f"unknown table format {fmt!r}")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
-def read_table_csv(path) -> list[dict]:
-    try:
-        with open(path, newline="") as fh:
-            return [dict(row) for row in csv.DictReader(fh)]
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

@@ -27,7 +27,7 @@ from .gates import (SYNTH_SUCCESS_FIDELITY, controlled_phase, derive_local_corre
                     exchange_gate_target, extract_gate, logical_block,
                     operator_schmidt_factor, synthesize_cnot)
 from .linalg import op_distance
-from .model import ZeemanLevels, site_energies
+from .model import ZeemanLevels
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -118,7 +118,6 @@ CONFIG_SCHEMA = {
                 "collapse_every_gates": _nullable(_POSINT),
                 "jitter_mode": {"enum": ["independent", "systematic"]},
                 "min_fidelity": _NUM,
-                "delta": _POSNUM,
             },
         },
         "six_settings": {
@@ -145,7 +144,7 @@ DEFAULT_CONFIG = {
     ]},
     "zeno": {"gates": 20, "trials": 2000, "jitter_stddev": 0.05,
              "collapse_every_gates": 1, "jitter_mode": "independent",
-             "min_fidelity": 0.5, "delta": 1000.0},
+             "min_fidelity": 0.5},
     "six_settings": {"delta": 1000.0, "tol_identity": None, "tol_same": 1e-6},
 }
 
@@ -202,14 +201,6 @@ def _summary(command: str, code: int, reason: str | None, **extra) -> dict:
     return doc
 
 
-def _json_safe(x):
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -232,10 +223,9 @@ def cmd_verify_g(cfg: dict, out: Path) -> dict:
         doc.update({"failure": f"{type(exc).__name__}: {exc}"})
         ok, reason = False, "tolerance_exceeded"
     doc["status"] = "ok" if ok else "fail"
-    _emit({k: _json_safe(v) for k, v in doc.items()}, out / "gate_report.json")
+    _emit(doc, out / "gate_report.json")
     code = EXIT_OK if ok else EXIT_TOLERANCE
-    return _summary("verify-g", code, reason,
-                    distance=_json_safe(doc.get("distance_to_target")))
+    return _summary("verify-g", code, reason, distance=doc.get("distance_to_target"))
 
 
 def cmd_verify_m(cfg: dict, out: Path) -> dict:
@@ -244,13 +234,13 @@ def cmd_verify_m(cfg: dict, out: Path) -> dict:
     c = cfg["verify_m"]
     coupling = cfg["coupling"]
     levels = ZeemanLevels.from_delta(coupling, c["delta"])
-    arch = schemes.arch2_section(levels, coupling, n_triples=2)
+    arch = schemes.arch2_section(levels, coupling)
     eps = c["eps"] if c["eps"] is not None else schemes.arch2_working_point(levels, coupling)
     t_gate = np.pi / (np.sqrt(5.0) * coupling)
-    sched, enc = schemes.arch2_two_qubit_schedule(levels, t_gate, coupling, eps=eps)
+    sched = schemes.arch2_two_qubit_schedule(arch, t_gate, eps)
     doc = {"delta": c["delta"], "eps": eps, "t_gate": t_gate,
            "target_phase": c["target_phase"], "tolerance": c["tolerance"]}
-    block, doc["leakage"] = logical_block(arch.chain, sched, enc, arch.passive_energies)
+    block, doc["leakage"] = logical_block(arch.chain, sched, arch.enc, arch.passive_energies)
     try:
         report = extract_gate(block, doc["leakage"])
         _, _, phi, resid = derive_local_corrections(report.logical_unitary)
@@ -263,9 +253,9 @@ def cmd_verify_m(cfg: dict, out: Path) -> dict:
         doc.update({"failure": f"{type(exc).__name__}: {exc}"})
         ok, reason = False, "tolerance_exceeded"
     doc["status"] = "ok" if ok else "fail"
-    _emit({k: _json_safe(v) for k, v in doc.items()}, out / "pair_gate_report.json")
+    _emit(doc, out / "pair_gate_report.json")
     code = EXIT_OK if ok else EXIT_TOLERANCE
-    return _summary("verify-m", code, reason, phase=_json_safe(doc.get("conditional_phase")))
+    return _summary("verify-m", code, reason, phase=doc.get("conditional_phase"))
 
 
 def cmd_sweep(cfg: dict, out: Path) -> dict:
@@ -318,9 +308,7 @@ def cmd_synthesize(cfg: dict, out: Path) -> dict:
 
 def cmd_zeno(cfg: dict, out: Path) -> dict:
     c = cfg["zeno"]
-    coupling = cfg["coupling"]
-    chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train(
-        ZeemanLevels.from_delta(coupling, c["delta"]), coupling)
+    chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train(cfg["coupling"])
     k = c["collapse_every_gates"]
     interval = np.inf if k is None else k * t_gate
     zcfg = schemes.ZenoConfig(collapse_interval=interval,
@@ -361,13 +349,13 @@ def cmd_six_settings(cfg: dict, out: Path) -> dict:
     tol_id = c["tol_identity"] if c["tol_identity"] is not None else 10.0 * coupling / delta
     tol_same = c["tol_same"]
     levels = ZeemanLevels.from_delta(coupling, delta)
-    arch = schemes.arch3_section(levels, coupling, n_triples=4)
-    passive = site_energies(arch.chain, levels)
+    arch = schemes.arch3_section(levels, coupling)
     settings = schemes.six_settings(levels, coupling)
     logical = {}
     for setting in settings:
-        sched = schemes.arch3_apply(setting, arch.chain, levels)
-        logical[setting.label] = logical_block(arch.chain, sched, arch.enc, passive)[0]
+        sched = schemes.arch3_apply(arch, setting)
+        logical[setting.label] = logical_block(arch.chain, sched, arch.enc,
+                                               arch.passive_energies)[0]
 
     def factor(label, group):
         return operator_schmidt_factor(logical[label], 4, group)
@@ -421,7 +409,7 @@ def cmd_six_settings(cfg: dict, out: Path) -> dict:
     order = {s.label: i for i, s in enumerate(settings)}
     results.sort(key=lambda r: order[r["label"]])
     _emit({"delta": delta, "tol_identity": tol_id, "tol_same": tol_same,
-           "settings": [{k: _json_safe(v) for k, v in r.items()} for r in results]},
+           "settings": results},
           out / "six_settings.json")
     reason = None if ok else "tolerance_exceeded"
     return _summary("six-settings", EXIT_OK if ok else EXIT_TOLERANCE, reason,

@@ -55,7 +55,7 @@ class NotDiagonalizableLocally(ChainlabError):
 
 
 class InvalidGrouping(ChainlabError):
-    """Chain does not admit the even/odd triple grouping."""
+    """Chain does not have the layout a scheme needs."""
 
 
 class ConfigInvalid(ChainlabError):

@@ -21,8 +21,6 @@ import numpy as np
 from .errors import LengthMismatch
 from .model import ChainSpec, heisenberg_block, sigma_z_values
 
-STATE_NORM_ATOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -45,12 +43,6 @@ class ZeemanSchedule:
     @property
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
-
-
-def check_state_norm(psi: np.ndarray, atol: float = STATE_NORM_ATOL) -> None:
-    norms = np.linalg.norm(psi, axis=0)
-    if not np.allclose(norms, 1.0, atol=atol):
-        raise ValueError(f"state norm deviates from 1 by {abs(norms - 1.0).max():.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -416,8 +416,7 @@ def cnot_target() -> np.ndarray:
     ], dtype=complex)
 
 
-# invariants of the synthesis target, fixed by direct evaluation on CNOT
-CNOT_INVARIANTS = (0.0 + 0.0j, 1.0 + 0.0j)
+# local invariants of the identity class, which the refocusing demo aims for
 IDENTITY_INVARIANTS = (1.0 + 0.0j, 3.0 + 0.0j)
 
 
@@ -431,9 +430,6 @@ class SynthesisResult:
     n_uses: int
     local_angles: np.ndarray  # (n_uses + 1, 6): ZYZ angles for each qubit pair
     n_starts_used: int
-
-    def local_gates(self) -> list[np.ndarray]:
-        return [_local_layer(row) for row in self.local_angles]
 
     def to_json(self) -> str:
         doc = {

@@ -1,34 +1,19 @@
 """Dense linear algebra for small spin chains.
 
 Unitarity checks, the phase-invariant operator distance, polar projection and
-golden-section search.  The dense spectral exp(-i H t) = V exp(-i D t) V+ is
-the independent reference that the tests hold the sector kernel of evolve to.
+golden-section search.  expm_i, the dense spectral exp(-i H t) =
+V exp(-i D t) V+ of a Hermitian H, is the independent reference that the
+tests hold the sector kernel of evolve to; the package itself never calls it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitianInput
 
-# Default tolerances; callers may pass their own where a function accepts one.
-HERMITICITY_RTOL = 1e-12
-UNITARITY_ATOL = 1e-10
-PHASE_REFINE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+HERMITICITY_RTOL = 1e-12   # relative anti-Hermitian part that expm_i refuses
+PHASE_REFINE_TOL = 1e-12   # golden-section bracket of op_distance's phase
 
 
 def _as_square(mat) -> np.ndarray:
@@ -38,31 +23,19 @@ def _as_square(mat) -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(mat) -> float:
-    """Relative magnitude of the anti-Hermitian part, entrywise max norm."""
-    arr = _as_square(mat)
-    scale = max(np.abs(arr).max(), 1.0)
-    return float(np.abs(arr - arr.conj().T).max() / scale)
+def expm_i(mat, t: float) -> np.ndarray:
+    """exp(-i H t) for Hermitian H, via spectral decomposition.
 
-
-def hermitian_eig(mat, rtol: float = HERMITICITY_RTOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NonHermitianInput when the relative symmetry defect exceeds rtol.
+    Raises NonHermitianInput when the anti-Hermitian part, entrywise max norm
+    relative to that of H (at least 1), exceeds HERMITICITY_RTOL.
     """
-    arr = _as_square(mat)
-    defect = hermiticity_defect(arr)
-    if defect > rtol:
-        raise NonHermitianInput(f"symmetry defect {defect:.3e} exceeds rtol {rtol:.3e}")
-    values, vectors = np.linalg.eigh(arr)
-    return EigenSystem(values=values, vectors=vectors)
-
-
-def expm_i(mat, t: float, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via spectral decomposition."""
-    eig = hermitian_eig(mat, rtol=rtol)
-    phases = np.exp(-1j * eig.values * t)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    h = _as_square(mat)
+    defect = np.abs(h - h.conj().T).max() / max(np.abs(h).max(), 1.0)
+    if defect > HERMITICITY_RTOL:
+        raise NonHermitianInput(
+            f"symmetry defect {defect:.3e} exceeds rtol {HERMITICITY_RTOL:.3e}")
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
 
 
 def unitarity_defect(mat) -> float:

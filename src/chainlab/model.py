@@ -67,17 +67,12 @@ class ZeemanLevels:
     c: float
 
     @classmethod
-    def from_delta(cls, coupling: float, delta: float,
-                   delta_bc: float | None = None) -> "ZeemanLevels":
-        """Levels A = 0, (B - A)/J = delta and (C - B)/J = delta_bc (default: same)."""
+    def from_delta(cls, coupling: float, delta: float) -> "ZeemanLevels":
+        """Equally spaced levels: A = 0 and (B - A)/J = (C - B)/J = delta."""
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        if delta_bc is None:
-            delta_bc = delta
-        if not delta_bc > 0:
-            raise ValueError(f"delta_bc must be positive, got {delta_bc}")
         b = delta * coupling
-        return cls(a=0.0, b=b, c=b + delta_bc * coupling)
+        return cls(a=0.0, b=b, c=b + b)
 
     def of_role(self, role: str) -> float:
         return {"A": self.a, "B": self.b, "C": self.c}[role]
@@ -99,27 +94,10 @@ def basis_index(bits: Sequence[int]) -> int:
     return idx
 
 
-def bits_of_index(index: int, n: int) -> tuple[int, ...]:
-    return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
-
-
-def product_state(bits: Sequence[int]) -> np.ndarray:
-    """Normalized computational basis vector for the given spin pattern."""
-    n = len(bits)
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[basis_index(bits)] = 1.0
-    return psi
-
-
 def sigma_z_values(n: int) -> np.ndarray:
     """(n, 2^n) array of sigma^z eigenvalues: entry [i, k] is s_i of basis state k."""
     idx = np.arange(1 << n)
     return np.stack([1 - 2 * ((idx >> (n - 1 - i)) & 1) for i in range(n)]).astype(float)
-
-
-def total_sz_diagonal(n: int) -> np.ndarray:
-    """Diagonal of sum_i sigma^z_i in the computational basis."""
-    return sigma_z_values(n).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +127,9 @@ def _check_energies(chain: ChainSpec, energies: Sequence[float]) -> np.ndarray:
 
 
 def classical_ising_energies(chain: ChainSpec, energies: Sequence[float]) -> np.ndarray:
-    """Diagonal sum_i E_i s_i + J sum_i s_i s_{i+1} over all 2^n configurations."""
+    """Diagonal sum_i E_i s_i + J sum_i s_i s_{i+1} over all 2^n configurations:
+    the strong-detuning (effective Ising) limit of the Heisenberg chain, with
+    the exchange reduced to its J zz terms."""
     e = _check_energies(chain, energies)
     s = sigma_z_values(chain.n)
     diag = e @ s
@@ -185,14 +165,6 @@ def heisenberg_block(chain: ChainSpec, energies: Sequence[float], states) -> np.
 def build_heisenberg(chain: ChainSpec, energies: Sequence[float]) -> np.ndarray:
     """Dense complex H on the full basis; see heisenberg_block."""
     return heisenberg_block(chain, energies, np.arange(chain.dim)).astype(complex)
-
-
-def build_effective_ising(chain: ChainSpec, energies: Sequence[float]) -> np.ndarray:
-    """Strong-detuning limit of build_heisenberg: exchange reduced to J zz terms."""
-    dim = chain.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(h, classical_ising_energies(chain, energies))
-    return h
 
 
 def reduced_three_spin(qubit_energy: float, coupling: float, eps: float) -> np.ndarray:

@@ -2,6 +2,10 @@
 the six-setting global switch, the barrier-collapse trajectory engine, and
 the refocusing demo.
 
+Each architecture's layout is built once as a Section (chain, passive
+levels, encoding); its schedule builders take that section and return only
+a schedule.
+
 Architecture 1 places qubits on alternate sites of an ...ABAB... chain with
 barrier spins between them (guards up, the gate-mediating barrier down);
 architecture 2 encodes a qubit in a site pair of an ABCABC chain next to an
@@ -32,12 +36,22 @@ ARCH1_REVIVAL_THRESHOLD = 0.5       # strongly detuned points never reach 0.999
 ARCH1_REVIVAL_DIP = 0.85
 
 
-def _passive(chain: ChainSpec, levels: ZeemanLevels) -> tuple[float, ...]:
-    return tuple(site_energies(chain, levels))
-
-
 def _steps(*segments: tuple[float, Sequence[float]]) -> ZeemanSchedule:
     return ZeemanSchedule.from_steps([(d, e) for d, e in segments if d > 0])
+
+
+@dataclass(frozen=True)
+class Section:
+    """A chain laid out for one architecture: the chain, its passive Zeeman
+    levels and the encoding of its qubits and barriers."""
+
+    chain: ChainSpec
+    levels: ZeemanLevels
+    enc: EncodingMap
+
+    @property
+    def passive_energies(self) -> tuple[float, ...]:
+        return tuple(site_energies(self.chain, self.levels))
 
 
 # ---------------------------------------------------------------------------
@@ -45,16 +59,11 @@ def _steps(*segments: tuple[float, Sequence[float]]) -> ZeemanSchedule:
 
 
 @dataclass(frozen=True)
-class ArchitectureOne:
-    chain: ChainSpec
-    levels: ZeemanLevels
-    enc: EncodingMap              # all four qubits of the nine-site section
+class ArchitectureOne(Section):
+    """Nine-site section; enc holds all four qubits."""
+
     enc_gate_pair: EncodingMap    # just the two qubits adjacent to the gate barrier
     gate_barrier: int
-
-    @property
-    def passive_energies(self) -> tuple[float, ...]:
-        return _passive(self.chain, self.levels)
 
 
 def arch1_section(levels: ZeemanLevels, coupling: float = 1.0) -> ArchitectureOne:
@@ -74,21 +83,18 @@ def arch1_section(levels: ZeemanLevels, coupling: float = 1.0) -> ArchitectureOn
                            enc_gate_pair=enc_pair, gate_barrier=ARCH1_GATE_BARRIER)
 
 
-def _arch1_gate_energies(arch: ArchitectureOne) -> tuple[tuple[float, ...], list[float]]:
-    """(passive energies, gate energies): the gate holds the gate barrier at A+J."""
-    passive = arch.passive_energies
-    gate = list(passive)
+def _arch1_gate_energies(arch: ArchitectureOne) -> list[float]:
+    """The passive energies with the gate barrier held at A+J."""
+    gate = list(arch.passive_energies)
     gate[arch.gate_barrier] = arch.levels.a + arch.chain.coupling
-    return passive, gate
+    return gate
 
 
-def arch1_two_qubit_schedule(levels: ZeemanLevels, t_gate: float,
-                             coupling: float = 1.0,
-                             pad: float = DEFAULT_PAD) -> tuple[ZeemanSchedule, EncodingMap]:
+def arch1_two_qubit_schedule(arch: ArchitectureOne, t_gate: float,
+                             pad: float) -> ZeemanSchedule:
     """Passive hold, gate barrier at A+J for t_gate, passive hold."""
-    arch = arch1_section(levels, coupling)
-    passive, gate = _arch1_gate_energies(arch)
-    return _steps((pad, passive), (t_gate, gate), (pad, passive)), arch.enc
+    passive = arch.passive_energies
+    return _steps((pad, passive), (t_gate, _arch1_gate_energies(arch)), (pad, passive))
 
 
 def arch1_revival(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFAULT_PAD
@@ -100,14 +106,13 @@ def arch1_revival(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFA
     ARCH1_REVIVAL_WINDOW times the nominal pi / (3J); raises NoRevivalFound.
     """
     arch = arch1_section(levels, coupling)
-    passive, gate = _arch1_gate_energies(arch)
-    pad_hold = _steps((pad, passive))
+    pad_hold = _steps((pad, arch.passive_energies))
     nominal = np.pi / (3.0 * coupling)
     lo, hi = ARCH1_REVIVAL_WINDOW
-    t_r, p_r = find_revival(arch.chain, pad_hold, gate, pad_hold, arch.gate_barrier,
-                            (lo * nominal, hi * nominal), arch.enc_gate_pair,
-                            ARCH1_REVIVAL_THRESHOLD, ARCH1_REVIVAL_DIP)
-    return arch, arch1_two_qubit_schedule(levels, t_r, coupling, pad)[0], t_r, p_r
+    t_r, p_r = find_revival(arch.chain, pad_hold, _arch1_gate_energies(arch), pad_hold,
+                            arch.gate_barrier, (lo * nominal, hi * nominal),
+                            arch.enc_gate_pair, ARCH1_REVIVAL_THRESHOLD, ARCH1_REVIVAL_DIP)
+    return arch, arch1_two_qubit_schedule(arch, t_r, pad), t_r, p_r
 
 
 def arch1_exchange_gate(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFAULT_PAD
@@ -129,24 +134,13 @@ def arch1_exchange_gate(levels: ZeemanLevels, coupling: float = 1.0, pad: float 
 # architecture 2: paired-site qubits on an ABC chain
 
 
-@dataclass(frozen=True)
-class ArchitectureTwo:
-    chain: ChainSpec
-    levels: ZeemanLevels
-    enc: EncodingMap
-
-    @property
-    def passive_energies(self) -> tuple[float, ...]:
-        return _passive(self.chain, self.levels)
-
-
-def arch2_section(levels: ZeemanLevels, coupling: float = 1.0,
-                  n_triples: int = 2) -> ArchitectureTwo:
+def arch2_section(levels: ZeemanLevels, coupling: float = 1.0, n_triples: int = 2) -> Section:
+    """ABC triples; each qubit is the (A, B) pair of a triple, guarded by its
+    C barrier held up."""
     chain = ChainSpec(n=3 * n_triples, coupling=coupling, roles="ABC" * n_triples)
     pairs = [(3 * k, 3 * k + 1) for k in range(n_triples)]
     refs = {3 * k + 2: 0 for k in range(n_triples)}
-    return ArchitectureTwo(chain=chain, levels=levels,
-                           enc=EncodingMap.paired(chain.n, pairs, refs))
+    return Section(chain=chain, levels=levels, enc=EncodingMap.paired(chain.n, pairs, refs))
 
 
 def arch2_single_qubit_schedule(levels: ZeemanLevels, delta: float, t: float,
@@ -155,8 +149,7 @@ def arch2_single_qubit_schedule(levels: ZeemanLevels, delta: float, t: float,
     to A + delta for time t, driving a logical rotation in the x-z plane."""
     chain = ChainSpec(n=4, coupling=coupling, roles="CABC")
     enc = EncodingMap.paired(4, [(1, 2)], {0: 0, 3: 0})
-    passive = _passive(chain, levels)
-    gate = list(passive)
+    gate = list(site_energies(chain, levels))
     gate[2] = levels.a + delta
     return _steps((t, gate)), enc
 
@@ -167,21 +160,14 @@ def arch2_working_point(levels: ZeemanLevels, coupling: float = 1.0) -> float:
     return levels.c - coupling
 
 
-def arch2_two_qubit_schedule(levels: ZeemanLevels, t_gate: float,
-                             coupling: float = 1.0,
-                             eps: float | None = None) -> tuple[ZeemanSchedule, EncodingMap]:
-    """Six-site section (two full triples); the left qubit's upper site is
-    tuned near the barrier level C for t_gate.
+def arch2_two_qubit_schedule(arch: Section, t_gate: float, eps: float) -> ZeemanSchedule:
+    """The left qubit's upper site tuned to eps for t_gate.
 
-    eps defaults to C + J.  Note the measured simultaneous revival of both
-    logical branches occurs at arch2_working_point (C - J), not C + J; pass
-    it explicitly to operate there.
+    Both logical branches revive together at eps = arch2_working_point (C - J).
     """
-    arch = arch2_section(levels, coupling, n_triples=2)
-    passive = arch.passive_energies
-    gate = list(passive)
-    gate[1] = (levels.c + coupling) if eps is None else eps
-    return _steps((t_gate, gate)), arch.enc
+    gate = list(arch.passive_energies)
+    gate[1] = eps
+    return _steps((t_gate, gate))
 
 
 # ---------------------------------------------------------------------------
@@ -218,61 +204,19 @@ def six_settings(levels: ZeemanLevels, coupling: float = 1.0) -> tuple[SixSettin
     )
 
 
-@dataclass(frozen=True)
-class ArchitectureThree:
-    chain: ChainSpec
-    levels: ZeemanLevels
-    enc: EncodingMap
-    even_sites: tuple[int, ...]   # tunable (upper) sites of even-group qubits
-    odd_sites: tuple[int, ...]
+def arch3_section(levels: ZeemanLevels, coupling: float = 1.0) -> Section:
+    """Four-qubit architecture-2 section; qubits 0 and 2 form the even group,
+    qubits 1 and 3 the odd group."""
+    return arch2_section(levels, coupling, n_triples=4)
 
 
-def arch3_section(levels: ZeemanLevels, coupling: float = 1.0,
-                  n_triples: int = 4) -> ArchitectureThree:
-    arch2 = arch2_section(levels, coupling, n_triples)
-    tunable = [3 * k + 1 for k in range(n_triples)]
-    return ArchitectureThree(chain=arch2.chain, levels=levels, enc=arch2.enc,
-                             even_sites=tuple(tunable[0::2]),
-                             odd_sites=tuple(tunable[1::2]))
-
-
-def arch3_apply(setting: SixSetting, chain: ChainSpec,
-                levels: ZeemanLevels) -> ZeemanSchedule:
-    """Schedule moving every even-group tunable site to eps_even and every
-    odd-group one to eps_odd for the setting's duration."""
-    if chain.n % 3 != 0 or chain.n < 6 or chain.roles != "ABC" * (chain.n // 3):
-        raise InvalidGrouping(
-            f"chain of length {chain.n} with roles {chain.roles!r} has no even/odd qubit grouping")
-    arch = arch3_section(levels, chain.coupling, chain.n // 3)
-    energies = list(_passive(chain, levels))
-    for site in arch.even_sites:
-        energies[site] = setting.eps_even
-    for site in arch.odd_sites:
-        energies[site] = setting.eps_odd
+def arch3_apply(arch: Section, setting: SixSetting) -> ZeemanSchedule:
+    """Schedule moving the tunable (upper) site of every even-group qubit to
+    eps_even and of every odd-group one to eps_odd for the setting's duration."""
+    energies = list(arch.passive_energies)
+    for q, (_, upper) in enumerate(arch.enc.qubit_sites):
+        energies[upper] = setting.eps_odd if q % 2 else setting.eps_even
     return _steps((setting.duration, energies))
-
-
-def restrict_encoding(enc: EncodingMap, keep: Sequence[int]) -> EncodingMap:
-    """View of an encoding on the qubits `keep`, in that order; the sites of
-    every other qubit become barriers frozen in its |0>_L pattern."""
-    refs = dict(enc.barrier_refs)
-    bits = enc.chain_bits(0)
-    for q, group in enumerate(enc.qubit_sites):
-        if q not in keep:
-            refs.update((site, bits[site]) for site in group)
-    return EncodingMap(enc.n, tuple(enc.qubit_sites[q] for q in keep),
-                       tuple(sorted(refs.items())))
-
-
-# ---------------------------------------------------------------------------
-# state preparation
-
-
-def initialize_barriers(chain: ChainSpec, enc: EncodingMap) -> np.ndarray:
-    """Product state with every qubit in |0>_L and barriers at reference."""
-    if enc.n != chain.n:
-        raise InvalidGrouping(f"encoding is for {enc.n} sites, chain has {chain.n}")
-    return enc.embed_basis()[:, 0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +275,19 @@ class ZenoStats:
             raise IoFailure(str(exc)) from exc
 
 
-def zeno_gate_train(levels: ZeemanLevels, coupling: float = 1.0
+def zeno_gate_train(coupling: float = 1.0
                     ) -> tuple[ChainSpec, EncodingMap, ZeemanSchedule, float, np.ndarray]:
     """Three-spin gate train of the Zeno study: (chain, encoding, gate,
     gate time, input state).
 
     Qubits sit on the ends of an ABA chain around an up barrier; one gate
-    holds every site at A + J for the nominal pi / (3J).  The input is the
-    product (|0> + |1>)(|0> + e^{i pi/4}|1>) / 2.
+    holds every site at A + J = J (A = 0 at every detuning) for the nominal
+    pi / (3J).  The input is the product (|0> + |1>)(|0> + e^{i pi/4}|1>) / 2.
     """
     chain = ChainSpec(n=3, coupling=coupling, roles="ABA")
     enc = EncodingMap.single_site(3, [0, 2], {1: 1})
     t_gate = np.pi / (3.0 * coupling)
-    gate = ZeemanSchedule.from_steps([(t_gate, (levels.a + coupling,) * 3)])
+    gate = ZeemanSchedule.from_steps([(t_gate, (coupling,) * 3)])
     qa = np.array([1.0, 1.0]) / np.sqrt(2.0)
     qb = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2.0)
     return chain, enc, gate, t_gate, enc.embed_state(np.kron(qa, qb))
@@ -367,8 +311,7 @@ def _collapse_after(schedules: Sequence[ZeemanSchedule], interval: float) -> lis
 
 
 def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
-             enc: EncodingMap, cfg: ZenoConfig,
-             psi0: np.ndarray | None = None,
+             enc: EncodingMap, cfg: ZenoConfig, psi0: np.ndarray,
              jitter_mode: str = "independent") -> ZenoStats:
     """Monte-Carlo trajectories of a gate train with timing jitter and
     projective barrier collapses between gates.
@@ -403,8 +346,6 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
     factors = np.clip(factors, 0.05, None)
     uniforms = rng_col.random((n_points, len(barriers), trials))
 
-    if psi0 is None:
-        psi0 = initialize_barriers(chain, enc)
     psi = np.repeat(np.asarray(psi0, dtype=complex)[:, None], trials, axis=1)
     ideal = np.asarray(psi0, dtype=complex).copy()
 
@@ -471,7 +412,7 @@ def refocus_demo(chain: ChainSpec, levels: ZeemanLevels,
 
     if chain.n != 2:
         raise InvalidGrouping("the refocusing demo uses an adjacent two-qubit chain")
-    energies = _passive(chain, levels)
+    energies = site_energies(chain, levels)
     out = []
     for tau in pulse_periods:
         u = echo_cycle(chain, energies, tau, pulsed_sites=(0,), cycles=cycles)

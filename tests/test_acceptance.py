@@ -92,12 +92,11 @@ def test_criterion_2_revival_time_and_ratio():
 
 def pair_gate_corrections(delta, eps_offset):
     levels = ZeemanLevels.from_delta(J, delta)
-    chain = ChainSpec(n=6, coupling=J, roles="ABCABC")
+    arch = schemes.arch2_section(levels, J)
     t_gate = np.pi / (np.sqrt(5.0) * J)
-    sched, enc = schemes.arch2_two_qubit_schedule(levels, t_gate,
-                                                  eps=levels.c + eps_offset)
-    rep = gates.extract_gate(*gates.logical_block(
-        chain, sched, enc, schemes.arch2_section(levels).passive_energies))
+    sched = schemes.arch2_two_qubit_schedule(arch, t_gate, eps=levels.c + eps_offset)
+    rep = gates.extract_gate(*gates.logical_block(arch.chain, sched, arch.enc,
+                                                  arch.passive_energies))
     return gates.derive_local_corrections(rep.logical_unitary)
 
 
@@ -191,9 +190,8 @@ def test_criterion_7_six_setting_isolation():
     arch = schemes.arch3_section(levels)
     setting = schemes.six_settings(levels)[1]
     assert setting.eps_even == levels.b and setting.eps_odd == levels.a + J
-    sched = schemes.arch3_apply(setting, arch.chain, levels)
-    logical, _ = gates.logical_block(arch.chain, sched, arch.enc,
-                                     site_energies(arch.chain, levels))
+    sched = schemes.arch3_apply(arch, setting)
+    logical, _ = gates.logical_block(arch.chain, sched, arch.enc, arch.passive_energies)
     blocks = [gates.operator_schmidt_factor(logical, 4, (q,))[0] for q in range(4)]
     odd_mismatch = linalg.op_distance(blocks[1], blocks[3])
     assert odd_mismatch < 1e-6
@@ -281,15 +279,16 @@ def test_criterion_8_companion_systematic_miscalibration(zeno_curves):
 def schedule_corpus():
     lv = ZeemanLevels.from_delta(J, 1000.0)
     out = []
-    chain1 = schemes.arch1_section(lv).chain
-    out.append((chain1, schemes.arch1_two_qubit_schedule(lv, np.pi / 3.0)[0]))
+    arch1 = schemes.arch1_section(lv)
+    out.append((arch1.chain, schemes.arch1_two_qubit_schedule(arch1, np.pi / 3.0,
+                                                              schemes.DEFAULT_PAD)))
     chain2 = ChainSpec(n=4, coupling=J, roles="CABC")
     out.append((chain2, schemes.arch2_single_qubit_schedule(lv, 0.0, np.pi / 4.0)[0]))
-    chain6 = ChainSpec(n=6, coupling=J, roles="ABCABC")
+    arch2 = schemes.arch2_section(lv)
     t2 = np.pi / np.sqrt(5.0)
-    out.append((chain6, schemes.arch2_two_qubit_schedule(lv, t2)[0]))
-    out.append((chain6, schemes.arch2_two_qubit_schedule(
-        lv, t2, eps=schemes.arch2_working_point(lv))[0]))
+    out.append((arch2.chain, schemes.arch2_two_qubit_schedule(arch2, t2, eps=lv.c + J)))
+    out.append((arch2.chain, schemes.arch2_two_qubit_schedule(
+        arch2, t2, eps=schemes.arch2_working_point(lv))))
     chain3, _ = reduced_chain()
     out.append((chain3, ZeemanSchedule.from_steps([(np.pi / 3.0, (lv.a + J,) * 3)])))
     chain_pair = ChainSpec(n=2, coupling=J, roles="AB")

@@ -366,6 +366,17 @@ def test_zeno_malformed_config(capsys, tmp_path):
     assert code == 2
 
 
+def test_zeno_delta_key_is_config_error(capsys, tmp_path):
+    # the gate train holds every site at A + J with A = 0, whatever the detuning
+    path = write_config(tmp_path, {"zeno": {"delta": 1000.0}})
+    code = cli.main(["zeno", "--config", str(path), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and json.loads(lines[0])["reason"] == "config_invalid"
+    assert "zeno" in json.loads(lines[0])["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_zeno_seed_flag_changes_trajectories(capsys, tmp_path):
     cfg = write_config(tmp_path, {"zeno": {"trials": 64}})
     run_cli(capsys, "zeno", config=cfg, out=tmp_path / "a", extra=["--seed", "1"])
@@ -387,7 +398,7 @@ def test_six_settings_default_success(capsys, tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "out" / "six_settings.json").read_text())
     assert len(doc["settings"]) == 6
-    assert all(entry["passed"] for entry in doc["settings"])
+    assert all(entry["passed"] is True for entry in doc["settings"])
 
 
 def test_six_settings_unreachable_tolerance_fails(capsys, tmp_path):

@@ -61,7 +61,7 @@ def test_energy_vector_length_checked():
     chain = model.ChainSpec(n=3, coupling=1.0, roles="ABA")
     sched = evolve.ZeemanSchedule.from_steps([(1.0, (0.0, 0.0))])
     with pytest.raises(LengthMismatch):
-        evolve.evolve(chain, sched, model.product_state((0, 0, 0)))
+        evolve.evolve(chain, sched, np.eye(8)[0])
 
 
 def test_eigenstate_acquires_pure_phase():
@@ -81,8 +81,8 @@ def test_norm_and_magnetization_conserved(seed, n, t):
     psi0 = rng.normal(size=chain.dim) + 1j * rng.normal(size=chain.dim)
     psi0 /= np.linalg.norm(psi0)
     psi = evolve.evolve(chain, evolve.ZeemanSchedule.from_steps([(t, energies)]), psi0)
-    evolve.check_state_norm(psi)
-    sz = model.total_sz_diagonal(n)
+    assert np.allclose(np.linalg.norm(psi), 1.0, atol=1e-10)
+    sz = model.sigma_z_values(n).sum(axis=0)
     assert np.vdot(psi, sz * psi).real == pytest.approx(np.vdot(psi0, sz * psi0).real, abs=1e-9)
 
 
@@ -159,7 +159,7 @@ def test_hold_modes_reproduce_hold_then_tail_against_dense():
     chain, hold, rng = random_chain_and_energies(seed=29, n=4)
     tail = [(0.4, tuple(rng.uniform(-4, 4, 4))), (0.7, tuple(rng.uniform(-4, 4, 4)))]
     psi = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
-    psi[model.total_sz_diagonal(4) == 0] = 0.0   # leave the six-state sector empty
+    psi[model.sigma_z_values(4).sum(axis=0) == 0] = 0.0   # leave the six-state sector empty
     psi /= np.linalg.norm(psi, axis=0)
     t = 1.3
     dense = linalg.expm_i(model.build_heisenberg(chain, hold), t)
@@ -185,7 +185,7 @@ def test_schedule_on_sector_subset_matches_dense(seed, n, n_segments):
     chain, _, rng = random_chain_and_energies(seed, n)
     steps = [(float(rng.uniform(0.05, 3.0)), tuple(rng.uniform(-4, 4, n)))
              for _ in range(n_segments)]
-    down = model.total_sz_diagonal(n)
+    down = model.sigma_z_values(n).sum(axis=0)
     levels = np.unique(down)
     keep = rng.choice(levels, size=int(rng.integers(1, levels.size + 1)), replace=False)
     inside = np.isin(down, keep)
@@ -199,7 +199,7 @@ def test_schedule_on_sector_subset_matches_dense(seed, n, n_segments):
         dense = linalg.expm_i(model.build_heisenberg(chain, e), t) @ dense
     assert np.abs(psi - dense).max() < 1e-10
     assert not psi[~inside].any()
-    evolve.check_state_norm(psi)
+    assert np.allclose(np.linalg.norm(psi, axis=0), 1.0, atol=1e-10)
 
 
 def test_product_state_diagonalizes_only_its_sector(monkeypatch):
@@ -214,7 +214,8 @@ def test_product_state_diagonalizes_only_its_sector(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     bits = (0, 1, 1, 0, 1, 0)
-    psi0 = model.product_state(bits)
+    psi0 = np.zeros(chain.dim, dtype=complex)
+    psi0[model.basis_index(bits)] = 1.0
     sched = evolve.ZeemanSchedule.from_steps([(0.9, energies)])
     psi = evolve.evolve(chain, sched, psi0)
     assert shapes == [(20, 20)]           # 3 of 6 spins down: C(6, 3) states

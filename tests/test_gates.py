@@ -169,7 +169,7 @@ def arch1_revival_case(delta):
     arch1_two_qubit_schedule, with the search settings of arch1_revival."""
     levels = model.ZeemanLevels.from_delta(1.0, delta)
     arch = schemes.arch1_section(levels, 1.0)
-    pad, gate, _ = schemes.arch1_two_qubit_schedule(levels, 1.0)[0].segments
+    pad, gate, _ = schemes.arch1_two_qubit_schedule(arch, 1.0, schemes.DEFAULT_PAD).segments
     lo, hi = schemes.ARCH1_REVIVAL_WINDOW
     nominal = np.pi / 3.0
     return (arch.chain, ZeemanSchedule((pad,)), gate.energies, ZeemanSchedule((pad,)),
@@ -228,9 +228,9 @@ def test_batched_revival_matches_pointwise_search(case):
 
 def test_arch1_revival_searches_its_gate_schedule():
     levels = model.ZeemanLevels.from_delta(1.0, 100.0)
-    _, sched, t_r, p_r = schemes.arch1_revival(levels)
+    arch, sched, t_r, p_r = schemes.arch1_revival(levels)
     assert (t_r, p_r) == gates.find_revival(*arch1_revival_case(100.0))
-    assert sched == schemes.arch1_two_qubit_schedule(levels, t_r)[0]
+    assert sched == schemes.arch1_two_qubit_schedule(arch, t_r, schemes.DEFAULT_PAD)
 
 
 def test_find_revival_batches_stay_within_column_cap(monkeypatch):
@@ -310,9 +310,9 @@ def arch1_gate_case(delta):
 def verify_m_gate_case():
     levels = model.ZeemanLevels.from_delta(1.0, 4000.0)
     arch = schemes.arch2_section(levels)
-    sched, enc = schemes.arch2_two_qubit_schedule(levels, np.pi / np.sqrt(5.0),
-                                                  eps=schemes.arch2_working_point(levels))
-    return arch.chain, sched, enc, arch.passive_energies
+    sched = schemes.arch2_two_qubit_schedule(arch, np.pi / np.sqrt(5.0),
+                                             eps=schemes.arch2_working_point(levels))
+    return arch.chain, sched, arch.enc, arch.passive_energies
 
 
 @pytest.mark.parametrize("case", [lambda: arch1_gate_case(100.0),
@@ -348,8 +348,8 @@ def test_gate_report_json_round_trip():
 
 def test_reference_gate_invariants():
     g1, g2 = gates.local_equivalence_invariants(gates.cnot_target())
-    assert abs(g1 - gates.CNOT_INVARIANTS[0]) < 1e-12
-    assert abs(g2 - gates.CNOT_INVARIANTS[1]) < 1e-12
+    assert abs(g1 - 0.0) < 1e-12
+    assert abs(g2 - 1.0) < 1e-12
     g1, g2 = gates.local_equivalence_invariants(np.eye(4))
     assert abs(g1 - gates.IDENTITY_INVARIANTS[0]) < 1e-12
     assert abs(g2 - gates.IDENTITY_INVARIANTS[1]) < 1e-12
@@ -521,8 +521,10 @@ def test_synthesize_from_controlled_phase_pi():
     assert res.fidelity > 1.0 - 1e-6
     assert res.n_uses == 1
     # recompose the circuit from the reported angles
-    u = res.local_gates()[0]
-    for layer in res.local_gates()[1:]:
+    layers = [np.kron(gates.euler_zyz(*row[:3]), gates.euler_zyz(*row[3:]))
+              for row in res.local_angles]
+    u = layers[0]
+    for layer in layers[1:]:
         u = layer @ gates.controlled_phase(np.pi) @ u
     f = abs(np.trace(gates.cnot_target().conj().T @ u)) ** 2 / 16.0
     assert f == pytest.approx(res.fidelity, abs=1e-9)

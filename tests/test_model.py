@@ -49,17 +49,15 @@ def test_zeeman_levels_default_spacing():
     lv = model.ZeemanLevels.from_delta(coupling=2.0, delta=50.0)
     assert lv.b - lv.a == pytest.approx(100.0)
     assert lv.c - lv.b == pytest.approx(100.0)
-    lv2 = model.ZeemanLevels.from_delta(coupling=1.0, delta=10.0, delta_bc=20.0)
-    assert lv2.c - lv2.b == pytest.approx(20.0)
 
 
 def test_basis_convention():
     # site 0 is the most significant bit; up = bit 0
     assert model.basis_index((0, 0, 1)) == 1
     assert model.basis_index((1, 0, 0)) == 4
-    assert model.bits_of_index(5, 3) == (1, 0, 1)
-    psi = model.product_state((1, 0))
-    assert psi[2] == 1.0 and np.count_nonzero(psi) == 1
+    assert model.basis_index((1, 0, 1)) == 5
+    # basis state 2 of two sites is (down, up)
+    assert tuple(model.sigma_z_values(2)[:, 2]) == (-1.0, 1.0)
 
 
 def test_heisenberg_pair_spectrum():
@@ -121,14 +119,16 @@ def test_heisenberg_energy_length_check():
 
 def test_effective_ising_pair():
     chain = model.ChainSpec(n=2, coupling=1.0, roles="AB")
-    h = model.build_effective_ising(chain, (0.0, 0.0))
-    assert np.allclose(h, np.diag([1.0, -1.0, -1.0, 1.0]))
+    h = model.classical_ising_energies(chain, (0.0, 0.0))
+    assert np.allclose(h, [1.0, -1.0, -1.0, 1.0])
 
 
 def test_effective_ising_is_diagonal():
+    # the effective Ising energies are the diagonal of the full Heisenberg H
     chain = model.ChainSpec(n=4, coupling=0.7, roles="ABAB")
-    h = model.build_effective_ising(chain, (1.0, 2.0, 3.0, 4.0))
-    assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
+    energies = (1.0, 2.0, 3.0, 4.0)
+    h = model.classical_ising_energies(chain, energies)
+    assert np.array_equal(np.diag(model.build_heisenberg(chain, energies)).real, h)
 
 
 def test_effective_ising_classical_enumeration_nine_sites():
@@ -144,9 +144,8 @@ def test_effective_ising_classical_enumeration_nine_sites():
         e_cl = sum(energies[i] * s[i] for i in range(n))
         e_cl += J * sum(s[i] * s[i + 1] for i in range(n - 1))
         expected.append(e_cl)
-    h = model.build_effective_ising(chain, energies)
-    assert np.allclose(np.diag(h).real, expected, atol=1e-9)
-    assert np.allclose(sorted(np.linalg.eigvalsh(h)), sorted(expected), atol=1e-9)
+    h = model.classical_ising_energies(chain, energies)
+    assert np.allclose(h, expected, atol=1e-9)
 
 
 def test_reduced_three_spin_matches_shifted_chain():

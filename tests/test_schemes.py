@@ -30,33 +30,27 @@ def test_arch1_section_geometry():
 
 def test_arch1_two_qubit_schedule_structure():
     t_gate = np.pi / 3.0
-    sched, enc = schemes.arch1_two_qubit_schedule(LEVELS, t_gate, pad=0.2)
+    arch = schemes.arch1_section(LEVELS)
+    sched = schemes.arch1_two_qubit_schedule(arch, t_gate, pad=0.2)
     assert len(sched.segments) == 3
     assert sched.segments[0].duration == pytest.approx(0.2)
     assert sched.segments[1].duration == pytest.approx(t_gate)
     gate_energies = sched.segments[1].energies
     assert gate_energies[4] == pytest.approx(LEVELS.a + 1.0)
-    passive = schemes.arch1_section(LEVELS).passive_energies
+    passive = arch.passive_energies
     assert gate_energies[:4] == passive[:4]
     assert sched.segments[0].energies == passive
     # zero padding drops the bracketing segments entirely
-    bare, _ = schemes.arch1_two_qubit_schedule(LEVELS, t_gate, pad=0.0)
+    bare = schemes.arch1_two_qubit_schedule(arch, t_gate, pad=0.0)
     assert len(bare.segments) == 1
 
 
 def test_five_site_section_reference_state():
     # two qubits with an up guard on each end and a down gate barrier between
     enc = gates.EncodingMap.single_site(5, [1, 3], {0: 0, 2: 1, 4: 0})
-    chain = ChainSpec(n=5, coupling=1.0, roles="BABAB")
-    psi = schemes.initialize_barriers(chain, enc)
+    psi = enc.embed_basis()[:, 0]
     assert psi[0b00100] == 1.0
     assert np.count_nonzero(psi) == 1
-
-
-def test_initialize_barriers_checks_length():
-    enc = gates.EncodingMap.single_site(5, [1, 3], {0: 0, 2: 1, 4: 0})
-    with pytest.raises(InvalidGrouping):
-        schemes.initialize_barriers(ChainSpec(n=3, coupling=1.0, roles="BAB"), enc)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +71,7 @@ def test_arch2_single_qubit_flip_rate():
     sub = ChainSpec(n=4, coupling=1.0, roles="CABC")
     for t in np.linspace(0.05, np.pi / 2.0, 7):
         sched, enc = schemes.arch2_single_qubit_schedule(LEVELS, delta=0.0, t=t)
-        psi = evolve(sub, sched, schemes.initialize_barriers(sub, enc))
+        psi = evolve(sub, sched, enc.embed_basis()[:, 0])
         p1 = abs(enc.embed_basis()[:, 1].conj() @ psi) ** 2
         assert p1 == pytest.approx(np.sin(2.0 * t) ** 2, abs=5e-6)
 
@@ -85,18 +79,22 @@ def test_arch2_single_qubit_flip_rate():
 def test_arch2_full_flip_duration():
     sub = ChainSpec(n=4, coupling=1.0, roles="CABC")
     sched, enc = schemes.arch2_single_qubit_schedule(LEVELS, delta=0.0, t=np.pi / 4.0)
-    psi = evolve(sub, sched, schemes.initialize_barriers(sub, enc))
+    psi = evolve(sub, sched, enc.embed_basis()[:, 0])
     p1 = abs(enc.embed_basis()[:, 1].conj() @ psi) ** 2
     assert p1 > 1.0 - 1e-5
 
 
 def test_arch2_two_qubit_schedule_drive_site():
     t = np.pi / np.sqrt(5.0)
-    sched, enc = schemes.arch2_two_qubit_schedule(LEVELS, t)
-    assert enc.qubit_sites == ((0, 1), (3, 4))
+    arch = schemes.arch2_section(LEVELS)
+    sched = schemes.arch2_two_qubit_schedule(arch, t, eps=LEVELS.c + 1.0)
+    assert arch.enc.qubit_sites == ((0, 1), (3, 4))
     assert sched.segments[0].energies[1] == pytest.approx(LEVELS.c + 1.0)
-    at_wp = schemes.arch2_two_qubit_schedule(
-        LEVELS, t, eps=schemes.arch2_working_point(LEVELS))[0]
+    # only the left qubit's upper site leaves its passive level
+    passive = arch.passive_energies
+    assert sched.segments[0].energies[:1] + sched.segments[0].energies[2:] == (
+        passive[:1] + passive[2:])
+    at_wp = schemes.arch2_two_qubit_schedule(arch, t, eps=schemes.arch2_working_point(LEVELS))
     assert at_wp.segments[0].energies[1] == pytest.approx(LEVELS.c - 1.0)
 
 
@@ -122,57 +120,34 @@ def test_six_settings_literal_values():
     assert len({s.label for s in st6}) == 6
 
 
+EVEN_SITES = (1, 7)   # tunable (upper) sites of the even-group qubits
+ODD_SITES = (4, 10)
+
+
 def test_arch3_section_grouping():
-    arch = schemes.arch3_section(LEVELS, n_triples=4)
+    arch = schemes.arch3_section(LEVELS)
     assert arch.chain.n == 12
-    assert arch.even_sites == (1, 7)
-    assert arch.odd_sites == (4, 10)
+    probe = schemes.SixSetting("probe", eps_even=1.0, eps_odd=2.0, duration=0.1)
+    energies = schemes.arch3_apply(arch, probe).segments[0].energies
+    assert tuple(i for i, e in enumerate(energies) if e == 1.0) == EVEN_SITES
+    assert tuple(i for i, e in enumerate(energies) if e == 2.0) == ODD_SITES
     assert arch.enc.qubit_sites == ((0, 1), (3, 4), (6, 7), (9, 10))
 
 
 def test_arch3_apply_sets_both_groups():
-    arch = schemes.arch3_section(LEVELS, n_triples=4)
+    arch = schemes.arch3_section(LEVELS)
     setting = schemes.six_settings(LEVELS)[4]  # even:A+J odd:B
-    sched = schemes.arch3_apply(setting, arch.chain, LEVELS)
+    sched = schemes.arch3_apply(arch, setting)
     assert len(sched.segments) == 1
     assert sched.segments[0].duration == pytest.approx(setting.duration)
     energies = sched.segments[0].energies
-    for site in arch.even_sites:
+    for site in EVEN_SITES:
         assert energies[site] == pytest.approx(LEVELS.a + 1.0)
-    for site in arch.odd_sites:
+    for site in ODD_SITES:
         assert energies[site] == pytest.approx(LEVELS.b)
     # non-tunable sites stay passive
     assert energies[2] == pytest.approx(LEVELS.c)
     assert energies[0] == pytest.approx(LEVELS.a)
-
-
-def test_arch3_apply_rejects_other_layouts():
-    setting = schemes.six_settings(LEVELS)[0]
-    with pytest.raises(InvalidGrouping):
-        schemes.arch3_apply(setting, ChainSpec(n=4, coupling=1.0, roles="ABCA"), LEVELS)
-    with pytest.raises(InvalidGrouping):
-        schemes.arch3_apply(setting, ChainSpec(n=6, coupling=1.0, roles="ABABAB"), LEVELS)
-    with pytest.raises(InvalidGrouping):
-        schemes.arch3_apply(setting, ChainSpec(n=3, coupling=1.0, roles="ABC"), LEVELS)
-
-
-def test_qubit_encoding_freezes_others():
-    arch = schemes.arch2_section(LEVELS, n_triples=2)
-    enc0 = schemes.restrict_encoding(arch.enc, [0])
-    assert enc0.n_qubits == 1
-    assert enc0.qubit_sites == ((0, 1),)
-    refs = dict(enc0.barrier_refs)
-    # the second qubit idles in logical zero: down on site 3, up on site 4
-    assert refs[3] == 1 and refs[4] == 0 and refs[2] == 0 and refs[5] == 0
-
-
-def test_pair_encoding_keeps_two_qubits():
-    arch = schemes.arch3_section(LEVELS, n_triples=4)
-    enc12 = schemes.restrict_encoding(arch.enc, [1, 2])
-    assert enc12.qubit_sites == ((3, 4), (6, 7))
-    refs = dict(enc12.barrier_refs)
-    assert refs[0] == 1 and refs[1] == 0
-    assert refs[9] == 1 and refs[10] == 0
 
 
 # ---------------------------------------------------------------------------
