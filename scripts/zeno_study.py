@@ -12,6 +12,8 @@ import numpy as np
 
 from chainlab import schemes
 
+MODES = ("independent", "systematic")
+
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -24,7 +26,12 @@ def parse_args():
     p.add_argument("--modes", default="independent,systematic")
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--out", default="zeno_out")
-    return p.parse_args()
+    args = p.parse_args()
+    if args.gates < 1 or args.trials < 1:
+        p.error("--gates and --trials must be >= 1")
+    if not set(args.modes.split(",")) <= set(MODES):
+        p.error(f"--modes takes a comma-separated subset of {','.join(MODES)}")
+    return args
 
 
 def main():

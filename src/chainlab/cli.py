@@ -20,9 +20,8 @@ import numpy as np
 from jsonschema import Draft7Validator, validators
 
 from . import analysis, schemes
-from .errors import (ChainlabError, ConfigInvalid, ExcessiveLeakage, IoFailure,
-                     NoRevivalFound, NotDiagonalizableLocally, NotUnitary,
-                     SynthesisFailed)
+from .errors import (ConfigInvalid, ExcessiveLeakage, IoFailure, NoRevivalFound,
+                     NotDiagonalizableLocally, NotUnitary, SynthesisFailed)
 from .gates import (SYNTH_SUCCESS_FIDELITY, controlled_phase, derive_local_corrections,
                     exchange_gate_target, extract_gate, logical_block,
                     operator_schmidt_factor, synthesize_cnot)
@@ -467,7 +466,7 @@ def main(argv=None) -> int:
         summary = COMMANDS[args.command](cfg, out)
     except ConfigInvalid as exc:
         summary = _summary(args.command, EXIT_CONFIG, "config_invalid", detail=str(exc))
-    except ChainlabError as exc:
+    except Exception as exc:    # any other failure is internal: a summary line, never a traceback
         summary = _summary(args.command, EXIT_INTERNAL, "internal_error",
                            detail=f"{type(exc).__name__}: {exc}")
     print(json.dumps(summary, sort_keys=True))

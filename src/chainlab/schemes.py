@@ -15,7 +15,6 @@ up barrier; architecture 3 drives an ABCABC chain through two global knobs
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +33,7 @@ DEFAULT_PAD = 0.2
 ARCH1_REVIVAL_WINDOW = (0.4, 2.2)   # in units of the nominal gate time pi / (3J)
 ARCH1_REVIVAL_THRESHOLD = 0.5       # strongly detuned points never reach 0.999
 ARCH1_REVIVAL_DIP = 0.85
+_CSV_CHUNK_ROWS = 8192          # rows per write of ZenoStats.write_csv; bounds the text held
 
 
 def _steps(*segments: tuple[float, Sequence[float]]) -> ZeemanSchedule:
@@ -265,12 +265,16 @@ class ZenoStats:
         return json.dumps(doc, sort_keys=True)
 
     def write_csv(self, path) -> None:
+        """One row per trial, byte for byte as csv.writer writes them."""
+        wrong = self.wrong_collapse.astype(np.uint8).tolist()
+        fid = self.fidelity.tolist()
         try:
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["trial", "wrong_collapse", "fidelity"])
-                for i, (w, f) in enumerate(zip(self.wrong_collapse, self.fidelity)):
-                    writer.writerow([i, int(w), f"{f:.12g}"])
+                fh.write("trial,wrong_collapse,fidelity\r\n")
+                for lo in range(0, len(fid), _CSV_CHUNK_ROWS):
+                    hi = lo + _CSV_CHUNK_ROWS
+                    rows = map("{},{},{:.12g}".format, range(lo, hi), wrong[lo:hi], fid[lo:hi])
+                    fh.write("\r\n".join(rows) + "\r\n")
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
 
@@ -342,33 +346,30 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
         noise = np.broadcast_to(rng_jit.standard_normal((trials, 1)), (trials, n_gates))
     else:
         raise ValueError(f"unknown jitter_mode {jitter_mode!r}")
-    factors = 1.0 + cfg.jitter_stddev * noise
-    factors = np.clip(factors, 0.05, None)
+    # one contiguous row of duration factors per gate
+    factors = np.clip(1.0 + cfg.jitter_stddev * noise, 0.05, None).T.copy()
     uniforms = rng_col.random((n_points, len(barriers), trials))
 
     psi = np.repeat(np.asarray(psi0, dtype=complex)[:, None], trials, axis=1)
     ideal = np.asarray(psi0, dtype=complex).copy()
 
-    dim_idx = np.arange(chain.dim)
-    site_masks = {site: ((dim_idx >> (chain.n - 1 - site)) & 1) == ref
-                  for site, ref in barriers}
-
     wrong = np.zeros(trials, dtype=bool)
     point = 0
     for g, sched in enumerate(base_schedule_sequence):
         for seg in sched.segments:
-            psi = apply_hold(chain, seg.energies, seg.duration * factors[:, g], psi)
+            psi = apply_hold(chain, seg.energies, seg.duration * factors[g], psi)
         ideal = evolve(chain, sched, ideal)
         if flags[g]:
-            for b, (site, _ref) in enumerate(barriers):
-                mask = site_masks[site]
-                p_ref = (np.abs(psi[mask]) ** 2).sum(axis=0)
-                hit_ref = uniforms[point, b] < p_ref
+            for b, (site, ref) in enumerate(barriers):
+                # collapse in place on the two half views; where= skips 1/sqrt(p) of
+                # the dropped half, which may hold no probability at all
+                split = psi.reshape(1 << site, 2, -1, trials, copy=False)
+                halves = split[:, ref], split[:, 1 - ref]
+                probs = [(np.abs(h) ** 2).sum(axis=(0, 1)) for h in halves]
+                hit_ref = uniforms[point, b] < probs[0]
                 wrong |= ~hit_ref
-                keep = np.where(hit_ref[None, :], mask[:, None], ~mask[:, None])
-                psi = np.where(keep, psi, 0.0)
-                norm = np.sqrt((np.abs(psi) ** 2).sum(axis=0))
-                psi /= norm
+                for half, p, hit in zip(halves, probs, (hit_ref, ~hit_ref)):
+                    half *= np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=hit)
             point += 1
     fid = np.abs(ideal.conj() @ psi) ** 2
     return ZenoStats(wrong_collapse=wrong, fidelity=fid,

@@ -493,6 +493,21 @@ def test_unwritable_output_is_an_io_failure(capsys, tmp_path):
     assert code == 3 and "IoFailure" in summary["detail"]
 
 
+def test_unexpected_exception_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    def boom(cfg, out):
+        return 1 / 0
+
+    monkeypatch.setitem(cli.COMMANDS, "zeno", boom)
+    code = cli.main(["zeno", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 3 and len(lines) == 1
+    summary = json.loads(lines[0])
+    assert summary["exit_code"] == 3 and summary["reason"] == "internal_error"
+    assert summary["detail"].startswith("ZeroDivisionError")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_default_thread_count_starts_no_pool(capsys, tmp_path, monkeypatch):
     import concurrent.futures
     from chainlab import analysis

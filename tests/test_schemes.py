@@ -1,3 +1,7 @@
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from chainlab import gates, schemes
 from chainlab.errors import InvalidGrouping
 from chainlab.evolve import ZeemanSchedule, evolve
-from chainlab.model import ChainSpec, ZeemanLevels, site_energies
+from chainlab.linalg import expm_i
+from chainlab.model import ChainSpec, ZeemanLevels, pauli_site, site_energies
 
 LEVELS = ZeemanLevels.from_delta(coupling=1.0, delta=1000.0)
 
@@ -245,6 +250,120 @@ def test_zeno_csv_format(tmp_path):
     assert first[0] == "0"
     assert first[1] in ("0", "1")
     assert float(first[2]) == pytest.approx(stats.fidelity[0], rel=1e-10)
+
+
+def test_zeno_csv_bytes_match_csv_writer(tmp_path):
+    n = schemes._CSV_CHUNK_ROWS + 7
+    special = [0.0, 1.0, 5e-324, 1.0 - 1e-16, 0.1]
+    fid = np.resize(np.array(special), n)
+    fid[len(special):] *= np.random.default_rng(5).random(n - len(special))
+    wrong = np.random.default_rng(6).random(n) < 0.3
+    cfg = schemes.ZenoConfig(collapse_interval=1.0, jitter_stddev=0.0, trials=n, seed=0)
+    stats = schemes.ZenoStats(wrong_collapse=wrong, fidelity=fid, n_collapse_points=1,
+                              config=cfg)
+    path = tmp_path / "stats.csv"
+    stats.write_csv(path)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["trial", "wrong_collapse", "fidelity"])
+    for i, (w, f) in enumerate(zip(wrong, fid)):
+        writer.writerow([i, int(w), f"{f:.12g}"])
+    assert path.read_bytes() == ref.getvalue().encode()
+
+
+def _kron_heisenberg(n, energies, coupling):
+    h = sum(e * pauli_site("z", i, n) for i, e in enumerate(energies))
+    for i in range(n - 1):
+        for ax in "xyz":
+            h = h + coupling * pauli_site(ax, i, n) @ pauli_site(ax, i + 1, n)
+    return h
+
+
+def zeno_oracle(chain, seq, enc, cfg, psi0, k, mode):
+    """zeno_run for gate trains of identical gates, one trial at a time:
+    dense exp(-iHt) per jittered segment and explicit barrier projectors,
+    fed from the same random streams."""
+    n_gates = len(seq)
+    flags = [(g + 1) % k == 0 or g == n_gates - 1 for g in range(n_gates)]
+    rng_jit = np.random.default_rng([cfg.seed, 1])
+    shape = (cfg.trials, n_gates if mode == "independent" else 1)
+    noise = np.broadcast_to(rng_jit.standard_normal(shape), (cfg.trials, n_gates))
+    factors = np.clip(1.0 + cfg.jitter_stddev * noise, 0.05, None)
+    uniforms = np.random.default_rng([cfg.seed, 2]).random(
+        (sum(flags), len(enc.barrier_refs), cfg.trials))
+    ham = {seg.energies: _kron_heisenberg(chain.n, seg.energies, chain.coupling)
+           for sched in seq for seg in sched.segments}
+    proj = {site: (np.eye(chain.dim) + (1 - 2 * ref) * pauli_site("z", site, chain.n)) / 2
+            for site, ref in enc.barrier_refs}
+    ideal = np.asarray(psi0, dtype=complex)
+    for sched in seq:
+        for seg in sched.segments:
+            ideal = expm_i(ham[seg.energies], seg.duration) @ ideal
+    wrong = np.zeros(cfg.trials, dtype=bool)
+    fid = np.zeros(cfg.trials)
+    for t in range(cfg.trials):
+        psi = np.asarray(psi0, dtype=complex)
+        point = 0
+        for g, sched in enumerate(seq):
+            for seg in sched.segments:
+                psi = expm_i(ham[seg.energies], seg.duration * factors[t, g]) @ psi
+            if not flags[g]:
+                continue
+            for b, (site, _ref) in enumerate(enc.barrier_refs):
+                kept = proj[site] @ psi
+                if uniforms[point, b, t] >= np.vdot(kept, kept).real:
+                    wrong[t] = True
+                    kept = psi - kept
+                psi = kept / np.linalg.norm(kept)
+            point += 1
+        fid[t] = abs(np.vdot(ideal, psi)) ** 2
+    return wrong, fid
+
+
+def two_barrier_train():
+    """Barriers on both chain ends (sites 0 and 3), one held at each
+    reference, around two qubits."""
+    chain = ChainSpec(n=4, coupling=1.0, roles="BAAB")
+    enc = gates.EncodingMap.single_site(4, [1, 2], {0: 0, 3: 1})
+    t_gate = np.pi / 3.0
+    gate = ZeemanSchedule.from_steps([(0.4 * t_gate, (6.0, 0.0, 0.0, -6.0)),
+                                      (0.6 * t_gate, (1.0,) * 4)])
+    q = np.array([1.0, np.exp(0.3j)]) / np.sqrt(2.0)
+    return chain, enc, [gate] * 6, enc.embed_state(np.kron(q, q)), t_gate
+
+
+@pytest.mark.parametrize("k", [1, 3, np.inf])
+@pytest.mark.parametrize("mode", ["independent", "systematic"])
+@pytest.mark.parametrize("seed", [5, 1234])
+@pytest.mark.parametrize("train", ["three_spin", "two_barrier"])
+def test_zeno_run_matches_dense_per_trial_oracle(train, seed, mode, k):
+    if train == "three_spin":
+        chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train()
+        seq = [gate] * 20
+    else:
+        chain, enc, seq, psi0, t_gate = two_barrier_train()
+    cfg = schemes.ZenoConfig(collapse_interval=k * t_gate if np.isfinite(k) else np.inf,
+                             jitter_stddev=0.05, trials=64, seed=seed)
+    stats = schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0, jitter_mode=mode)
+    wrong, fid = zeno_oracle(chain, seq, enc, cfg, psi0, k, mode)
+    assert np.array_equal(stats.wrong_collapse, wrong)
+    assert np.abs(stats.fidelity - fid).max() < 1e-12
+    assert 0 < wrong.sum() < cfg.trials
+
+
+@pytest.mark.parametrize("index, off_reference", [(0b111, False), (0b000, True)])
+def test_zeno_collapse_with_an_empty_half_warns_nothing(index, off_reference):
+    # all spins alike is an eigenstate of every gate: one half of the barrier
+    # split carries exactly zero probability at each collapse
+    chain, enc, gate, t_gate, _ = schemes.zeno_gate_train()
+    psi0 = np.zeros(chain.dim, dtype=complex)
+    psi0[index] = 1.0
+    cfg = schemes.ZenoConfig(collapse_interval=t_gate, jitter_stddev=0.05, trials=256, seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
+    assert np.all(stats.wrong_collapse == off_reference)
+    assert np.abs(stats.fidelity - 1.0).max() < 1e-12
 
 
 def test_zeno_json_summary():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import chainlab
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -59,6 +61,14 @@ def test_zeno_study_small_run(tmp_path):
     systematic = {r["interval_gates"]: float(r["mean_fidelity"]) for r in rows
                   if r["mode"] == "systematic"}
     assert systematic["1"] > systematic["inf"]
+
+
+@pytest.mark.parametrize("argv", [("--trials", "0"), ("--gates", "0"), ("--modes", "bogus")])
+def test_zeno_study_rejects_bad_arguments(tmp_path, argv):
+    proc = run_script("zeno_study.py", tmp_path, *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and argv[0] in proc.stderr
+    assert not (tmp_path / "zeno_out").exists()
 
 
 def test_refocus_scan_small_run(tmp_path):
