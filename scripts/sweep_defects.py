@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 from chainlab import analysis
+from chainlab.errors import ConfigInvalid
 
 
 def parse_args():
@@ -19,17 +20,26 @@ def parse_args():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default="sweep_out")
-    return p.parse_args()
+    args = p.parse_args()
+    if args.threads is not None and args.threads < 1:
+        p.error("--threads must be >= 1")
+    try:
+        args.spec = analysis.SweepSpec(
+            delta_values=tuple(float(x) for x in args.deltas.split(",")), coupling=args.coupling)
+    except ValueError:
+        p.error("--deltas takes comma-separated numbers")
+    except ConfigInvalid as exc:
+        p.error(f"--deltas: {exc}")
+    return args
 
 
 def main():
     args = parse_args()
-    deltas = tuple(float(x) for x in args.deltas.split(","))
+    deltas = args.spec.delta_values
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    spec = analysis.SweepSpec(delta_values=deltas, coupling=args.coupling)
-    records = analysis.defect_sweep(spec, threads=args.threads)
+    records = analysis.defect_sweep(args.spec, threads=args.threads)
     for r in records:
         print(f"delta={r.delta:8.1f}  t_r={r.t_r:.9f}  defect={r.defect_worst:.6e}  "
               f"phase_noise={r.phase_noise_rad:.6e}  leakage={r.leakage:.6e}")

@@ -8,8 +8,6 @@ import argparse
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from chainlab import schemes
 
 MODES = ("independent", "systematic")
@@ -29,6 +27,13 @@ def parse_args():
     args = p.parse_args()
     if args.gates < 1 or args.trials < 1:
         p.error("--gates and --trials must be >= 1")
+    if not 0 <= args.stddev < float("inf"):
+        p.error("--stddev must be a finite number >= 0")
+    if args.seed < 0:
+        p.error("--seed must be >= 0")
+    if not all(tok == "inf" or (tok.isdecimal() and int(tok) >= 1)
+               for tok in args.intervals.split(",")):
+        p.error("--intervals takes comma-separated positive integers or inf")
     if not set(args.modes.split(",")) <= set(MODES):
         p.error(f"--modes takes a comma-separated subset of {','.join(MODES)}")
     return args
@@ -38,15 +43,14 @@ def main():
     args = parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train()
+    chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
 
     rows = []
     for mode in args.modes.split(","):
         for tok in args.intervals.split(","):
-            k = np.inf if tok == "inf" else float(tok)
-            cfg = schemes.ZenoConfig(
-                collapse_interval=k * t_gate if np.isfinite(k) else np.inf,
-                jitter_stddev=args.stddev, trials=args.trials, seed=args.seed)
+            cfg = schemes.ZenoConfig(collapse_every_gates=None if tok == "inf" else int(tok),
+                                     jitter_stddev=args.stddev, trials=args.trials,
+                                     seed=args.seed)
             stats = schemes.zeno_run(chain, [gate] * args.gates, enc, cfg,
                                      psi0=psi0, jitter_mode=mode)
             rows.append({

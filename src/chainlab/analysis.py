@@ -41,8 +41,8 @@ class SweepSpec:
         object.__setattr__(self, "delta_values", dv)
         if len(dv) < 2:
             raise ConfigInvalid("delta_values needs at least 2 points")
-        if any(d <= 0 for d in dv):
-            raise ConfigInvalid("delta_values must be positive")
+        if not all(0 < d < np.inf for d in dv):
+            raise ConfigInvalid("delta_values must be positive and finite")
         if list(dv) != sorted(dv):
             raise ConfigInvalid("delta_values must be ascending")
 

@@ -2,16 +2,17 @@
 
 One JSON config document carries chain-level defaults plus one section per
 subcommand; command-line flags override config fields.  Every command writes
-its artifacts into the output directory and prints a single JSON summary
-line to stdout.  Exit codes: 0 success, 1 scientific-tolerance failure,
-2 configuration error, 3 internal error.  Reruns with identical config
-produce byte-identical artifacts.
+its artifacts into the output directory and returns (ok, summary fields);
+main prints them as a single JSON summary line to stdout with the exit code:
+0 success, 1 scientific-tolerance failure, 2 configuration error, 3 internal
+error.  Reruns with identical config produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from pathlib import Path
@@ -194,17 +195,19 @@ def _emit(doc: dict, path: Path) -> None:
     _write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def _matrix_json(m: np.ndarray) -> list:
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+
+
 def _summary(command: str, code: int, reason: str | None, **extra) -> dict:
-    doc = {"command": command, "exit_code": code, "reason": reason}
-    doc.update(extra)
-    return doc
+    return {"command": command, "exit_code": code, "reason": reason, **extra}
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_verify_g(cfg: dict, out: Path) -> dict:
+def cmd_verify_g(cfg: dict, out: Path) -> tuple[bool, dict]:
     """Run the alternate-site pipeline and compare the extracted gate to the
     ideal exchange gate after two-sided z-phase alignment."""
     c = cfg["verify_g"]
@@ -213,21 +216,19 @@ def cmd_verify_g(cfg: dict, out: Path) -> dict:
     doc = {"delta": c["delta"], "tolerance": c["tolerance"]}
     try:
         _, t_r, p, report, al = schemes.arch1_exchange_gate(levels, coupling, pad=c["pad"])
-        doc.update(json.loads(report.to_json()))
-        doc.update({"revival_time": t_r, "revival_probability": p,
-                    "distance_to_target": al.distance})
+        doc.update({"logical_unitary": _matrix_json(report.logical_unitary),
+                    "leakage": report.leakage, "revival_time": t_r,
+                    "revival_probability": p, "distance_to_target": al.distance})
         ok = al.distance < c["tolerance"]
-        reason = None if ok else "tolerance_exceeded"
     except (NoRevivalFound, ExcessiveLeakage) as exc:
-        doc.update({"failure": f"{type(exc).__name__}: {exc}"})
-        ok, reason = False, "tolerance_exceeded"
+        doc["failure"] = f"{type(exc).__name__}: {exc}"
+        ok = False
     doc["status"] = "ok" if ok else "fail"
     _emit(doc, out / "gate_report.json")
-    code = EXIT_OK if ok else EXIT_TOLERANCE
-    return _summary("verify-g", code, reason, distance=doc.get("distance_to_target"))
+    return ok, {"distance": doc.get("distance_to_target")}
 
 
-def cmd_verify_m(cfg: dict, out: Path) -> dict:
+def cmd_verify_m(cfg: dict, out: Path) -> tuple[bool, dict]:
     """Run the paired-encoding pipeline at the simultaneous-revival working
     point and check the conditional phase of the extracted gate."""
     c = cfg["verify_m"]
@@ -247,17 +248,15 @@ def cmd_verify_m(cfg: dict, out: Path) -> dict:
         err = abs(np.angle(np.exp(1j * (phi - c["target_phase"]))))
         doc["phase_error"] = err
         ok = err < c["tolerance"] and resid < 1e-3
-        reason = None if ok else "tolerance_exceeded"
     except (NoRevivalFound, ExcessiveLeakage, NotDiagonalizableLocally, NotUnitary) as exc:
-        doc.update({"failure": f"{type(exc).__name__}: {exc}"})
-        ok, reason = False, "tolerance_exceeded"
+        doc["failure"] = f"{type(exc).__name__}: {exc}"
+        ok = False
     doc["status"] = "ok" if ok else "fail"
     _emit(doc, out / "pair_gate_report.json")
-    code = EXIT_OK if ok else EXIT_TOLERANCE
-    return _summary("verify-m", code, reason, phase=doc.get("conditional_phase"))
+    return ok, {"phase": doc.get("conditional_phase")}
 
 
-def cmd_sweep(cfg: dict, out: Path) -> dict:
+def cmd_sweep(cfg: dict, out: Path) -> tuple[bool, dict]:
     c = cfg["sweep"]
     spec = analysis.SweepSpec(delta_values=tuple(c["delta_values"]),
                               coupling=cfg["coupling"])
@@ -270,15 +269,12 @@ def cmd_sweep(cfg: dict, out: Path) -> dict:
     defects = [r.defect_worst for r in records]
     monotone = all(b <= a + 1e-6 for a, b in zip(defects, defects[1:]))
     ok = missing == 0 and monotone and records != []
-    reason = None if ok else "tolerance_exceeded"
-    return _summary("sweep", EXIT_OK if ok else EXIT_TOLERANCE, reason,
-                    rows=len(records), missing=missing, monotone=monotone,
-                    table=str(path) if records else None)
+    return ok, {"rows": len(records), "missing": missing, "monotone": monotone,
+                "table": str(path) if records else None}
 
 
-def cmd_synthesize(cfg: dict, out: Path) -> dict:
+def cmd_synthesize(cfg: dict, out: Path) -> tuple[bool, dict]:
     results = []
-    ok = True
     for job in cfg["synthesize"]["jobs"]:
         if job["entangler"] == "exchange":
             ent = exchange_gate_target()
@@ -292,36 +288,35 @@ def cmd_synthesize(cfg: dict, out: Path) -> dict:
         try:
             res = synthesize_cnot(ent, job["n_uses"], seed=cfg["seed"],
                                   n_starts=n_starts)
-            entry.update(json.loads(res.to_json()))
+            entry.update({"fidelity": res.fidelity, "local_angles": res.local_angles.tolist(),
+                          "n_starts_used": res.n_starts_used})
             entry["status"] = "ok" if res.fidelity > SYNTH_SUCCESS_FIDELITY else "below_target"
-            ok = ok and entry["status"] == "ok"
         except SynthesisFailed as exc:
             entry.update({"status": "fail", "best_fidelity": exc.best_fidelity})
-            ok = False
         results.append(entry)
     _emit({"jobs": results}, out / "synthesis.json")
-    reason = None if ok else "tolerance_exceeded"
-    return _summary("synthesize", EXIT_OK if ok else EXIT_TOLERANCE, reason,
-                    fidelities=[r.get("fidelity", r.get("best_fidelity")) for r in results])
+    fidelities = [r.get("fidelity", r.get("best_fidelity")) for r in results]
+    return all(r["status"] == "ok" for r in results), {"fidelities": fidelities}
 
 
-def cmd_zeno(cfg: dict, out: Path) -> dict:
+def cmd_zeno(cfg: dict, out: Path) -> tuple[bool, dict]:
     c = cfg["zeno"]
     chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train(cfg["coupling"])
     k = c["collapse_every_gates"]
-    interval = np.inf if k is None else k * t_gate
-    zcfg = schemes.ZenoConfig(collapse_interval=interval,
-                              jitter_stddev=c["jitter_stddev"],
+    zcfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=c["jitter_stddev"],
                               trials=c["trials"], seed=cfg["seed"])
     stats = schemes.zeno_run(chain, [gate] * c["gates"], enc, zcfg, psi0=psi0,
                              jitter_mode=c["jitter_mode"])
     stats.write_csv(out / "zeno_stats.csv")
-    _write(out / "zeno_summary.json", stats.to_json() + "\n")
-    ok = stats.mean_fidelity >= c["min_fidelity"]
-    reason = None if ok else "tolerance_exceeded"
-    return _summary("zeno", EXIT_OK if ok else EXIT_TOLERANCE, reason,
-                    wrong_collapse_probability=stats.wrong_collapse_probability,
-                    mean_fidelity=stats.mean_fidelity)
+    doc = {"wrong_collapse_probability": stats.wrong_collapse_probability,
+           "mean_fidelity": stats.mean_fidelity,
+           "n_collapse_points": stats.n_collapse_points, "trials": c["trials"],
+           "collapse_interval": np.inf if k is None else k * t_gate,
+           "jitter_stddev": c["jitter_stddev"], "seed": cfg["seed"]}
+    _write(out / "zeno_summary.json", json.dumps(doc, sort_keys=True) + "\n")
+    return stats.mean_fidelity >= c["min_fidelity"], {
+        "wrong_collapse_probability": stats.wrong_collapse_probability,
+        "mean_fidelity": stats.mean_fidelity}
 
 
 def _distance_to_diagonal(u: np.ndarray) -> float:
@@ -330,17 +325,32 @@ def _distance_to_diagonal(u: np.ndarray) -> float:
     return op_distance(u, np.diag(d))
 
 
-def cmd_six_settings(cfg: dict, out: Path) -> dict:
+# One row per setting of schemes.six_settings, in that order: setting; parked
+# qubits, which must stay diagonal; driven group, its mismatch key and the
+# (setting, group) whose gate it must equal; an edge key and group compared with
+# the driven group but only reported, since qubit 0 sits at the open chain's
+# edge; groups that must stay product; note.
+_SIX_CHECKS = (
+    (0, (0, 2), (1,), "driven_gate_mismatch", (0, (3,)), None, None, (), None),
+    (1, (0, 2), (1,), "driven_gate_mismatch", (1, (3,)), None, None, (), None),
+    (2, (0,), None, None, None, None, None, ((1, 2),), "boundary-driven qubit 3 not compared"),
+    (3, (1, 3), (2,), "cross_parity_mismatch", (0, (1,)), "edge_gate_mismatch", (0,), (), None),
+    (4, (1, 3), (2,), "cross_parity_mismatch", (1, (1,)), "edge_gate_mismatch", (0,), (), None),
+    (5, (), (2, 3), "cross_parity_mismatch", (2, (1, 2)), "edge_pair_mismatch", (0, 1),
+     ((0, 1), (2, 3)), None),
+)
+
+
+def cmd_six_settings(cfg: dict, out: Path) -> tuple[bool, dict]:
     """Enumerate the six global settings on a 12-site chain and verify that
     each drives exactly its own parity group.
 
     Per-qubit and per-pair gates come from the operator-Schmidt factorization
     of the full logical map, so driven neighbors do not corrupt the
-    extraction.  Checks: parked groups stay diagonal; driven gates agree
-    across qubits with equivalent environments, including across parity
-    (the same knob value must produce the same gate on either group); pair
-    maps stay product across the pair/rest cut.  The edge qubit of the open
-    chain has a different environment; its gate is reported, not compared.
+    extraction.  Checks (_SIX_CHECKS): parked groups stay diagonal; driven
+    gates agree across qubits with equivalent environments, including across
+    parity (the same knob value must produce the same gate on either group);
+    pair maps stay product across the pair/rest cut.
     """
     c = cfg["six_settings"]
     coupling = cfg["coupling"]
@@ -350,69 +360,35 @@ def cmd_six_settings(cfg: dict, out: Path) -> dict:
     levels = ZeemanLevels.from_delta(coupling, delta)
     arch = schemes.arch3_section(levels, coupling)
     settings = schemes.six_settings(levels, coupling)
-    logical = {}
-    for setting in settings:
-        sched = schemes.arch3_apply(arch, setting)
-        logical[setting.label] = logical_block(arch.chain, sched, arch.enc,
-                                               arch.passive_energies)[0]
+    logical = [logical_block(arch.chain, schemes.arch3_apply(arch, s), arch.enc,
+                             arch.passive_energies)[0] for s in settings]
 
-    def factor(label, group):
-        return operator_schmidt_factor(logical[label], 4, group)
+    @functools.cache
+    def factor(setting, group):
+        return operator_schmidt_factor(logical[setting], 4, group)
 
     results = []
-    ok = True
-    # odd-driven single-qubit settings: both odd qubits are interior
-    for k in (0, 1):
-        lab = settings[k].label
-        blocks = [factor(lab, [q])[0] for q in range(4)]
-        mismatch = op_distance(blocks[1], blocks[3])
-        idle = max(_distance_to_diagonal(blocks[q]) for q in (0, 2))
-        passed = bool(mismatch < tol_same and idle < tol_id)
-        results.append({"label": lab, "driven_gate_mismatch": mismatch,
-                        "parked_distance_to_diagonal": idle, "passed": passed})
-    # even-driven single-qubit settings: qubit 0 is the edge qubit; the
-    # interior even gate must equal the interior odd gate of the partner
-    # setting with the same knob value
-    for k, partner in ((3, 0), (4, 1)):
-        lab = settings[k].label
-        blocks = [factor(lab, [q])[0] for q in range(4)]
-        idle = max(_distance_to_diagonal(blocks[q]) for q in (1, 3))
-        cross = op_distance(blocks[2], factor(settings[partner].label, [1])[0])
-        edge = op_distance(blocks[0], blocks[2])
-        passed = bool(cross < tol_same and idle < tol_id)
-        results.append({"label": lab, "parked_distance_to_diagonal": idle,
-                        "cross_parity_mismatch": cross,
-                        "edge_gate_mismatch": edge, "passed": passed})
-    # entangling settings: odd-driven has one complete pair (1,2) plus the
-    # parked edge qubit and a boundary-driven qubit; even-driven has pairs
-    # (0,1) and (2,3), the first touching the edge
-    lab3 = settings[2].label
-    pair12, w12 = factor(lab3, [1, 2])
-    q0 = factor(lab3, [0])[0]
-    idle = _distance_to_diagonal(q0)
-    passed = bool(idle < tol_id and w12 > 1 - 1e-6)
-    results.append({"label": lab3, "pair_schmidt_weight": w12,
-                    "parked_distance_to_diagonal": idle,
-                    "note": "boundary-driven qubit 3 not compared",
-                    "passed": passed})
-    lab6 = settings[5].label
-    pair01, w01 = factor(lab6, [0, 1])
-    pair23, w23 = factor(lab6, [2, 3])
-    cross = op_distance(pair23, pair12)
-    edge = op_distance(pair01, pair23)
-    passed = bool(cross < tol_same and min(w01, w23) > 1 - 1e-6)
-    results.append({"label": lab6, "pair_schmidt_weight": min(w01, w23),
-                    "cross_parity_mismatch": cross,
-                    "edge_pair_mismatch": edge, "passed": passed})
-    ok = all(r["passed"] for r in results)
-    order = {s.label: i for i, s in enumerate(settings)}
-    results.sort(key=lambda r: order[r["label"]])
-    _emit({"delta": delta, "tol_identity": tol_id, "tol_same": tol_same,
-           "settings": results},
-          out / "six_settings.json")
-    reason = None if ok else "tolerance_exceeded"
-    return _summary("six-settings", EXIT_OK if ok else EXIT_TOLERANCE, reason,
-                    passed=[r["passed"] for r in results])
+    for k, parked, driven, key, ref, edge_key, edge, product, note in _SIX_CHECKS:
+        entry = {"label": settings[k].label}
+        if parked:
+            entry["parked_distance_to_diagonal"] = max(
+                _distance_to_diagonal(factor(k, (q,))[0]) for q in parked)
+        if driven:
+            entry[key] = op_distance(factor(k, driven)[0], factor(*ref)[0])
+        if edge:
+            entry[edge_key] = op_distance(factor(k, edge)[0], factor(k, driven)[0])
+        if product:
+            entry["pair_schmidt_weight"] = min(factor(k, g)[1] for g in product)
+        if note:
+            entry["note"] = note
+        entry["passed"] = bool(entry.get("parked_distance_to_diagonal", 0.0) < tol_id
+                               and entry.get(key, 0.0) < tol_same
+                               and entry.get("pair_schmidt_weight", 1.0) > 1 - 1e-6)
+        results.append(entry)
+    doc = {"delta": delta, "tol_identity": tol_id, "tol_same": tol_same, "settings": results}
+    _emit(doc, out / "six_settings.json")
+    passed = [r["passed"] for r in results]
+    return all(passed), {"passed": passed}
 
 
 COMMANDS = {
@@ -463,7 +439,9 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoFailure(f"cannot create output directory: {exc}") from exc
-        summary = COMMANDS[args.command](cfg, out)
+        ok, fields = COMMANDS[args.command](cfg, out)
+        summary = _summary(args.command, EXIT_OK if ok else EXIT_TOLERANCE,
+                           None if ok else "tolerance_exceeded", **fields)
     except ConfigInvalid as exc:
         summary = _summary(args.command, EXIT_CONFIG, "config_invalid", detail=str(exc))
     except Exception as exc:    # any other failure is internal: a summary line, never a traceback

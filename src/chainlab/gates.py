@@ -10,7 +10,6 @@ equivalence invariants that no single-qubit dressing can move.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,21 +110,10 @@ class EncodingMap:
         return self.embed_basis() @ np.asarray(logical, dtype=complex)
 
 
-def _matrix_json(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
-
-
 @dataclass
 class GateReport:
     logical_unitary: np.ndarray
     leakage: float
-
-    def to_json(self) -> str:
-        doc = {
-            "logical_unitary": _matrix_json(self.logical_unitary),
-            "leakage": self.leakage,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +415,8 @@ IDENTITY_INVARIANTS = (1.0 + 0.0j, 3.0 + 0.0j)
 @dataclass
 class SynthesisResult:
     fidelity: float
-    n_uses: int
     local_angles: np.ndarray  # (n_uses + 1, 6): ZYZ angles for each qubit pair
     n_starts_used: int
-
-    def to_json(self) -> str:
-        doc = {
-            "fidelity": self.fidelity,
-            "n_uses": self.n_uses,
-            "local_angles": [[float(a) for a in row] for row in self.local_angles],
-            "n_starts_used": self.n_starts_used,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def _local_layer(angles: np.ndarray) -> np.ndarray:
@@ -539,5 +517,4 @@ def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int,
         raise SynthesisFailed(
             f"best fidelity {best_f:.6f} after {used} starts",
             best_fidelity=best_f)
-    return SynthesisResult(fidelity=best_f, n_uses=n_uses,
-                           local_angles=best_x, n_starts_used=used)
+    return SynthesisResult(fidelity=best_f, local_angles=best_x, n_starts_used=used)

@@ -15,7 +15,6 @@ up barrier; architecture 3 drives an ABCABC chain through two global knobs
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -225,12 +224,17 @@ def arch3_apply(arch: Section, setting: SixSetting) -> ZeemanSchedule:
 
 @dataclass(frozen=True)
 class ZenoConfig:
-    collapse_interval: float      # nominal time between barrier collapses; inf = final readout only
+    """Barrier collapses after every k-th gate, k = collapse_every_gates
+    (None: only the final readout), under per-gate timing jitter."""
+
+    collapse_every_gates: int | None
     jitter_stddev: float          # relative per-gate timing error
     trials: int
     seed: int
 
     def __post_init__(self):
+        if self.collapse_every_gates is not None and self.collapse_every_gates < 1:
+            raise ValueError("collapse_every_gates must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jitter_stddev < 0:
@@ -242,7 +246,6 @@ class ZenoStats:
     wrong_collapse: np.ndarray    # bool per trial: any off-reference outcome
     fidelity: np.ndarray          # per trial, vs the jitter-free final state
     n_collapse_points: int
-    config: ZenoConfig
 
     @property
     def wrong_collapse_probability(self) -> float:
@@ -251,18 +254,6 @@ class ZenoStats:
     @property
     def mean_fidelity(self) -> float:
         return float(self.fidelity.mean())
-
-    def to_json(self) -> str:
-        doc = {
-            "wrong_collapse_probability": self.wrong_collapse_probability,
-            "mean_fidelity": self.mean_fidelity,
-            "n_collapse_points": self.n_collapse_points,
-            "trials": int(self.wrong_collapse.size),
-            "collapse_interval": self.config.collapse_interval,
-            "jitter_stddev": self.config.jitter_stddev,
-            "seed": self.config.seed,
-        }
-        return json.dumps(doc, sort_keys=True)
 
     def write_csv(self, path) -> None:
         """One row per trial, byte for byte as csv.writer writes them."""
@@ -297,34 +288,17 @@ def zeno_gate_train(coupling: float = 1.0
     return chain, enc, gate, t_gate, enc.embed_state(np.kron(qa, qb))
 
 
-def _collapse_after(schedules: Sequence[ZeemanSchedule], interval: float) -> list[bool]:
-    """Collapse flags per gate boundary, by nominal elapsed time; the final
-    boundary always carries a barrier readout."""
-    flags = []
-    since = 0.0
-    for sched in schedules:
-        since += sched.total_duration
-        if since >= interval * (1.0 - 1e-9):
-            flags.append(True)
-            since = 0.0
-        else:
-            flags.append(False)
-    if flags:
-        flags[-1] = True
-    return flags
-
-
 def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
              enc: EncodingMap, cfg: ZenoConfig, psi0: np.ndarray,
              jitter_mode: str = "independent") -> ZenoStats:
     """Monte-Carlo trajectories of a gate train with timing jitter and
     projective barrier collapses between gates.
 
-    Every gate's segment durations are scaled by 1 + N(0, jitter_stddev);
-    at each collapse point all barrier sites are measured in the z basis
-    (outcomes recorded, never fed forward) and the run ends with a readout.
-    Jitter and collapse randomness come from separate streams of cfg.seed,
-    so runs with different collapse intervals see identical timing noise.
+    Every gate's segment durations are scaled by 1 + N(0, jitter_stddev).
+    After every k-th gate (k = cfg.collapse_every_gates) and after the last
+    one, all barrier sites are measured in the z basis (outcomes recorded,
+    never fed forward).  Jitter and collapse randomness come from separate
+    streams of cfg.seed, so runs with different k see identical timing noise.
 
     jitter_mode "independent" draws a fresh error for every gate;
     "systematic" draws one error per trial and applies it to every gate
@@ -334,8 +308,9 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
     """
     n_gates = len(base_schedule_sequence)
     trials = cfg.trials
-    flags = _collapse_after(base_schedule_sequence, cfg.collapse_interval)
-    n_points = int(sum(flags))
+    every = n_gates if cfg.collapse_every_gates is None else cfg.collapse_every_gates
+    flags = [(g + 1) % every == 0 or g == n_gates - 1 for g in range(n_gates)]
+    n_points = sum(flags)
     barriers = enc.barrier_refs
 
     rng_jit = np.random.default_rng([cfg.seed, 1])
@@ -372,8 +347,7 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
                     half *= np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=hit)
             point += 1
     fid = np.abs(ideal.conj() @ psi) ** 2
-    return ZenoStats(wrong_collapse=wrong, fidelity=fid,
-                     n_collapse_points=n_points, config=cfg)
+    return ZenoStats(wrong_collapse=wrong, fidelity=fid, n_collapse_points=n_points)
 
 
 # ---------------------------------------------------------------------------

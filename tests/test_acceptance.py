@@ -226,7 +226,7 @@ def zeno_curves():
         stats = {}
         for k in (1, 2, 4, np.inf):
             cfg = schemes.ZenoConfig(
-                collapse_interval=(k * t_gate if np.isfinite(k) else np.inf),
+                collapse_every_gates=k if np.isfinite(k) else None,
                 jitter_stddev=stddev, trials=10000, seed=1234)
             stats[k] = schemes.zeno_run(chain, [gate] * 20, enc, cfg,
                                         psi0=psi0, jitter_mode=mode)

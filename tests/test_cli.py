@@ -164,6 +164,11 @@ def test_verify_g_default_success(capsys, tmp_path):
     report = json.loads((tmp_path / "out" / "gate_report.json").read_text())
     assert report["status"] == "ok"
     assert report["distance_to_target"] < 1e-3
+    # logical_unitary is written as rows of [re, im] pairs
+    u = np.array([[complex(re, im) for re, im in row] for row in report["logical_unitary"]])
+    assert u.shape == (4, 4)
+    assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-8
+    assert 0.0 <= report["leakage"] < 1e-3
 
 
 def test_verify_g_low_detuning_fails(capsys, tmp_path):
@@ -302,8 +307,11 @@ def test_synthesize_quick_job_success(capsys, tmp_path):
     assert code == 0
     assert summary["fidelities"][0] > 1 - 1e-6
     doc = json.loads((tmp_path / "out" / "synthesis.json").read_text())
-    assert doc["jobs"][0]["status"] == "ok"
-    assert len(doc["jobs"][0]["local_angles"]) == 2
+    job = doc["jobs"][0]
+    assert job["status"] == "ok"
+    assert job["fidelity"] == summary["fidelities"][0]
+    assert 1 <= job["n_starts_used"] <= 8
+    assert len(job["local_angles"]) == 2
 
 
 def test_synthesize_unreachable_job_fails(capsys, tmp_path):
@@ -351,6 +359,14 @@ def test_zeno_default_success(capsys, tmp_path):
     assert len(lines) == 2001
     doc = json.loads((tmp_path / "out" / "zeno_summary.json").read_text())
     assert doc["trials"] == 2000
+    assert doc["collapse_interval"] == np.pi / 3
+    assert doc["n_collapse_points"] == 20
+    assert doc["mean_fidelity"] == summary["mean_fidelity"]
+    path = write_config(tmp_path, {"zeno": {"collapse_every_gates": None, "trials": 8}})
+    run_cli(capsys, "zeno", config=path, out=tmp_path / "never")
+    text = (tmp_path / "never" / "zeno_summary.json").read_text()
+    assert '"collapse_interval": Infinity' in text
+    assert json.loads(text)["n_collapse_points"] == 1
 
 
 def test_zeno_strict_fidelity_floor_fails(capsys, tmp_path):
@@ -412,6 +428,45 @@ def test_six_settings_malformed_config(capsys, tmp_path):
     path = write_config(tmp_path, {"six_settings": {"tol_same": "tight"}})
     code, summary = run_cli(capsys, "six-settings", config=path, out=tmp_path / "out")
     assert code == 2
+
+
+SIX_SETTINGS_KEYS = {   # figures per setting, beside "label" and "passed"
+    "even:B odd:A": {"driven_gate_mismatch", "parked_distance_to_diagonal"},
+    "even:B odd:A+J": {"driven_gate_mismatch", "parked_distance_to_diagonal"},
+    "even:B odd:C+J": {"pair_schmidt_weight", "parked_distance_to_diagonal", "note"},
+    "even:A odd:B": {"cross_parity_mismatch", "edge_gate_mismatch",
+                     "parked_distance_to_diagonal"},
+    "even:A+J odd:B": {"cross_parity_mismatch", "edge_gate_mismatch",
+                       "parked_distance_to_diagonal"},
+    "even:C+J odd:B": {"pair_schmidt_weight", "cross_parity_mismatch", "edge_pair_mismatch"},
+}
+
+
+def test_six_settings_json_pins_keys_and_gates(capsys, tmp_path, monkeypatch):
+    def run(name, section):
+        path = write_config(tmp_path, {"six_settings": section}, name=f"{name}.json")
+        run_cli(capsys, "six-settings", config=path, out=tmp_path / name)
+        return json.loads((tmp_path / name / "six_settings.json").read_text())
+
+    doc = run("default", {})
+    assert [entry["label"] for entry in doc["settings"]] == list(SIX_SETTINGS_KEYS)
+    for entry in doc["settings"]:
+        assert set(entry) == {"label", "passed"} | SIX_SETTINGS_KEYS[entry["label"]]
+        assert entry["passed"] is True
+        assert entry.get("parked_distance_to_diagonal", 0.0) < doc["tol_identity"]
+        for key in ("driven_gate_mismatch", "cross_parity_mismatch"):
+            assert entry.get(key, 0.0) < doc["tol_same"]
+        assert entry.get("pair_schmidt_weight", 1.0) > 1 - 1e-6
+    # each gate fails, on its own, exactly the settings that carry its figure
+    passed = [e["passed"] for e in run("idle", {"tol_identity": 1e-6})["settings"]]
+    assert passed == [False, False, False, False, False, True]
+    passed = [e["passed"] for e in run("same", {"tol_same": 1e-13})["settings"]]
+    assert passed == [False, False, True, False, False, False]
+    factor = cli.operator_schmidt_factor
+    monkeypatch.setattr(cli, "operator_schmidt_factor",
+                        lambda m, n, group: (factor(m, n, group)[0], 1.0 - 1e-5))
+    passed = [e["passed"] for e in run("product", {})["settings"]]
+    assert passed == [True, True, False, True, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import functools
-import json
 
 import numpy as np
 import pytest
@@ -331,17 +330,6 @@ def test_extract_gate_from_evolved_basis_equals_propagator_block(case):
     assert np.array_equal(report.logical_unitary, want)
 
 
-def test_gate_report_json_round_trip():
-    rng = np.random.default_rng(13)
-    g = random_unitary(rng, 4)
-    report = gates.extract_gate(g, 0.0)
-    doc = json.loads(report.to_json())
-    mat = np.array([[complex(re, im) for re, im in row]
-                    for row in doc["logical_unitary"]])
-    assert np.allclose(mat, report.logical_unitary)
-    assert doc["leakage"] == report.leakage
-
-
 # ---------------------------------------------------------------------------
 # local-equivalence invariants
 
@@ -519,7 +507,7 @@ def test_schmidt_factor_validates_input():
 def test_synthesize_from_controlled_phase_pi():
     res = gates.synthesize_cnot(gates.controlled_phase(np.pi), 1, seed=0, n_starts=8)
     assert res.fidelity > 1.0 - 1e-6
-    assert res.n_uses == 1
+    assert res.local_angles.shape == (2, 6)   # n_uses + 1 local layers
     # recompose the circuit from the reported angles
     layers = [np.kron(gates.euler_zyz(*row[:3]), gates.euler_zyz(*row[3:]))
               for row in res.local_angles]
@@ -559,14 +547,6 @@ def test_synthesis_reaches_closed_form_optimum(entangler, n_uses, best):
     with pytest.raises(SynthesisFailed) as info:
         gates.synthesize_cnot(entangler, n_uses, seed=1234, n_starts=16)
     assert abs(info.value.best_fidelity - best) < 1e-9
-
-
-def test_synthesize_json_round_trip():
-    res = gates.synthesize_cnot(gates.cnot_target(), 1, seed=3, n_starts=4)
-    doc = json.loads(res.to_json())
-    assert doc["n_uses"] == 1
-    assert doc["fidelity"] > 1.0 - 1e-6
-    assert len(doc["local_angles"]) == 2
 
 
 def test_synthesize_identity_entangler_fails():

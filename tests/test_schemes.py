@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
@@ -168,25 +169,26 @@ def zeno_demo():
     qa = np.array([1.0, 1.0]) / np.sqrt(2.0)
     qb = np.array([1.0, np.exp(1j * np.pi / 4.0)]) / np.sqrt(2.0)
     psi0 = enc.embed_state(np.kron(qa, qb))
-    return chain, enc, [gate] * 20, psi0, t_gate
+    return chain, enc, [gate] * 20, psi0
 
 
 def run_zeno(k, stddev, mode, trials=2000, seed=1234):
-    chain, enc, seq, psi0, t_gate = zeno_demo()
-    interval = k * t_gate if np.isfinite(k) else np.inf
-    cfg = schemes.ZenoConfig(collapse_interval=interval, jitter_stddev=stddev,
+    chain, enc, seq, psi0 = zeno_demo()
+    cfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=stddev,
                              trials=trials, seed=seed)
     return schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0, jitter_mode=mode)
 
 
 def test_zeno_config_validation():
     with pytest.raises(ValueError):
-        schemes.ZenoConfig(collapse_interval=1.0, jitter_stddev=0.05, trials=0, seed=1)
+        schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=0, seed=1)
     with pytest.raises(ValueError):
-        schemes.ZenoConfig(collapse_interval=1.0, jitter_stddev=-0.1, trials=10, seed=1)
+        schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=-0.1, trials=10, seed=1)
     with pytest.raises(ValueError):
-        chain, enc, seq, psi0, _ = zeno_demo()
-        cfg = schemes.ZenoConfig(collapse_interval=1.0, jitter_stddev=0.0,
+        schemes.ZenoConfig(collapse_every_gates=0, jitter_stddev=0.05, trials=10, seed=1)
+    with pytest.raises(ValueError):
+        chain, enc, seq, psi0 = zeno_demo()
+        cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.0,
                                  trials=2, seed=1)
         schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0, jitter_mode="bogus")
 
@@ -199,7 +201,7 @@ def test_zeno_zero_jitter_never_misfires():
 
 
 def test_zeno_collapse_point_counts():
-    for k, expected in ((1, 20), (4, 5), (10, 2), (np.inf, 1)):
+    for k, expected in ((1, 20), (4, 5), (10, 2), (None, 1)):
         stats = run_zeno(k, 0.0, "independent", trials=2, seed=1)
         assert stats.n_collapse_points == expected
 
@@ -215,7 +217,7 @@ def test_zeno_runs_are_reproducible():
 
 def test_zeno_independent_jitter_frozen_stats():
     every = run_zeno(1, 0.05, "independent")
-    never = run_zeno(np.inf, 0.05, "independent")
+    never = run_zeno(None, 0.05, "independent")
     assert every.wrong_collapse_probability == pytest.approx(0.25900, abs=1e-3)
     assert never.wrong_collapse_probability == pytest.approx(0.19750, abs=1e-3)
     assert every.mean_fidelity == pytest.approx(0.765272, abs=1e-3)
@@ -226,7 +228,7 @@ def test_zeno_independent_jitter_frozen_stats():
 
 
 def test_zeno_systematic_jitter_suppressed_by_frequent_collapse():
-    stats = [run_zeno(k, 0.01, "systematic") for k in (1, 4, 10, np.inf)]
+    stats = [run_zeno(k, 0.01, "systematic") for k in (1, 4, 10, None)]
     wrong = [s.wrong_collapse_probability for s in stats]
     fid = [s.mean_fidelity for s in stats]
     assert wrong[0] == pytest.approx(0.01250, abs=1e-3)
@@ -258,9 +260,7 @@ def test_zeno_csv_bytes_match_csv_writer(tmp_path):
     fid = np.resize(np.array(special), n)
     fid[len(special):] *= np.random.default_rng(5).random(n - len(special))
     wrong = np.random.default_rng(6).random(n) < 0.3
-    cfg = schemes.ZenoConfig(collapse_interval=1.0, jitter_stddev=0.0, trials=n, seed=0)
-    stats = schemes.ZenoStats(wrong_collapse=wrong, fidelity=fid, n_collapse_points=1,
-                              config=cfg)
+    stats = schemes.ZenoStats(wrong_collapse=wrong, fidelity=fid, n_collapse_points=1)
     path = tmp_path / "stats.csv"
     stats.write_csv(path)
     ref = io.StringIO(newline="")
@@ -284,7 +284,7 @@ def zeno_oracle(chain, seq, enc, cfg, psi0, k, mode):
     dense exp(-iHt) per jittered segment and explicit barrier projectors,
     fed from the same random streams."""
     n_gates = len(seq)
-    flags = [(g + 1) % k == 0 or g == n_gates - 1 for g in range(n_gates)]
+    flags = [g == n_gates - 1 or (k is not None and (g + 1) % k == 0) for g in range(n_gates)]
     rng_jit = np.random.default_rng([cfg.seed, 1])
     shape = (cfg.trials, n_gates if mode == "independent" else 1)
     noise = np.broadcast_to(rng_jit.standard_normal(shape), (cfg.trials, n_gates))
@@ -329,21 +329,20 @@ def two_barrier_train():
     gate = ZeemanSchedule.from_steps([(0.4 * t_gate, (6.0, 0.0, 0.0, -6.0)),
                                       (0.6 * t_gate, (1.0,) * 4)])
     q = np.array([1.0, np.exp(0.3j)]) / np.sqrt(2.0)
-    return chain, enc, [gate] * 6, enc.embed_state(np.kron(q, q)), t_gate
+    return chain, enc, [gate] * 6, enc.embed_state(np.kron(q, q))
 
 
-@pytest.mark.parametrize("k", [1, 3, np.inf])
+@pytest.mark.parametrize("k", [1, 3, pytest.param(None, id="inf")])
 @pytest.mark.parametrize("mode", ["independent", "systematic"])
 @pytest.mark.parametrize("seed", [5, 1234])
 @pytest.mark.parametrize("train", ["three_spin", "two_barrier"])
 def test_zeno_run_matches_dense_per_trial_oracle(train, seed, mode, k):
     if train == "three_spin":
-        chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train()
+        chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
         seq = [gate] * 20
     else:
-        chain, enc, seq, psi0, t_gate = two_barrier_train()
-    cfg = schemes.ZenoConfig(collapse_interval=k * t_gate if np.isfinite(k) else np.inf,
-                             jitter_stddev=0.05, trials=64, seed=seed)
+        chain, enc, seq, psi0 = two_barrier_train()
+    cfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=0.05, trials=64, seed=seed)
     stats = schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0, jitter_mode=mode)
     wrong, fid = zeno_oracle(chain, seq, enc, cfg, psi0, k, mode)
     assert np.array_equal(stats.wrong_collapse, wrong)
@@ -355,10 +354,10 @@ def test_zeno_run_matches_dense_per_trial_oracle(train, seed, mode, k):
 def test_zeno_collapse_with_an_empty_half_warns_nothing(index, off_reference):
     # all spins alike is an eigenstate of every gate: one half of the barrier
     # split carries exactly zero probability at each collapse
-    chain, enc, gate, t_gate, _ = schemes.zeno_gate_train()
+    chain, enc, gate, _, _ = schemes.zeno_gate_train()
     psi0 = np.zeros(chain.dim, dtype=complex)
     psi0[index] = 1.0
-    cfg = schemes.ZenoConfig(collapse_interval=t_gate, jitter_stddev=0.05, trials=256, seed=9)
+    cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=256, seed=9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stats = schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
@@ -366,24 +365,14 @@ def test_zeno_collapse_with_an_empty_half_warns_nothing(index, off_reference):
     assert np.abs(stats.fidelity - 1.0).max() < 1e-12
 
 
-def test_zeno_json_summary():
-    import json
-    stats = run_zeno(4, 0.05, "independent", trials=8, seed=3)
-    doc = json.loads(stats.to_json())
-    assert doc["trials"] == 8
-    assert doc["n_collapse_points"] == 5
-    assert doc["wrong_collapse_probability"] == stats.wrong_collapse_probability
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=25))
-def test_collapse_flags_by_elapsed_time(k):
-    chain, enc, seq, psi0, t_gate = zeno_demo()
-    flags = schemes._collapse_after(seq, k * t_gate)
-    # every k-th boundary fires, and the run always ends with a readout
-    for i, f in enumerate(flags[:-1]):
-        assert f == ((i + 1) % k == 0)
-    assert flags[-1]
+def test_collapse_every_k_gates_counts_points(k):
+    # every k-th gate boundary collapses, and the run always ends with a readout
+    chain, enc, seq, psi0 = zeno_demo()
+    cfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=0.0, trials=1, seed=0)
+    stats = schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0)
+    assert stats.n_collapse_points == math.ceil(20 / k)
 
 
 # ---------------------------------------------------------------------------

@@ -63,12 +63,28 @@ def test_zeno_study_small_run(tmp_path):
     assert systematic["1"] > systematic["inf"]
 
 
-@pytest.mark.parametrize("argv", [("--trials", "0"), ("--gates", "0"), ("--modes", "bogus")])
+@pytest.mark.parametrize("argv", [
+    ("--trials", "0"), ("--gates", "0"), ("--modes", "bogus"),
+    *[("--intervals", tok) for tok in ("0", "-2", "nan", "abc", "1.5")],
+    ("--stddev", "-0.1"), ("--stddev", "nan"), ("--seed", "-1")])
 def test_zeno_study_rejects_bad_arguments(tmp_path, argv):
     proc = run_script("zeno_study.py", tmp_path, *argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and argv[0] in proc.stderr
     assert not (tmp_path / "zeno_out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--threads", "0"), "--threads must be >= 1"),
+    (("--threads", "-3"), "--threads must be >= 1"),
+    (("--deltas", "abc"), "--deltas takes comma-separated numbers"),
+    (("--deltas", "1000,300"), "--deltas: delta_values must be ascending"),
+    (("--deltas", "nan,1000"), "--deltas: delta_values must be positive and finite")])
+def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
+    proc = run_script("sweep_defects.py", tmp_path, *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+    assert not (tmp_path / "sweep_out").exists()
 
 
 def test_refocus_scan_small_run(tmp_path):
