@@ -1,11 +1,12 @@
 import functools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from chainlab import gates, linalg, model, schemes
+from chainlab import cli, gates, linalg, model, schemes
 from chainlab.errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                              NotDiagonalizableLocally, SynthesisFailed)
 from chainlab.evolve import ZeemanSchedule, evolve, propagator, zeeman_frame
@@ -330,6 +331,19 @@ def test_extract_gate_from_evolved_basis_equals_propagator_block(case):
     assert np.array_equal(report.logical_unitary, want)
 
 
+def test_gate_report_json_round_trip():
+    # gate_report.json stores the logical unitary as [re, im] pairs
+    rng = np.random.default_rng(13)
+    g = random_unitary(rng, 4)
+    report = gates.extract_gate(g, 0.0)
+    doc = json.loads(json.dumps({"logical_unitary": cli._matrix_json(report.logical_unitary),
+                                 "leakage": report.leakage}))
+    mat = np.array([[complex(re, im) for re, im in row]
+                    for row in doc["logical_unitary"]])
+    assert np.array_equal(mat, report.logical_unitary)
+    assert doc["leakage"] == report.leakage
+
+
 # ---------------------------------------------------------------------------
 # local-equivalence invariants
 
@@ -547,6 +561,21 @@ def test_synthesis_reaches_closed_form_optimum(entangler, n_uses, best):
     with pytest.raises(SynthesisFailed) as info:
         gates.synthesize_cnot(entangler, n_uses, seed=1234, n_starts=16)
     assert abs(info.value.best_fidelity - best) < 1e-9
+
+
+def test_synthesize_json_round_trip(tmp_path):
+    cfg = {"seed": 3, "synthesize": {"jobs": [
+        {"entangler": "cphase", "phase": np.pi, "n_uses": 1, "n_starts": 4}]}}
+    ok, summary = cli.cmd_synthesize(cfg, tmp_path)
+    res = gates.synthesize_cnot(gates.controlled_phase(np.pi), 1, seed=3, n_starts=4)
+    doc = json.loads((tmp_path / "synthesis.json").read_text())["jobs"][0]
+    assert ok
+    assert doc["n_uses"] == 1
+    assert doc["fidelity"] == res.fidelity == summary["fidelities"][0]
+    assert doc["fidelity"] > 1.0 - 1e-6
+    assert doc["n_starts_used"] == res.n_starts_used
+    assert np.array_equal(doc["local_angles"], res.local_angles)
+    assert len(doc["local_angles"]) == 2
 
 
 def test_synthesize_identity_entangler_fails():

@@ -1,5 +1,7 @@
+import copy
 import csv
 import io
+import json
 import math
 import warnings
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainlab import gates, schemes
+from chainlab import cli, gates, schemes
 from chainlab.errors import InvalidGrouping
 from chainlab.evolve import ZeemanSchedule, evolve
 from chainlab.linalg import expm_i
@@ -363,6 +365,22 @@ def test_zeno_collapse_with_an_empty_half_warns_nothing(index, off_reference):
         stats = schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
     assert np.all(stats.wrong_collapse == off_reference)
     assert np.abs(stats.fidelity - 1.0).max() < 1e-12
+
+
+def test_zeno_json_summary(tmp_path):
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg["seed"] = 3
+    cfg["zeno"].update({"trials": 8, "collapse_every_gates": 4})
+    cli.cmd_zeno(cfg, tmp_path)
+    doc = json.loads((tmp_path / "zeno_summary.json").read_text())
+    chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train(cfg["coupling"])
+    zcfg = schemes.ZenoConfig(collapse_every_gates=4, jitter_stddev=0.05, trials=8, seed=3)
+    stats = schemes.zeno_run(chain, [gate] * 20, enc, zcfg, psi0=psi0)
+    assert doc["trials"] == 8
+    assert doc["n_collapse_points"] == 5
+    assert doc["collapse_interval"] == 4 * t_gate
+    assert doc["wrong_collapse_probability"] == stats.wrong_collapse_probability
+    assert doc["mean_fidelity"] == stats.mean_fidelity
 
 
 @settings(max_examples=20, deadline=None)
