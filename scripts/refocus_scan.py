@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from chainlab import analysis, gates, schemes
+from chainlab.evolve import Segment
 from chainlab.model import ChainSpec, ZeemanLevels, site_energies
 
 
@@ -19,24 +20,30 @@ def parse_args():
     p.add_argument("--cycles", type=int, default=1)
     p.add_argument("--delta", type=float, default=1000.0)
     p.add_argument("--out", default="refocus_out")
-    return p.parse_args()
+    args = p.parse_args()
+    if args.cycles < 1:
+        p.error("--cycles must be >= 1")
+    try:   # a pulse period is a hold's duration, so Segment judges it
+        args.periods = [Segment(float(x), ()).duration for x in args.periods.split(",")]
+        args.levels = ZeemanLevels.from_delta(1.0, args.delta)
+    except ValueError as exc:
+        p.error(str(exc))
+    return args
 
 
 def main():
     args = parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    periods = [float(x) for x in args.periods.split(",")]
-    levels = ZeemanLevels.from_delta(1.0, args.delta)
     chain = ChainSpec(n=2, coupling=1.0, roles="AB")
 
-    records = schemes.refocus_demo(chain, levels, periods, cycles=args.cycles)
+    records = schemes.refocus_demo(chain, args.levels, args.periods, cycles=args.cycles)
     for rec in records:
         print(f"period={rec.pulse_period:8.4f}  residual={rec.residual:.6e}")
     analysis.emit_table(records, out / "refocus.csv", fmt="csv")
 
-    tau = max(periods)
-    u_free = schemes.echo_cycle(chain, site_energies(chain, levels), tau,
+    tau = max(args.periods)
+    u_free = schemes.echo_cycle(chain, site_energies(chain, args.levels), tau,
                                 pulsed_sites=(), cycles=args.cycles)
     baseline = gates.invariant_deviation(u_free, np.eye(4))
     print(f"unpulsed baseline at period={tau}: {baseline:.6e}")

@@ -21,21 +21,28 @@ def parse_args():
     p.add_argument("--coupling", type=float, default=1.0)
     p.add_argument("--pad", type=float, default=schemes.DEFAULT_PAD)
     p.add_argument("--out", default="revival_out")
-    return p.parse_args()
+    args = p.parse_args()
+    if not args.coupling > 0:
+        p.error("--coupling must be positive")
+    if not args.pad >= 0:
+        p.error("--pad must be >= 0")
+    try:
+        args.levels = [(float(tok), ZeemanLevels.from_delta(args.coupling, float(tok)))
+                       for tok in args.deltas.split(",")]
+    except ValueError as exc:
+        p.error(f"--deltas: {exc}")
+    return args
 
 
-def pipeline(delta, coupling, pad):
-    levels = ZeemanLevels.from_delta(coupling, delta)
-    _, t_r, p, report, aligned = schemes.arch1_exchange_gate(levels, coupling, pad=pad)
-    target = gates.exchange_gate_target()
+def pipeline(delta, levels, coupling, pad):
+    t_r, p, gate, leakage, aligned = schemes.arch1_exchange_gate(levels, coupling, pad=pad)
     return {
         "delta": delta,
         "revival_time": t_r,
         "revival_probability": p,
         "distance_to_target": aligned.distance,
-        "leakage": report.leakage,
-        "invariant_deviation": gates.invariant_deviation(report.logical_unitary,
-                                                         target),
+        "leakage": leakage,
+        "invariant_deviation": gates.invariant_deviation(gate, gates.exchange_gate_target()),
     }
 
 
@@ -44,10 +51,9 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for tok in args.deltas.split(","):
-        delta = float(tok)
+    for delta, levels in args.levels:
         try:
-            row = pipeline(delta, args.coupling, args.pad)
+            row = pipeline(delta, levels, args.coupling, args.pad)
         except ChainlabError as exc:   # no revival, or a gate too leaky to compare
             row = {"delta": delta, "failure": str(exc)}
         rows.append(row)

@@ -23,6 +23,8 @@ def parse_args():
     args = p.parse_args()
     if args.threads is not None and args.threads < 1:
         p.error("--threads must be >= 1")
+    if not args.coupling > 0:
+        p.error("--coupling must be positive")
     try:
         args.spec = analysis.SweepSpec(
             delta_values=tuple(float(x) for x in args.deltas.split(",")), coupling=args.coupling)

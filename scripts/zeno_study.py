@@ -10,8 +10,6 @@ from pathlib import Path
 
 from chainlab import schemes
 
-MODES = ("independent", "systematic")
-
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -21,21 +19,19 @@ def parse_args():
                    help="relative gate-timing jitter")
     p.add_argument("--intervals", default="1,2,4,inf",
                    help="collapse intervals in gates; inf = final readout only")
-    p.add_argument("--modes", default="independent,systematic")
+    p.add_argument("--modes", default=",".join(schemes.JITTER_MODES))
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--out", default="zeno_out")
     args = p.parse_args()
-    if args.gates < 1 or args.trials < 1:
-        p.error("--gates and --trials must be >= 1")
-    if not 0 <= args.stddev < float("inf"):
-        p.error("--stddev must be a finite number >= 0")
-    if args.seed < 0:
-        p.error("--seed must be >= 0")
-    if not all(tok == "inf" or (tok.isdecimal() and int(tok) >= 1)
-               for tok in args.intervals.split(",")):
-        p.error("--intervals takes comma-separated positive integers or inf")
-    if not set(args.modes.split(",")) <= set(MODES):
-        p.error(f"--modes takes a comma-separated subset of {','.join(MODES)}")
+    if args.gates < 1:
+        p.error("--gates must be >= 1")
+    try:
+        args.runs = [(tok, schemes.ZenoConfig(
+            collapse_every_gates=None if tok == "inf" else int(tok), jitter_stddev=args.stddev,
+            trials=args.trials, seed=args.seed, jitter_mode=mode))
+            for mode in args.modes.split(",") for tok in args.intervals.split(",")]
+    except ValueError as exc:
+        p.error(str(exc))
     return args
 
 
@@ -46,23 +42,18 @@ def main():
     chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
 
     rows = []
-    for mode in args.modes.split(","):
-        for tok in args.intervals.split(","):
-            cfg = schemes.ZenoConfig(collapse_every_gates=None if tok == "inf" else int(tok),
-                                     jitter_stddev=args.stddev, trials=args.trials,
-                                     seed=args.seed)
-            stats = schemes.zeno_run(chain, [gate] * args.gates, enc, cfg,
-                                     psi0=psi0, jitter_mode=mode)
-            rows.append({
-                "mode": mode,
-                "interval_gates": tok,
-                "n_collapse_points": stats.n_collapse_points,
-                "wrong_collapse_probability": stats.wrong_collapse_probability,
-                "mean_fidelity": stats.mean_fidelity,
-            })
-            print(f"{mode:12s} every {tok:>4s} gates: "
-                  f"wrong={stats.wrong_collapse_probability:.4f}  "
-                  f"fidelity={stats.mean_fidelity:.4f}")
+    for tok, cfg in args.runs:
+        stats = schemes.zeno_run(chain, [gate] * args.gates, enc, cfg, psi0=psi0)
+        rows.append({
+            "mode": cfg.jitter_mode,
+            "interval_gates": tok,
+            "n_collapse_points": stats.n_collapse_points,
+            "wrong_collapse_probability": stats.wrong_collapse_probability,
+            "mean_fidelity": stats.mean_fidelity,
+        })
+        print(f"{cfg.jitter_mode:12s} every {tok:>4s} gates: "
+              f"wrong={stats.wrong_collapse_probability:.4f}  "
+              f"fidelity={stats.mean_fidelity:.4f}")
 
     with open(out / "zeno_curve.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -22,7 +22,7 @@ from .errors import ConfigInvalid, IoFailure, NoRevivalFound
 from .evolve import ZeemanSchedule, propagator, zeeman_frame
 from .gates import exchange_gate_target, logical_block
 from .linalg import golden_section, op_distance
-from .model import ChainSpec, ZeemanLevels, classical_ising_energies, site_energies
+from .model import ChainSpec, ZeemanLevels, classical_ising_energies, sigma_z_values, site_energies
 from .schemes import arch1_revival
 
 DEFAULT_DELTA_GRID = (5.0, 10.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
@@ -56,13 +56,6 @@ class DefectRecord:
     leakage: float
 
 
-def _qubit_signs(enc) -> np.ndarray:
-    """(logical_dim, n_qubits) sigma^z signs of each qubit's first site."""
-    bits = np.array([[enc.chain_bits(j)[g[0]] for g in enc.qubit_sites]
-                     for j in range(enc.logical_dim)])
-    return 1 - 2 * bits
-
-
 def _middle_pair_dressing(signs: np.ndarray, chi: float | np.ndarray) -> np.ndarray:
     """Per-logical-basis phase of a differential z rotation on the two gate
     qubits, one row per angle if chi is a column of angles.  Only the
@@ -89,12 +82,11 @@ def _walsh_phase_residual(overlaps: Sequence[complex], signs: np.ndarray) -> flo
 
 def _sweep_point(delta: float, coupling: float) -> DefectRecord:
     arch, sched, t_r, _ = arch1_revival(ZeemanLevels.from_delta(coupling, delta), coupling)
-    enc = arch.enc
-    logical, leakage = logical_block(arch.chain, sched, enc, arch.passive_energies)
+    logical, leakage = logical_block(arch.chain, sched, arch.enc, arch.passive_energies)
     target = np.kron(np.kron(np.eye(2), exchange_gate_target()), np.eye(2))
     # overlap_j(chi) = sum_k conj(dress_k * target[k, j]) * logical[k, j]
     amp = target.conj() * logical
-    signs = _qubit_signs(enc)
+    signs = sigma_z_values(arch.enc.n_qubits).T   # one row of qubit sigma^z signs per input
 
     def worst_defect(chi: float) -> float:
         ov = _middle_pair_dressing(signs, chi).conj() @ amp

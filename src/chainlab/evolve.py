@@ -5,7 +5,8 @@ switching between them.  Every segment Hamiltonian commutes with total
 sigma^z and is real in the z basis, so it is diagonalized one real
 magnetization-sector block at a time, only for the sectors the evolved state
 occupies, and the eigensystems are kept in a byte-bounded LRU cache; time
-evolution for any duration is then a cheap phase rotation.
+evolution for any duration is then a cheap phase rotation.  Every energy
+vector is held to the chain's length by model.check_energies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import LengthMismatch
-from .model import ChainSpec, heisenberg_block, sigma_z_values
+from .model import ChainSpec, check_energies, heisenberg_block, sigma_z_values
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ def _occupied(chain: ChainSpec, psi: np.ndarray, *energies: tuple[float, ...]
     """(sector, its basis indices) for each sector in which some column of
     psi has amplitude, once every segment's energies are checked to fit."""
     for e in energies:
-        if len(e) != chain.n:
-            raise LengthMismatch(f"segment has {len(e)} energies, chain has {chain.n} sites")
+        check_energies(chain, e)
     down, sector_rows = _sectors(chain.n)
     return [(int(k), sector_rows[k]) for k in np.unique(down[psi.any(axis=1)])]
 
@@ -180,8 +180,5 @@ def hold_modes(chain: ChainSpec, energies: Sequence[float], after: ZeemanSchedul
 
 def zeeman_frame(chain: ChainSpec, energies: Sequence[float], t: float) -> np.ndarray:
     """Diagonal of R(t) = exp(-i t sum_i E_i sigma^z_i)."""
-    e = np.asarray(energies, dtype=float)
-    if e.shape != (chain.n,):
-        raise LengthMismatch(f"expected {chain.n} energies, got shape {e.shape}")
-    zphase = e @ sigma_z_values(chain.n)
+    zphase = check_energies(chain, energies) @ sigma_z_values(chain.n)
     return np.exp(-1j * t * zphase)

@@ -110,12 +110,6 @@ class EncodingMap:
         return self.embed_basis() @ np.asarray(logical, dtype=complex)
 
 
-@dataclass
-class GateReport:
-    logical_unitary: np.ndarray
-    leakage: float
-
-
 # ---------------------------------------------------------------------------
 # revival search
 
@@ -214,18 +208,17 @@ def logical_block(chain: ChainSpec, schedule: ZeemanSchedule, enc: EncodingMap,
     return block, float(np.clip(1.0 - col_mass.min(), 0.0, 1.0))
 
 
-def extract_gate(block: np.ndarray, leakage: float) -> GateReport:
-    """The logical gate of an encoded block and its leakage (see logical_block).
+def extract_gate(block: np.ndarray, leakage: float) -> np.ndarray:
+    """The logical gate of an encoded block with the given leakage (see
+    logical_block).
 
-    The block is re-unitarized by polar projection when leakage is small;
-    the raw leakage is always reported.
+    The block is re-unitarized by polar projection when leakage is small.
     """
     if leakage > LEAKAGE_MEANINGLESS:
         raise ExcessiveLeakage(
             f"leakage {leakage:.4f} exceeds {LEAKAGE_MEANINGLESS}; extracted block is meaningless",
             leakage=leakage)
-    logical = linalg.polar_unitary(block) if leakage < LEAKAGE_REUNITARIZE else block
-    return GateReport(logical_unitary=logical, leakage=leakage)
+    return linalg.polar_unitary(block) if leakage < LEAKAGE_REUNITARIZE else block
 
 
 _MAGIC = np.array([
@@ -236,14 +229,20 @@ _MAGIC = np.array([
 ], dtype=complex) / np.sqrt(2.0)
 
 
-def local_equivalence_invariants(u: np.ndarray) -> tuple[complex, complex]:
-    """Two-qubit local invariants (g1, g2); equal iff gates differ by local unitaries."""
+def _two_qubit_unitary(u) -> np.ndarray:
+    """u as a complex 4x4 unitary to UNITARY_CHECK_ATOL, else DimensionMismatch or NotUnitary."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4x4 matrix, got {u.shape}")
     defect = linalg.unitarity_defect(u)
     if defect > UNITARY_CHECK_ATOL:
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARY_CHECK_ATOL}")
+    return u
+
+
+def local_equivalence_invariants(u: np.ndarray) -> tuple[complex, complex]:
+    """Two-qubit local invariants (g1, g2); equal iff gates differ by local unitaries."""
+    u = _two_qubit_unitary(u)
     m = _MAGIC.conj().T @ u @ _MAGIC
     mm = m.T @ m
     det = np.linalg.det(u)
@@ -357,12 +356,7 @@ def derive_local_corrections(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, flo
 
     Returns (Q1, Q2, phi, off_diagonal_residual), phi in (-pi, pi].
     """
-    k = np.asarray(k, dtype=complex)
-    if k.shape != (4, 4):
-        raise DimensionMismatch(f"expected a 4x4 matrix, got {k.shape}")
-    defect = linalg.unitarity_defect(k)
-    if defect > UNITARY_CHECK_ATOL:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARY_CHECK_ATOL}")
+    k = _two_qubit_unitary(k)
     off = k - np.diag(np.diag(k))
     residual = float(np.abs(off).max())
     if residual > 1e-3:
@@ -485,10 +479,7 @@ def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int,
     the result does not depend on evaluation order.  Starts run in fixed
     batches with early stop once a batch contains a success.
     """
-    entangler = np.asarray(entangler, dtype=complex)
-    defect = linalg.unitarity_defect(entangler)
-    if defect > UNITARY_CHECK_ATOL:
-        raise NotUnitary(f"entangler unitarity defect {defect:.3e}")
+    entangler = _two_qubit_unitary(entangler)
     target = cnot_target()
     shape = (n_uses + 1, 6)
 

@@ -44,10 +44,6 @@ def unitarity_defect(mat) -> float:
     return float(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max())
 
 
-def _maxabs(arr: np.ndarray) -> float:
-    return float(np.abs(arr).max())
-
-
 def op_distance(u, v) -> float:
     """Entrywise max norm of U - exp(i phi) V, minimized over the phase phi.
 
@@ -62,7 +58,7 @@ def op_distance(u, v) -> float:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
 
     def dist(phi: float) -> float:
-        return _maxabs(a - np.exp(1j * phi) * b)
+        return float(np.abs(a - np.exp(1j * phi) * b).max())
 
     overlap = np.trace(b.conj().T @ a)
     candidates = [float(np.angle(overlap))] if abs(overlap) > 1e-12 else []

@@ -15,6 +15,7 @@ Basis convention, used everywhere in this package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,23 +104,17 @@ def sigma_z_values(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operators
 
-def kron_all(ops: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
 def pauli_site(axis: str, site: int, n: int) -> np.ndarray:
     """Pauli operator on one site of an n-site chain, identity elsewhere."""
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
     if not (0 <= site < n):
         raise SiteOutOfRange(f"site {site} outside chain of {n} sites")
-    return kron_all([_PAULI[axis] if i == site else PAULI_ID for i in range(n)])
+    return functools.reduce(np.kron, [_PAULI[axis] if i == site else PAULI_ID for i in range(n)])
 
 
-def _check_energies(chain: ChainSpec, energies: Sequence[float]) -> np.ndarray:
+def check_energies(chain: ChainSpec, energies: Sequence[float]) -> np.ndarray:
+    """The energies as a float array, or LengthMismatch unless one per site."""
     e = np.asarray(energies, dtype=float)
     if e.shape != (chain.n,):
         raise LengthMismatch(f"expected {chain.n} site energies, got shape {e.shape}")
@@ -130,7 +125,7 @@ def classical_ising_energies(chain: ChainSpec, energies: Sequence[float]) -> np.
     """Diagonal sum_i E_i s_i + J sum_i s_i s_{i+1} over all 2^n configurations:
     the strong-detuning (effective Ising) limit of the Heisenberg chain, with
     the exchange reduced to its J zz terms."""
-    e = _check_energies(chain, energies)
+    e = check_energies(chain, energies)
     s = sigma_z_values(chain.n)
     diag = e @ s
     for i in range(chain.n - 1):
@@ -146,7 +141,7 @@ def heisenberg_block(chain: ChainSpec, energies: Sequence[float], states) -> np.
     states whose spins differ by one neighboring up-down swap; flip-flops
     leading out of `states` are dropped.
     """
-    e = _check_energies(chain, energies)
+    e = check_energies(chain, energies)
     n, J = chain.n, chain.coupling
     states = np.asarray(states)
     local = np.arange(states.size)

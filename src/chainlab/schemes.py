@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import InvalidGrouping, IoFailure
 from .evolve import ZeemanSchedule, apply_hold, evolve, propagator
-from .gates import (EncodingMap, GateReport, PhaseAlignment, align_phases,
-                    exchange_gate_target, extract_gate, find_revival, logical_block)
+from .gates import (IDENTITY_INVARIANTS, EncodingMap, PhaseAlignment, align_phases,
+                    exchange_gate_target, extract_gate, find_revival,
+                    local_equivalence_invariants, logical_block)
 from .model import ChainSpec, ZeemanLevels, pauli_site, site_energies
 
 ARCH1_SECTION_SITES = 9
@@ -32,11 +33,12 @@ DEFAULT_PAD = 0.2
 ARCH1_REVIVAL_WINDOW = (0.4, 2.2)   # in units of the nominal gate time pi / (3J)
 ARCH1_REVIVAL_THRESHOLD = 0.5       # strongly detuned points never reach 0.999
 ARCH1_REVIVAL_DIP = 0.85
+JITTER_MODES = ("independent", "systematic")
 _CSV_CHUNK_ROWS = 8192          # rows per write of ZenoStats.write_csv; bounds the text held
 
 
 def _steps(*segments: tuple[float, Sequence[float]]) -> ZeemanSchedule:
-    return ZeemanSchedule.from_steps([(d, e) for d, e in segments if d > 0])
+    return ZeemanSchedule.from_steps([(d, e) for d, e in segments if d != 0])
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,7 @@ class Section:
 class ArchitectureOne(Section):
     """Nine-site section; enc holds all four qubits."""
 
-    enc_gate_pair: EncodingMap    # just the two qubits adjacent to the gate barrier
-    gate_barrier: int
+    enc_gate_pair: EncodingMap    # just the two qubits adjacent to ARCH1_GATE_BARRIER
 
 
 def arch1_section(levels: ZeemanLevels, coupling: float = 1.0) -> ArchitectureOne:
@@ -78,14 +79,13 @@ def arch1_section(levels: ZeemanLevels, coupling: float = 1.0) -> ArchitectureOn
     pair_refs = dict(barrier_refs)
     pair_refs.update({1: 0, 7: 0})
     enc_pair = EncodingMap.single_site(n, [3, 5], pair_refs)
-    return ArchitectureOne(chain=chain, levels=levels, enc=enc,
-                           enc_gate_pair=enc_pair, gate_barrier=ARCH1_GATE_BARRIER)
+    return ArchitectureOne(chain=chain, levels=levels, enc=enc, enc_gate_pair=enc_pair)
 
 
 def _arch1_gate_energies(arch: ArchitectureOne) -> list[float]:
     """The passive energies with the gate barrier held at A+J."""
     gate = list(arch.passive_energies)
-    gate[arch.gate_barrier] = arch.levels.a + arch.chain.coupling
+    gate[ARCH1_GATE_BARRIER] = arch.levels.a + arch.chain.coupling
     return gate
 
 
@@ -109,24 +109,24 @@ def arch1_revival(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFA
     nominal = np.pi / (3.0 * coupling)
     lo, hi = ARCH1_REVIVAL_WINDOW
     t_r, p_r = find_revival(arch.chain, pad_hold, _arch1_gate_energies(arch), pad_hold,
-                            arch.gate_barrier, (lo * nominal, hi * nominal),
+                            ARCH1_GATE_BARRIER, (lo * nominal, hi * nominal),
                             arch.enc_gate_pair, ARCH1_REVIVAL_THRESHOLD, ARCH1_REVIVAL_DIP)
     return arch, arch1_two_qubit_schedule(arch, t_r, pad), t_r, p_r
 
 
 def arch1_exchange_gate(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFAULT_PAD
-                        ) -> tuple[ArchitectureOne, float, float, GateReport, PhaseAlignment]:
-    """The exchange gate at the barrier revival: (section, revival time,
-    revival probability, gate-pair report, z-phase alignment to the ideal
-    exchange gate).
+                        ) -> tuple[float, float, np.ndarray, float, PhaseAlignment]:
+    """The exchange gate at the barrier revival: (revival time, revival
+    probability, the gate pair's gate, its leakage, z-phase alignment to the
+    ideal exchange gate).
 
     The gate pair's block is read in the passive Zeeman frame (see
     gates.logical_block); raises NoRevivalFound or ExcessiveLeakage.
     """
     arch, sched, t_r, p_r = arch1_revival(levels, coupling, pad)
-    report = extract_gate(*logical_block(arch.chain, sched, arch.enc_gate_pair,
-                                         arch.passive_energies))
-    return arch, t_r, p_r, report, align_phases(report.logical_unitary, exchange_gate_target())
+    block, leakage = logical_block(arch.chain, sched, arch.enc_gate_pair, arch.passive_energies)
+    gate = extract_gate(block, leakage)
+    return t_r, p_r, gate, leakage, align_phases(gate, exchange_gate_target())
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +225,32 @@ def arch3_apply(arch: Section, setting: SixSetting) -> ZeemanSchedule:
 @dataclass(frozen=True)
 class ZenoConfig:
     """Barrier collapses after every k-th gate, k = collapse_every_gates
-    (None: only the final readout), under per-gate timing jitter."""
+    (None: only the final readout), under per-gate timing jitter.
+
+    jitter_mode "independent" draws a fresh timing error for every gate;
+    "systematic" draws one error per trial and applies it to every gate
+    (a miscalibrated resonance period).  Collapse suppresses the coherent
+    accumulation of the systematic kind; independent errors random-walk
+    and gain nothing from intermediate collapses.
+    """
 
     collapse_every_gates: int | None
     jitter_stddev: float          # relative per-gate timing error
     trials: int
     seed: int
+    jitter_mode: str = "independent"
 
     def __post_init__(self):
         if self.collapse_every_gates is not None and self.collapse_every_gates < 1:
             raise ValueError("collapse_every_gates must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.jitter_stddev < 0:
-            raise ValueError("jitter_stddev must be >= 0")
+        if not 0 <= self.jitter_stddev < np.inf:
+            raise ValueError("jitter_stddev must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.jitter_mode not in JITTER_MODES:
+            raise ValueError(f"unknown jitter_mode {self.jitter_mode!r}")
 
 
 @dataclass
@@ -289,22 +301,16 @@ def zeno_gate_train(coupling: float = 1.0
 
 
 def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
-             enc: EncodingMap, cfg: ZenoConfig, psi0: np.ndarray,
-             jitter_mode: str = "independent") -> ZenoStats:
+             enc: EncodingMap, cfg: ZenoConfig, psi0: np.ndarray) -> ZenoStats:
     """Monte-Carlo trajectories of a gate train with timing jitter and
     projective barrier collapses between gates.
 
-    Every gate's segment durations are scaled by 1 + N(0, jitter_stddev).
-    After every k-th gate (k = cfg.collapse_every_gates) and after the last
-    one, all barrier sites are measured in the z basis (outcomes recorded,
-    never fed forward).  Jitter and collapse randomness come from separate
-    streams of cfg.seed, so runs with different k see identical timing noise.
-
-    jitter_mode "independent" draws a fresh error for every gate;
-    "systematic" draws one error per trial and applies it to every gate
-    (a miscalibrated resonance period).  Collapse suppresses the coherent
-    accumulation of the systematic kind; independent errors random-walk
-    and gain nothing from intermediate collapses.
+    Every gate's segment durations are scaled by 1 + N(0, jitter_stddev),
+    drawn as cfg.jitter_mode says.  After every k-th gate
+    (k = cfg.collapse_every_gates) and after the last one, all barrier sites
+    are measured in the z basis (outcomes recorded, never fed forward).
+    Jitter and collapse randomness come from separate streams of cfg.seed,
+    so runs with different k see identical timing noise.
     """
     n_gates = len(base_schedule_sequence)
     trials = cfg.trials
@@ -315,12 +321,10 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
 
     rng_jit = np.random.default_rng([cfg.seed, 1])
     rng_col = np.random.default_rng([cfg.seed, 2])
-    if jitter_mode == "independent":
+    if cfg.jitter_mode == "independent":
         noise = rng_jit.standard_normal((trials, n_gates))
-    elif jitter_mode == "systematic":
-        noise = np.broadcast_to(rng_jit.standard_normal((trials, 1)), (trials, n_gates))
     else:
-        raise ValueError(f"unknown jitter_mode {jitter_mode!r}")
+        noise = np.broadcast_to(rng_jit.standard_normal((trials, 1)), (trials, n_gates))
     # one contiguous row of duration factors per gate
     factors = np.clip(1.0 + cfg.jitter_stddev * noise, 0.05, None).T.copy()
     uniforms = rng_col.random((n_points, len(barriers), trials))
@@ -383,8 +387,6 @@ def refocus_demo(chain: ChainSpec, levels: ZeemanLevels,
     tau; the cycle's two-qubit local invariants are compared to the identity
     class.  The residual vanishes as tau -> 0 (up to the detuning floor).
     """
-    from .gates import IDENTITY_INVARIANTS, local_equivalence_invariants
-
     if chain.n != 2:
         raise InvalidGrouping("the refocusing demo uses an adjacent two-qubit chain")
     energies = site_energies(chain, levels)

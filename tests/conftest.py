@@ -16,14 +16,14 @@ def arch1_pipeline():
     """Nine-site exchange gate at detuning 1000: revival, extraction, alignment."""
     coupling = 1.0
     levels = ZeemanLevels.from_delta(coupling=coupling, delta=1000.0)
-    arch, t_r, p_r, report, alignment = schemes.arch1_exchange_gate(levels, coupling)
+    t_r, p_r, gate, leakage, alignment = schemes.arch1_exchange_gate(levels, coupling)
     return {
         "coupling": coupling,
         "levels": levels,
-        "arch": arch,
         "t_r": t_r,
         "p_r": p_r,
-        "report": report,
+        "gate": gate,
+        "leakage": leakage,
         "alignment": alignment,
     }
 

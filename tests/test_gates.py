@@ -107,13 +107,13 @@ def test_reduced_model_reproduces_exchange_gate():
     chain, enc = reduced_resonant_chain()
     t_r = np.pi / 3.0
     sched = ZeemanSchedule.from_steps([(t_r, (1.0, 1.0, 1.0))])
-    report = gates.extract_gate(*gates.logical_block(chain, sched, enc, (1.0, 1.0, 1.0)))
-    assert report.leakage < 1e-12
-    aligned = gates.align_phases(report.logical_unitary, gates.exchange_gate_target())
+    block, leakage = gates.logical_block(chain, sched, enc, (1.0, 1.0, 1.0))
+    gate = gates.extract_gate(block, leakage)
+    assert leakage < 1e-12
+    aligned = gates.align_phases(gate, gates.exchange_gate_target())
     assert aligned.distance < 1e-9
     # post-only dressing cannot absorb the frame phases accumulated on input
-    one_sided = gates.align_phases(report.logical_unitary,
-                                   gates.exchange_gate_target(), two_sided=False)
+    one_sided = gates.align_phases(gate, gates.exchange_gate_target(), two_sided=False)
     assert one_sided.distance == pytest.approx(2.0 / np.sqrt(5.0), abs=1e-4)
 
 
@@ -173,7 +173,7 @@ def arch1_revival_case(delta):
     lo, hi = schemes.ARCH1_REVIVAL_WINDOW
     nominal = np.pi / 3.0
     return (arch.chain, ZeemanSchedule((pad,)), gate.energies, ZeemanSchedule((pad,)),
-            arch.gate_barrier, (lo * nominal, hi * nominal), arch.enc_gate_pair,
+            schemes.ARCH1_GATE_BARRIER, (lo * nominal, hi * nominal), arch.enc_gate_pair,
             schemes.ARCH1_REVIVAL_THRESHOLD, schemes.ARCH1_REVIVAL_DIP)
 
 
@@ -260,9 +260,7 @@ def test_find_revival_batches_stay_within_column_cap(monkeypatch):
 def test_extract_gate_round_trip():
     rng = np.random.default_rng(11)
     g = random_unitary(rng, 4)
-    report = gates.extract_gate(g, 0.0)
-    assert report.leakage == 0.0
-    assert linalg.op_distance(report.logical_unitary, g) < 1e-12
+    assert linalg.op_distance(gates.extract_gate(g, 0.0), g) < 1e-12
 
 
 def test_extract_gate_reports_small_leakage_and_reunitarizes():
@@ -274,10 +272,9 @@ def test_extract_gate_reports_small_leakage_and_reunitarizes():
     block = (tilt @ enc.embed_basis() @ g)[enc.basis_indices()]
     leakage = np.sin(theta / 2) ** 2
     assert 1.0 - (np.abs(block) ** 2).sum(axis=0) == pytest.approx([leakage] * 4, rel=1e-6)
-    report = gates.extract_gate(block, leakage)
-    assert report.leakage == leakage
-    assert linalg.unitarity_defect(report.logical_unitary) < 1e-12
-    assert linalg.op_distance(report.logical_unitary, g) < 1e-12
+    gate = gates.extract_gate(block, leakage)
+    assert linalg.unitarity_defect(gate) < 1e-12
+    assert linalg.op_distance(gate, g) < 1e-12
 
 
 def test_extract_gate_rejects_meaningless_block():
@@ -326,22 +323,22 @@ def test_extract_gate_from_evolved_basis_equals_propagator_block(case):
     got, leakage = gates.logical_block(chain, sched, enc, passive)
     assert np.array_equal(got, block)
     assert leakage == max(0.0, 1.0 - (np.abs(block) ** 2).sum(axis=0).min())
-    report = gates.extract_gate(got, leakage)
     want = linalg.polar_unitary(block) if leakage < gates.LEAKAGE_REUNITARIZE else block
-    assert np.array_equal(report.logical_unitary, want)
+    assert np.array_equal(gates.extract_gate(got, leakage), want)
 
 
 def test_gate_report_json_round_trip():
     # gate_report.json stores the logical unitary as [re, im] pairs
     rng = np.random.default_rng(13)
     g = random_unitary(rng, 4)
-    report = gates.extract_gate(g, 0.0)
-    doc = json.loads(json.dumps({"logical_unitary": cli._matrix_json(report.logical_unitary),
-                                 "leakage": report.leakage}))
+    leakage = 0.0
+    gate = gates.extract_gate(g, leakage)
+    doc = json.loads(json.dumps({"logical_unitary": cli._matrix_json(gate),
+                                 "leakage": leakage}))
     mat = np.array([[complex(re, im) for re, im in row]
                     for row in doc["logical_unitary"]])
-    assert np.array_equal(mat, report.logical_unitary)
-    assert doc["leakage"] == report.leakage
+    assert np.array_equal(mat, gate)
+    assert doc["leakage"] == leakage
 
 
 # ---------------------------------------------------------------------------

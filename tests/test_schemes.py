@@ -28,7 +28,7 @@ def test_arch1_section_geometry():
     assert arch.enc.qubit_sites == ((1,), (3,), (5,), (7,))
     # barrier patterns alternate down/up inward from the ends
     assert dict(arch.enc.barrier_refs) == {0: 1, 2: 0, 4: 1, 6: 0, 8: 1}
-    assert arch.gate_barrier == 4
+    assert schemes.ARCH1_GATE_BARRIER == 4
     assert arch.enc_gate_pair.qubit_sites == ((3,), (5,))
     assert dict(arch.enc_gate_pair.barrier_refs)[1] == 0
     assert dict(arch.enc_gate_pair.barrier_refs)[7] == 0
@@ -51,6 +51,16 @@ def test_arch1_two_qubit_schedule_structure():
     # zero padding drops the bracketing segments entirely
     bare = schemes.arch1_two_qubit_schedule(arch, t_gate, pad=0.0)
     assert len(bare.segments) == 1
+
+
+@pytest.mark.parametrize("pad", [-0.1, -1.0, float("nan")])
+def test_arch1_schedules_refuse_a_negative_or_nan_pad(pad):
+    # only a zero-length pad is dropped; Segment refuses the rest
+    arch = schemes.arch1_section(LEVELS)
+    with pytest.raises(ValueError, match="must be positive"):
+        schemes.arch1_two_qubit_schedule(arch, np.pi / 3.0, pad=pad)
+    with pytest.raises(ValueError, match="must be positive"):
+        schemes.arch1_revival(LEVELS, 1.0, pad=pad)
 
 
 def test_five_site_section_reference_state():
@@ -177,22 +187,17 @@ def zeno_demo():
 def run_zeno(k, stddev, mode, trials=2000, seed=1234):
     chain, enc, seq, psi0 = zeno_demo()
     cfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=stddev,
-                             trials=trials, seed=seed)
-    return schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0, jitter_mode=mode)
+                             trials=trials, seed=seed, jitter_mode=mode)
+    return schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0)
 
 
 def test_zeno_config_validation():
-    with pytest.raises(ValueError):
-        schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=0, seed=1)
-    with pytest.raises(ValueError):
-        schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=-0.1, trials=10, seed=1)
-    with pytest.raises(ValueError):
-        schemes.ZenoConfig(collapse_every_gates=0, jitter_stddev=0.05, trials=10, seed=1)
-    with pytest.raises(ValueError):
-        chain, enc, seq, psi0 = zeno_demo()
-        cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.0,
-                                 trials=2, seed=1)
-        schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0, jitter_mode="bogus")
+    fields = {"collapse_every_gates": 1, "jitter_stddev": 0.05, "trials": 10, "seed": 1}
+    for bad in ({"trials": 0}, {"jitter_stddev": -0.1}, {"collapse_every_gates": 0},
+                {"seed": -1}, {"jitter_stddev": float("nan")},
+                {"jitter_stddev": float("inf")}, {"jitter_mode": "bogus"}):
+        with pytest.raises(ValueError):
+            schemes.ZenoConfig(**{**fields, **bad})
 
 
 def test_zeno_zero_jitter_never_misfires():
@@ -344,8 +349,9 @@ def test_zeno_run_matches_dense_per_trial_oracle(train, seed, mode, k):
         seq = [gate] * 20
     else:
         chain, enc, seq, psi0 = two_barrier_train()
-    cfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=0.05, trials=64, seed=seed)
-    stats = schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0, jitter_mode=mode)
+    cfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=0.05, trials=64, seed=seed,
+                             jitter_mode=mode)
+    stats = schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0)
     wrong, fid = zeno_oracle(chain, seq, enc, cfg, psi0, k, mode)
     assert np.array_equal(stats.wrong_collapse, wrong)
     assert np.abs(stats.fidelity - fid).max() < 1e-12

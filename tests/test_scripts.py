@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -79,12 +80,27 @@ def test_zeno_study_rejects_bad_arguments(tmp_path, argv):
     (("--threads", "-3"), "--threads must be >= 1"),
     (("--deltas", "abc"), "--deltas takes comma-separated numbers"),
     (("--deltas", "1000,300"), "--deltas: delta_values must be ascending"),
-    (("--deltas", "nan,1000"), "--deltas: delta_values must be positive and finite")])
+    (("--deltas", "nan,1000"), "--deltas: delta_values must be positive and finite"),
+    (("--coupling", "0"), "--coupling must be positive"),
+    (("--coupling", "-1"), "--coupling must be positive")])
 def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("sweep_defects.py", tmp_path, *argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and message in proc.stderr
     assert not (tmp_path / "sweep_out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--deltas", "abc"), "--deltas: could not convert string to float: 'abc'"),
+    (("--deltas", "300,-5"), "--deltas: delta must be positive"),
+    (("--coupling", "0"), "--coupling must be positive"),
+    (("--pad", "-1"), "--pad must be >= 0"),
+    (("--pad", "nan"), "--pad must be >= 0")])
+def test_revival_report_rejects_bad_arguments(tmp_path, argv, message):
+    proc = run_script("revival_report.py", tmp_path, *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+    assert not (tmp_path / "revival_out").exists()
 
 
 def test_refocus_scan_small_run(tmp_path):
@@ -94,3 +110,36 @@ def test_refocus_scan_small_run(tmp_path):
     assert rows[0] == "pulse_period,residual" and len(rows) == 3
     assert all(float(row.split(",")[1]) < 1e-4 for row in rows[1:])
     assert "unpulsed baseline at period=0.3" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--periods", "abc"), "could not convert string to float: 'abc'"),
+    (("--periods", "-1"), "segment duration must be positive"),
+    (("--periods", "0.01,0"), "segment duration must be positive"),
+    (("--delta", "-3"), "delta must be positive"),
+    (("--cycles", "0"), "--cycles must be >= 1")])
+def test_refocus_scan_rejects_bad_arguments(tmp_path, argv, message):
+    proc = run_script("refocus_scan.py", tmp_path, *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+    assert not (tmp_path / "refocus_out").exists()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("refocus_scan.py", ("--periods", "0.01,0.3")),
+    ("revival_report.py", ("--deltas", "300,1000")),
+    ("sweep_defects.py", ("--deltas", "300,1000")),
+    ("zeno_study.py", ("--trials", "200", "--gates", "4"))])
+def test_script_rerun_gives_byte_identical_output(tmp_path, monkeypatch, capsys, name, argv):
+    # in-process, as the CLI's rerun test: the second run also meets warm caches
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    outputs = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+        files = sorted(p for p in (tmp_path / run).rglob("*") if p.is_file())
+        outputs.append((capsys.readouterr().out,
+                        {p.relative_to(tmp_path / run): p.read_bytes() for p in files}))
+    assert outputs[0][1], "the script wrote no file"
+    assert outputs[0] == outputs[1]
