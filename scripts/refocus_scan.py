@@ -40,7 +40,7 @@ def main():
     records = schemes.refocus_demo(chain, args.levels, args.periods, cycles=args.cycles)
     for rec in records:
         print(f"period={rec.pulse_period:8.4f}  residual={rec.residual:.6e}")
-    analysis.emit_table(records, out / "refocus.csv", fmt="csv")
+    analysis.emit_table(analysis.record_columns(records), out / "refocus.csv", fmt="csv")
 
     tau = max(args.periods)
     u_free = schemes.echo_cycle(chain, site_energies(chain, args.levels), tau,

@@ -22,8 +22,8 @@ def parse_args():
     p.add_argument("--pad", type=float, default=schemes.DEFAULT_PAD)
     p.add_argument("--out", default="revival_out")
     args = p.parse_args()
-    if not args.coupling > 0:
-        p.error("--coupling must be positive")
+    if not 0 < args.coupling < float("inf"):
+        p.error("--coupling must be positive and finite")
     if not args.pad >= 0:
         p.error("--pad must be >= 0")
     try:

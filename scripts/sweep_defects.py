@@ -23,8 +23,8 @@ def parse_args():
     args = p.parse_args()
     if args.threads is not None and args.threads < 1:
         p.error("--threads must be >= 1")
-    if not args.coupling > 0:
-        p.error("--coupling must be positive")
+    if not 0 < args.coupling < float("inf"):
+        p.error("--coupling must be positive and finite")
     try:
         args.spec = analysis.SweepSpec(
             delta_values=tuple(float(x) for x in args.deltas.split(",")), coupling=args.coupling)
@@ -49,7 +49,8 @@ def main():
     if missing:
         print(f"{missing} grid point(s) had no revival and were dropped")
     if records:
-        analysis.emit_table(records, out / f"defect_sweep.{args.format}", fmt=args.format)
+        analysis.emit_table(analysis.record_columns(records), out / f"defect_sweep.{args.format}",
+                            fmt=args.format)
 
     fit_grid = tuple(d for d in deltas if d >= 10.0)
     if len(fit_grid) >= 3 and max(fit_grid) >= 10 * min(fit_grid):

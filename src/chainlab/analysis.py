@@ -9,7 +9,6 @@ exchange gate.
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -29,6 +28,7 @@ DEFAULT_DELTA_GRID = (5.0, 10.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
 CHI_SCAN_POINTS = 720
 ISING_CHAIN_SITES = 4
 ISING_HOLD_TIME = 1.0   # in units of 1/J
+_CSV_CHUNK_ROWS = 8192  # rows per write of emit_table; bounds the text held
 
 
 @dataclass(frozen=True)
@@ -176,33 +176,38 @@ def ising_convergence(delta_grid: Sequence[float], coupling: float = 1.0) -> Isi
 # tabular output
 
 
-def emit_table(records: Sequence, path, fmt: str = "csv") -> None:
-    """Write dataclass records as CSV or JSON with 12-significant-digit
-    floats, header from the field names, rows in input order."""
-    if not records:
-        raise ConfigInvalid("emit_table needs at least one record")
-    names = [f.name for f in fields(records[0])]
-    rows = [[getattr(r, name) for name in names] for r in records]
+def record_columns(records: Sequence) -> dict[str, list]:
+    """The fields of dataclass records of one type as columns, for emit_table."""
+    return {f.name: [getattr(r, f.name) for r in records] for f in fields(records[0])}
 
-    def fmt_val(v):
-        if isinstance(v, float):
-            return f"{v:.12g}"
-        return v
 
+def emit_table(columns: dict[str, Sequence], path, fmt: str = "csv") -> None:
+    """Write equal-length columns (name -> values) as CSV or JSON: header
+    from the names, rows in input order, floats to 12 significant digits.
+
+    For numeric columns the CSV is byte for byte what csv.writer writes
+    (CRLF line ends); it is built one format string per row and written
+    _CSV_CHUNK_ROWS rows at a time.
+    """
+    cols = [np.asarray(c) for c in columns.values()]
+    n_rows = len(cols[0]) if cols else 0
+    if n_rows == 0 or any(len(c) != n_rows for c in cols):
+        raise ConfigInvalid("emit_table needs non-empty columns of equal length")
+    if fmt not in ("csv", "json"):
+        raise ConfigInvalid(f"unknown table format {fmt!r}")
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(names)
-                for row in rows:
-                    w.writerow([fmt_val(v) for v in row])
-        elif fmt == "json":
-            doc = [{name: (float(f"{v:.12g}") if isinstance(v, float) else v)
-                    for name, v in zip(names, row)} for row in rows]
-            with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
+            if fmt == "csv":
+                row = ",".join("{:.12g}" if c.dtype.kind == "f" else "{}" for c in cols) + "\r\n"
+                fh.write(",".join(columns) + "\r\n")
+                for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+                    chunk = (c[lo:lo + _CSV_CHUNK_ROWS].tolist() for c in cols)
+                    fh.write("".join(map(row.format, *chunk)))
+            else:
+                doc = [{name: (float(f"{v:.12g}") if isinstance(v, float) else v)
+                        for name, v in zip(columns, vals)}
+                       for vals in zip(*(c.tolist() for c in cols))]
                 json.dump(doc, fh, indent=1, sort_keys=True)
                 fh.write("\n")
-        else:
-            raise ConfigInvalid(f"unknown table format {fmt!r}")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

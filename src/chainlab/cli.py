@@ -247,7 +247,7 @@ def cmd_verify_m(cfg: dict, out: Path) -> tuple[bool, dict]:
         err = abs(np.angle(np.exp(1j * (phi - c["target_phase"]))))
         doc["phase_error"] = err
         ok = err < c["tolerance"]
-    except (NoRevivalFound, ExcessiveLeakage, NotDiagonalizableLocally, NotUnitary) as exc:
+    except (ExcessiveLeakage, NotDiagonalizableLocally, NotUnitary) as exc:
         doc["failure"] = f"{type(exc).__name__}: {exc}"
         ok = False
     doc["status"] = "ok" if ok else "fail"
@@ -263,11 +263,11 @@ def cmd_sweep(cfg: dict, out: Path) -> tuple[bool, dict]:
     fmt = c["format"]
     path = out / f"defect_sweep.{fmt}"
     if records:
-        analysis.emit_table(records, path, fmt=fmt)
+        analysis.emit_table(analysis.record_columns(records), path, fmt=fmt)
     missing = len(spec.delta_values) - len(records)
     defects = [r.defect_worst for r in records]
     monotone = all(b <= a + 1e-6 for a, b in zip(defects, defects[1:]))
-    ok = missing == 0 and monotone and records != []
+    ok = missing == 0 and monotone
     return ok, {"rows": len(records), "missing": missing, "monotone": monotone,
                 "table": str(path) if records else None}
 
@@ -305,7 +305,9 @@ def cmd_zeno(cfg: dict, out: Path) -> tuple[bool, dict]:
     zcfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=c["jitter_stddev"],
                               trials=c["trials"], seed=cfg["seed"], jitter_mode=c["jitter_mode"])
     stats = schemes.zeno_run(chain, [gate] * c["gates"], enc, zcfg, psi0=psi0)
-    stats.write_csv(out / "zeno_stats.csv")
+    analysis.emit_table({"trial": np.arange(c["trials"]),
+                         "wrong_collapse": stats.wrong_collapse.astype(np.uint8),
+                         "fidelity": stats.fidelity}, out / "zeno_stats.csv")
     doc = {"wrong_collapse_probability": stats.wrong_collapse_probability,
            "mean_fidelity": stats.mean_fidelity,
            "n_collapse_points": stats.n_collapse_points, "trials": c["trials"],

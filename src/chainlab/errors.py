@@ -24,18 +24,9 @@ class LengthMismatch(ChainlabError):
 class NoRevivalFound(ChainlabError):
     """Barrier population never returned above threshold in the window."""
 
-    def __init__(self, message: str, best_probability: float = 0.0, best_time: float = 0.0):
-        super().__init__(message)
-        self.best_probability = best_probability
-        self.best_time = best_time
-
 
 class ExcessiveLeakage(ChainlabError):
     """Too much probability left the encoded subspace to call it a gate."""
-
-    def __init__(self, message: str, leakage: float = 0.0):
-        super().__init__(message)
-        self.leakage = leakage
 
 
 class NotUnitary(ChainlabError):

@@ -29,8 +29,8 @@ class Segment:
     energies: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
 
 
 @dataclass(frozen=True)

@@ -178,10 +178,7 @@ def find_revival(chain: ChainSpec, head: ZeemanSchedule, hold: Sequence[float],
                 best_i = i
                 break
     if best_i is None:
-        raise NoRevivalFound(
-            f"no revival above {threshold} in window (best {best_p:.6f})",
-            best_probability=best_p,
-            best_time=float(ts[np.argmax(ps[start:]) + start]))
+        raise NoRevivalFound(f"no revival above {threshold} in window (best {best_p:.6f})")
     t_r, _ = linalg.golden_section(prob, ts[best_i - 1], ts[best_i + 1],
                                    REVIVAL_REFINE_TOL / chain.coupling, maximize=True)
     return float(t_r), prob(t_r)
@@ -216,8 +213,7 @@ def extract_gate(block: np.ndarray, leakage: float) -> np.ndarray:
     """
     if leakage > LEAKAGE_MEANINGLESS:
         raise ExcessiveLeakage(
-            f"leakage {leakage:.4f} exceeds {LEAKAGE_MEANINGLESS}; extracted block is meaningless",
-            leakage=leakage)
+            f"leakage {leakage:.4f} exceeds {LEAKAGE_MEANINGLESS}; extracted block is meaningless")
     return linalg.polar_unitary(block) if leakage < LEAKAGE_REUNITARIZE else block
 
 

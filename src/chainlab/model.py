@@ -46,8 +46,8 @@ class ChainSpec:
     def __post_init__(self):
         if not (MIN_SITES <= self.n <= MAX_SITES):
             raise ValueError(f"n must be in [{MIN_SITES}, {MAX_SITES}], got {self.n}")
-        if not self.coupling > 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
+        if not 0 < self.coupling < np.inf:
+            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
         if len(self.roles) != self.n:
             raise LengthMismatch(f"roles string has length {len(self.roles)}, chain has {self.n} sites")
         bad = set(self.roles) - set(ROLE_NAMES)
@@ -70,8 +70,8 @@ class ZeemanLevels:
     @classmethod
     def from_delta(cls, coupling: float, delta: float) -> "ZeemanLevels":
         """Equally spaced levels: A = 0 and (B - A)/J = (C - B)/J = delta."""
-        if not delta > 0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        if not 0 < delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         b = delta * coupling
         return cls(a=0.0, b=b, c=b + b)
 

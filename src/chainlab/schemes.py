@@ -11,6 +11,9 @@ barrier spins between them (guards up, the gate-mediating barrier down);
 architecture 2 encodes a qubit in a site pair of an ABCABC chain next to an
 up barrier; architecture 3 drives an ABCABC chain through two global knobs
 (the Zeeman energy of all even-group and all odd-group tunable sites).
+
+The module does no file I/O: it returns records and arrays, and callers
+write them as tables through analysis.emit_table.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidGrouping, IoFailure
+from .errors import InvalidGrouping
 from .evolve import ZeemanSchedule, apply_hold, evolve, propagator
 from .gates import (IDENTITY_INVARIANTS, EncodingMap, PhaseAlignment, align_phases,
                     exchange_gate_target, extract_gate, find_revival,
@@ -34,7 +37,6 @@ ARCH1_REVIVAL_WINDOW = (0.4, 2.2)   # in units of the nominal gate time pi / (3J
 ARCH1_REVIVAL_THRESHOLD = 0.5       # strongly detuned points never reach 0.999
 ARCH1_REVIVAL_DIP = 0.85
 JITTER_MODES = ("independent", "systematic")
-_CSV_CHUNK_ROWS = 8192          # rows per write of ZenoStats.write_csv; bounds the text held
 
 
 def _steps(*segments: tuple[float, Sequence[float]]) -> ZeemanSchedule:
@@ -266,20 +268,6 @@ class ZenoStats:
     @property
     def mean_fidelity(self) -> float:
         return float(self.fidelity.mean())
-
-    def write_csv(self, path) -> None:
-        """One row per trial, byte for byte as csv.writer writes them."""
-        wrong = self.wrong_collapse.astype(np.uint8).tolist()
-        fid = self.fidelity.tolist()
-        try:
-            with open(path, "w", newline="") as fh:
-                fh.write("trial,wrong_collapse,fidelity\r\n")
-                for lo in range(0, len(fid), _CSV_CHUNK_ROWS):
-                    hi = lo + _CSV_CHUNK_ROWS
-                    rows = map("{},{},{:.12g}".format, range(lo, hi), wrong[lo:hi], fid[lo:hi])
-                    fh.write("\r\n".join(rows) + "\r\n")
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
 
 
 def zeno_gate_train(coupling: float = 1.0

@@ -1,6 +1,8 @@
 import csv
+import io
 import itertools
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -138,7 +140,7 @@ def test_effective_ising_fails_at_equal_levels():
 
 def test_emit_table_csv_round_trip(tmp_path, default_sweep):
     path = tmp_path / "sweep.csv"
-    analysis.emit_table(default_sweep, path, fmt="csv")
+    analysis.emit_table(analysis.record_columns(default_sweep), path, fmt="csv")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "delta,t_r,defect_worst,phase_noise_rad,leakage"
     assert len(lines) == len(default_sweep) + 1
@@ -151,7 +153,7 @@ def test_emit_table_csv_round_trip(tmp_path, default_sweep):
 
 def test_emit_table_json(tmp_path, default_sweep):
     path = tmp_path / "sweep.json"
-    analysis.emit_table(default_sweep, path, fmt="json")
+    analysis.emit_table(analysis.record_columns(default_sweep), path, fmt="json")
     doc = json.loads(path.read_text())
     assert len(doc) == len(default_sweep)
     assert doc[0]["delta"] == default_sweep[0].delta
@@ -162,16 +164,54 @@ def test_emit_table_uses_twelve_digits(tmp_path):
     rec = analysis.DefectRecord(delta=1.0, t_r=np.pi, defect_worst=1e-5,
                                 phase_noise_rad=0.0, leakage=0.0)
     path = tmp_path / "one.csv"
-    analysis.emit_table([rec], path, fmt="csv")
+    analysis.emit_table(analysis.record_columns([rec]), path, fmt="csv")
     assert "3.14159265359" in path.read_text()
 
 
 def test_emit_table_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigInvalid):
-        analysis.emit_table([], tmp_path / "x.csv")
+        analysis.emit_table({}, tmp_path / "x.csv")
+    with pytest.raises(ConfigInvalid):
+        analysis.emit_table({"a": [], "b": []}, tmp_path / "x.csv")
+    with pytest.raises(ConfigInvalid):
+        analysis.emit_table({"a": [1.0, 2.0], "b": [1.0]}, tmp_path / "x.csv")
     rec = analysis.DefectRecord(delta=1.0, t_r=1.0, defect_worst=0.0,
                                 phase_noise_rad=0.0, leakage=0.0)
     with pytest.raises(ConfigInvalid):
-        analysis.emit_table([rec], tmp_path / "x.tsv", fmt="tsv")
+        analysis.emit_table(analysis.record_columns([rec]), tmp_path / "x.tsv", fmt="tsv")
+    assert not list(tmp_path.iterdir())
     with pytest.raises(IoFailure):
-        analysis.emit_table([rec], tmp_path / "missing" / "x.csv")
+        analysis.emit_table(analysis.record_columns([rec]), tmp_path / "missing" / "x.csv")
+
+
+def _csv_writer_bytes(names, rows):
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    return ref.getvalue().encode()
+
+
+def test_emit_table_bytes_match_csv_writer(tmp_path):
+    # a Zeno trial table that crosses a write-chunk boundary
+    n = analysis._CSV_CHUNK_ROWS + 7
+    special = [0.0, 1.0, 5e-324, 1.0 - 1e-16, 0.1]
+    fid = np.resize(np.array(special), n)
+    fid[len(special):] *= np.random.default_rng(5).random(n - len(special))
+    wrong = np.random.default_rng(6).random(n) < 0.3
+    path = tmp_path / "stats.csv"
+    analysis.emit_table({"trial": np.arange(n), "wrong_collapse": wrong.astype(np.uint8),
+                         "fidelity": fid}, path)
+    assert path.read_bytes() == _csv_writer_bytes(
+        ["trial", "wrong_collapse", "fidelity"],
+        [(i, int(w), float(f)) for i, (w, f) in enumerate(zip(wrong, fid))])
+    # and a DefectRecord table
+    records = [analysis.DefectRecord(delta=d, t_r=np.pi / d, defect_worst=5e-324 * d,
+                                     phase_noise_rad=0.1 * d, leakage=1.0 - 1e-16)
+               for d in (5.0, 1000.0, 1e300)]
+    path = tmp_path / "sweep.csv"
+    analysis.emit_table(analysis.record_columns(records), path)
+    assert path.read_bytes() == _csv_writer_bytes(
+        ["delta", "t_r", "defect_worst", "phase_noise_rad", "leakage"],
+        [astuple(r) for r in records])

@@ -20,6 +20,8 @@ def test_segment_validation():
         evolve.Segment(duration=0.0, energies=(1.0,))
     with pytest.raises(ValueError):
         evolve.Segment(duration=-1.0, energies=(1.0,))
+    with pytest.raises(ValueError, match="finite"):
+        evolve.Segment(duration=float("inf"), energies=(1.0,))
 
 
 def test_propagator_matches_dense_matrix_exponential():

@@ -134,10 +134,9 @@ def test_find_revival_parked_barrier_never_dips():
 
 def test_find_revival_window_too_short():
     chain, enc = reduced_resonant_chain()
-    with pytest.raises(NoRevivalFound, match="no revival above") as info:
+    with pytest.raises(NoRevivalFound, match=r"no revival above 0\.999 in window \(best 0\.\d{6}\)"):
         gates.find_revival(chain, NO_SEGMENTS, (1.0, 1.0, 1.0), NO_SEGMENTS, 1,
                            (0.4, 0.8), enc)
-    assert info.value.best_time is not None
 
 
 def pointwise_revival(chain, head, hold, tail, site, window, enc, threshold, dip_level,
@@ -281,9 +280,8 @@ def test_extract_gate_rejects_meaningless_block():
     _, enc = reduced_resonant_chain()
     flip = model.pauli_site("x", 1, 3)
     block = (flip @ enc.embed_basis())[enc.basis_indices()]
-    with pytest.raises(ExcessiveLeakage) as info:
+    with pytest.raises(ExcessiveLeakage, match=r"^leakage 1\.0000 exceeds"):
         gates.extract_gate(block, 1.0)
-    assert info.value.leakage == 1.0
 
 
 @pytest.mark.parametrize("t", [0.4, 0.8])

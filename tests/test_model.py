@@ -39,6 +39,8 @@ def test_chain_spec_validation():
         model.ChainSpec(n=13, coupling=1.0, roles="A" * 13)
     with pytest.raises(ValueError):
         model.ChainSpec(n=2, coupling=0.0, roles="AB")
+    with pytest.raises(ValueError, match="finite"):
+        model.ChainSpec(n=2, coupling=float("inf"), roles="AB")
     with pytest.raises(LengthMismatch):
         model.ChainSpec(n=3, coupling=1.0, roles="AB")
     with pytest.raises(ValueError):
@@ -49,6 +51,12 @@ def test_zeeman_levels_default_spacing():
     lv = model.ZeemanLevels.from_delta(coupling=2.0, delta=50.0)
     assert lv.b - lv.a == pytest.approx(100.0)
     assert lv.c - lv.b == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("inf"), float("nan")])
+def test_zeeman_levels_refuse_a_nonpositive_or_infinite_delta(delta):
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        model.ZeemanLevels.from_delta(coupling=1.0, delta=delta)
 
 
 def test_basis_convention():

@@ -82,7 +82,8 @@ def test_zeno_study_rejects_bad_arguments(tmp_path, argv):
     (("--deltas", "1000,300"), "--deltas: delta_values must be ascending"),
     (("--deltas", "nan,1000"), "--deltas: delta_values must be positive and finite"),
     (("--coupling", "0"), "--coupling must be positive"),
-    (("--coupling", "-1"), "--coupling must be positive")])
+    (("--coupling", "-1"), "--coupling must be positive"),
+    (("--coupling", "inf"), "--coupling must be positive and finite")])
 def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("sweep_defects.py", tmp_path, *argv)
     assert proc.returncode == 2
@@ -94,6 +95,7 @@ def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     (("--deltas", "abc"), "--deltas: could not convert string to float: 'abc'"),
     (("--deltas", "300,-5"), "--deltas: delta must be positive"),
     (("--coupling", "0"), "--coupling must be positive"),
+    (("--coupling", "inf"), "--coupling must be positive and finite"),
     (("--pad", "-1"), "--pad must be >= 0"),
     (("--pad", "nan"), "--pad must be >= 0")])
 def test_revival_report_rejects_bad_arguments(tmp_path, argv, message):
@@ -116,7 +118,9 @@ def test_refocus_scan_small_run(tmp_path):
     (("--periods", "abc"), "could not convert string to float: 'abc'"),
     (("--periods", "-1"), "segment duration must be positive"),
     (("--periods", "0.01,0"), "segment duration must be positive"),
+    (("--periods", "0.01,inf"), "segment duration must be positive and finite"),
     (("--delta", "-3"), "delta must be positive"),
+    (("--delta", "inf"), "delta must be positive and finite"),
     (("--cycles", "0"), "--cycles must be >= 1")])
 def test_refocus_scan_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("refocus_scan.py", tmp_path, *argv)
