@@ -95,9 +95,9 @@ def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     (("--deltas", "abc"), "--deltas: could not convert string to float: 'abc'"),
     (("--deltas", "300,-5"), "--deltas: delta must be positive"),
     (("--coupling", "0"), "--coupling must be positive"),
-    (("--coupling", "inf"), "--coupling must be positive and finite"),
     (("--pad", "-1"), "--pad must be >= 0"),
-    (("--pad", "nan"), "--pad must be >= 0")])
+    (("--pad", "nan"), "--pad must be >= 0"),
+    (("--coupling", "inf"), "--coupling must be positive and finite")])
 def test_revival_report_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("revival_report.py", tmp_path, *argv)
     assert proc.returncode == 2
@@ -118,10 +118,10 @@ def test_refocus_scan_small_run(tmp_path):
     (("--periods", "abc"), "could not convert string to float: 'abc'"),
     (("--periods", "-1"), "segment duration must be positive"),
     (("--periods", "0.01,0"), "segment duration must be positive"),
-    (("--periods", "0.01,inf"), "segment duration must be positive and finite"),
     (("--delta", "-3"), "delta must be positive"),
-    (("--delta", "inf"), "delta must be positive and finite"),
-    (("--cycles", "0"), "--cycles must be >= 1")])
+    (("--cycles", "0"), "--cycles must be >= 1"),
+    (("--periods", "0.01,inf"), "segment duration must be positive and finite"),
+    (("--delta", "inf"), "delta must be positive and finite")])
 def test_refocus_scan_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("refocus_scan.py", tmp_path, *argv)
     assert proc.returncode == 2
