@@ -19,7 +19,7 @@ def parse_args():
                    help="comma-separated pulse periods in units of 1/J")
     p.add_argument("--cycles", type=int, default=1)
     p.add_argument("--delta", type=float, default=1000.0)
-    p.add_argument("--out", default="refocus_out")
+    p.add_argument("--out", type=Path, default="refocus_out")
     args = p.parse_args()
     if args.cycles < 1:
         p.error("--cycles must be >= 1")
@@ -28,19 +28,21 @@ def parse_args():
         args.levels = ZeemanLevels.from_delta(1.0, args.delta)
     except ValueError as exc:
         p.error(str(exc))
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        p.error(f"--out: cannot create {args.out}: {exc.strerror}")
     return args
 
 
 def main():
     args = parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     chain = ChainSpec(n=2, coupling=1.0, roles="AB")
 
     records = schemes.refocus_demo(chain, args.levels, args.periods, cycles=args.cycles)
     for rec in records:
         print(f"period={rec.pulse_period:8.4f}  residual={rec.residual:.6e}")
-    analysis.emit_table(analysis.record_columns(records), out / "refocus.csv", fmt="csv")
+    analysis.emit_table(analysis.record_columns(records), args.out / "refocus.csv", fmt="csv")
 
     tau = max(args.periods)
     u_free = schemes.echo_cycle(chain, site_energies(chain, args.levels), tau,

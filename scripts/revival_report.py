@@ -20,7 +20,7 @@ def parse_args():
     p.add_argument("--deltas", default="100,300,1000,3000")
     p.add_argument("--coupling", type=float, default=1.0)
     p.add_argument("--pad", type=float, default=schemes.DEFAULT_PAD)
-    p.add_argument("--out", default="revival_out")
+    p.add_argument("--out", type=Path, default="revival_out")
     args = p.parse_args()
     if not 0 < args.coupling < float("inf"):
         p.error("--coupling must be positive and finite")
@@ -31,6 +31,10 @@ def parse_args():
                        for tok in args.deltas.split(",")]
     except ValueError as exc:
         p.error(f"--deltas: {exc}")
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        p.error(f"--out: cannot create {args.out}: {exc.strerror}")
     return args
 
 
@@ -48,8 +52,6 @@ def pipeline(delta, levels, coupling, pad):
 
 def main():
     args = parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for delta, levels in args.levels:
         try:
@@ -64,7 +66,7 @@ def main():
                   f"distance={row['distance_to_target']:.3e}  "
                   f"leakage={row['leakage']:.3e}  "
                   f"invariant_dev={row['invariant_deviation']:.3e}")
-    (out / "revival_report.json").write_text(
+    (args.out / "revival_report.json").write_text(
         json.dumps(rows, indent=1, sort_keys=True) + "\n")
 
 

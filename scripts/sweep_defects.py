@@ -19,7 +19,7 @@ def parse_args():
     p.add_argument("--coupling", type=float, default=1.0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", default="sweep_out")
+    p.add_argument("--out", type=Path, default="sweep_out")
     args = p.parse_args()
     if args.threads is not None and args.threads < 1:
         p.error("--threads must be >= 1")
@@ -32,14 +32,16 @@ def parse_args():
         p.error("--deltas takes comma-separated numbers")
     except ConfigInvalid as exc:
         p.error(f"--deltas: {exc}")
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        p.error(f"--out: cannot create {args.out}: {exc.strerror}")
     return args
 
 
 def main():
     args = parse_args()
     deltas = args.spec.delta_values
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     records = analysis.defect_sweep(args.spec, threads=args.threads)
     for r in records:
@@ -49,8 +51,8 @@ def main():
     if missing:
         print(f"{missing} grid point(s) had no revival and were dropped")
     if records:
-        analysis.emit_table(analysis.record_columns(records), out / f"defect_sweep.{args.format}",
-                            fmt=args.format)
+        analysis.emit_table(analysis.record_columns(records),
+                            args.out / f"defect_sweep.{args.format}", fmt=args.format)
 
     fit_grid = tuple(d for d in deltas if d >= 10.0)
     if len(fit_grid) >= 3 and max(fit_grid) >= 10 * min(fit_grid):
@@ -60,7 +62,7 @@ def main():
                "leakage_slope": fit.leakage_slope,
                "records": [{"delta": r.delta, "distance": r.distance,
                             "leakage": r.leakage} for r in fit.records]}
-        (out / "ising_fit.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        (args.out / "ising_fit.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"ising fit: distance slope {fit.distance_slope:.3f}, "
               f"leakage slope {fit.leakage_slope:.3f}")
 

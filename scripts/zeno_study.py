@@ -21,7 +21,7 @@ def parse_args():
                    help="collapse intervals in gates; inf = final readout only")
     p.add_argument("--modes", default=",".join(schemes.JITTER_MODES))
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--out", default="zeno_out")
+    p.add_argument("--out", type=Path, default="zeno_out")
     args = p.parse_args()
     if args.gates < 1:
         p.error("--gates must be >= 1")
@@ -32,13 +32,15 @@ def parse_args():
             for mode in args.modes.split(",") for tok in args.intervals.split(",")]
     except ValueError as exc:
         p.error(str(exc))
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        p.error(f"--out: cannot create {args.out}: {exc.strerror}")
     return args
 
 
 def main():
     args = parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
 
     rows = []
@@ -55,7 +57,7 @@ def main():
               f"wrong={stats.wrong_collapse_probability:.4f}  "
               f"fidelity={stats.mean_fidelity:.4f}")
 
-    with open(out / "zeno_curve.csv", "w", newline="") as fh:
+    with open(args.out / "zeno_curve.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)

@@ -109,7 +109,9 @@ def _occupied(chain: ChainSpec, psi: np.ndarray, *energies: tuple[float, ...]
     for e in energies:
         check_energies(chain, e)
     down, sector_rows = _sectors(chain.n)
-    return [(int(k), sector_rows[k]) for k in np.unique(down[psi.any(axis=1)])]
+    # bincount, not np.unique: unique imports numpy.ma on its first call
+    return [(int(k), sector_rows[k])
+            for k in np.flatnonzero(np.bincount(down[psi.any(axis=1)]))]
 
 
 def _rotate(w: np.ndarray, v: np.ndarray, t, block: np.ndarray) -> np.ndarray:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg
 from .errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                      NotDiagonalizableLocally, NotUnitary, SynthesisFailed)
 from .evolve import ZeemanSchedule, evolve, hold_modes, zeeman_frame
+from .linalg import minimize
 from .model import ChainSpec, basis_index, sigma_z_values
 
 REVIVAL_THRESHOLD = 0.999
@@ -470,10 +470,10 @@ def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int,
                     n_starts: int) -> SynthesisResult:
     """Search interleaving single-qubit layers for a CNOT realization.
 
-    Multi-start exact-gradient (L-BFGS-B) maximization of circuit fidelity;
-    start k draws its initial angles from a stream seeded by (seed, k), so
-    the result does not depend on evaluation order.  Starts run in fixed
-    batches with early stop once a batch contains a success.
+    Multi-start exact-gradient BFGS (linalg.minimize) maximization of
+    circuit fidelity; start k draws its initial angles from a stream seeded
+    by (seed, k), so the result does not depend on evaluation order.  Starts
+    run in fixed batches with early stop once a batch contains a success.
     """
     entangler = _two_qubit_unitary(entangler)
     target = cnot_target()
@@ -486,9 +486,8 @@ def synthesize_cnot(entangler: np.ndarray, n_uses: int, seed: int,
     def run_start(k: int) -> tuple[float, np.ndarray]:
         rng = np.random.default_rng([seed, k])
         x0 = rng.uniform(-np.pi, np.pi, shape).ravel()
-        res = minimize(cost, x0, jac=True, method="L-BFGS-B",
-                       options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 2000})
-        return 1.0 - res.fun, res.x.reshape(shape)
+        f, x = minimize(cost, x0)
+        return 1.0 - f, x.reshape(shape)
 
     best_f, best_x, used = -1.0, None, 0
     batch = 8

@@ -1,9 +1,10 @@
 """Dense linear algebra for small spin chains.
 
-Unitarity checks, the phase-invariant operator distance, polar projection and
-golden-section search.  expm_i, the dense spectral exp(-i H t) =
-V exp(-i D t) V+ of a Hermitian H, is the independent reference that the
-tests hold the sector kernel of evolve to; the package itself never calls it.
+Unitarity checks, the phase-invariant operator distance, polar projection,
+golden-section search and a BFGS minimizer.  expm_i, the dense spectral
+exp(-i H t) = V exp(-i D t) V+ of a Hermitian H, is the independent reference
+that the tests hold the sector kernel of evolve to; the package itself never
+calls it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from .errors import DimensionMismatch, NonHermitianInput
 
 HERMITICITY_RTOL = 1e-12   # relative anti-Hermitian part that expm_i refuses
 PHASE_REFINE_TOL = 1e-12   # golden-section bracket of op_distance's phase
+MINIMIZE_GTOL = 1e-12      # minimize stops once no gradient entry is larger
+MINIMIZE_FTOL = 1e-15      # ... or once a step's relative decrease is no larger
+MINIMIZE_MAX_ITER = 2000
+ARMIJO_C1 = 1e-4           # sufficient-decrease constant of the line search
+ARMIJO_MAX_HALVINGS = 60
 
 
 def _as_square(mat) -> np.ndarray:
@@ -91,6 +97,48 @@ def golden_section(f, lo: float, hi: float, tol: float,
             x2 = a + inv * (b - a)
             f2 = f(x2)
     return (a + b) / 2.0, (max if maximize else min)(f1, f2)
+
+
+def minimize(fun, x0) -> tuple[float, np.ndarray]:
+    """Local minimum of a smooth f from x0 by dense BFGS: (f, x).
+
+    fun(x) returns (f(x), grad f(x)).  Each step follows -H g for the BFGS
+    inverse-Hessian estimate H (the identity at first), halving the step
+    until it meets the Armijo condition (Nocedal & Wright, Alg. 3.1 and 6.1).
+    The search stops once max|g| <= MINIMIZE_GTOL, once a step lowers f by
+    at most MINIMIZE_FTOL relative to max(|f|, 1), once no step length meets
+    the condition, or after MINIMIZE_MAX_ITER steps.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    h = np.eye(x.size)
+    for _ in range(MINIMIZE_MAX_ITER):
+        if np.abs(g).max() <= MINIMIZE_GTOL:
+            break
+        p = -(h @ g)
+        slope = g @ p
+        if slope >= 0.0:   # H lost positive definiteness to rounding: restart it
+            h = np.eye(x.size)
+            p, slope = -g, -(g @ g)
+        step = 1.0
+        for _ in range(ARMIJO_MAX_HALVINGS):
+            x_new = x + step * p
+            f_new, g_new = fun(x_new)
+            if f_new <= f + ARMIJO_C1 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0.0:   # curvature condition; otherwise H is kept as it is
+            hy = h @ y
+            h += (((sy + y @ hy) / sy) * np.outer(s, s) - np.outer(hy, s) - np.outer(s, hy)) / sy
+        done = f - f_new <= MINIMIZE_FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            break
+    return f, x
 
 
 def polar_unitary(mat) -> np.ndarray:

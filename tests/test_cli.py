@@ -512,19 +512,51 @@ def test_console_script_runs(tmp_path, chainlab_on_path):
     assert json.loads(proc.stdout.strip())["command"] == "verify-m"
 
 
-def python_m(*argv):
-    """Run ``python -m chainlab`` on the imported package's source tree."""
+def python(*argv):
+    """Run a fresh interpreter on the imported package's source tree."""
     env = dict(os.environ)
     src = str(Path(chainlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "chainlab", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, timeout=120, env=env)
+
+
+def python_m(*argv):
+    """Run ``python -m chainlab`` on the imported package's source tree."""
+    return python("-m", "chainlab", *argv)
 
 
 def test_python_dash_m_runs(tmp_path):
     proc = python_m("verify-m", "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip())["command"] == "verify-m"
+
+
+# modules the package must not load: scipy costs more than half a second of
+# start-up, and numpy.ma is imported lazily by np.unique
+HEAVY_MODULES = """
+import json, sys
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "numpy.ma" or m.startswith("numpy.ma."))
+from chainlab import cli
+after_import = heavy()
+codes = [cli.main([c, "--config", sys.argv[1], "--out", sys.argv[2]]) for c in cli.COMMANDS]
+print(json.dumps([after_import, codes, heavy()]))
+"""
+
+
+def test_no_command_loads_scipy_or_numpy_ma(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synthesize": {"jobs": [{"entangler": "cphase", "n_uses": 2, "n_starts": 8}]},
+        "zeno": {"trials": 100}}))
+    proc = python("-c", HEAVY_MODULES, str(config), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    after_import, codes, after_commands = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert codes == [0] * 6
+    assert after_commands == []
 
 
 # ---------------------------------------------------------------------------

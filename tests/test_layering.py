@@ -1,5 +1,6 @@
 """Only cli and analysis touch files: the physics modules return arrays and
-records, and analysis.emit_table is the one table writer."""
+records, and analysis.emit_table is the one table writer.  No module imports
+scipy, so the package runs on numpy, jsonschema and the standard library."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,28 @@ def test_the_guard_sees_each_kind_of_call():
     tree = ast.parse("open(p)\np.open()\np.write_text(s)\nfh.write_bytes(b)\np.read_text()\n")
     assert sorted(_file_io_calls(tree)) == [
         ("open", 1), ("open", 2), ("write_bytes", 4), ("write_text", 3)]
+
+
+def _imported_packages(tree: ast.Module):
+    """(top-level package, line) of every import statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0], node.lineno
+
+
+def test_no_module_imports_scipy():
+    found = [f"{path.stem}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for name, line in _imported_packages(ast.parse(path.read_text()))
+             if name == "scipy"]
+    assert not found, "scipy imported in the package: " + ", ".join(found)
+
+
+def test_the_import_guard_sees_each_kind_of_import():
+    tree = ast.parse("import scipy\nimport numpy, scipy.optimize as so\n"
+                     "from scipy.optimize import minimize\nfrom . import linalg\n"
+                     "def f():\n    from scipy import linalg\n")
+    assert sorted(_imported_packages(tree)) == [
+        ("numpy", 2), ("scipy", 1), ("scipy", 2), ("scipy", 3), ("scipy", 6)]

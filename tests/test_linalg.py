@@ -110,3 +110,57 @@ def test_golden_section_extrema_and_tie_rule():
     assert linalg.golden_section(flat, 0.0, 1.0, tol)[0] == pytest.approx(1.0, abs=tol)
     assert linalg.golden_section(flat, 0.0, 1.0, tol, maximize=True)[0] == pytest.approx(
         0.0, abs=tol)
+
+
+
+def _quadratic(seed, dim):
+    """A random symmetric positive-definite A (eigenvalues in [0.1, 10]), a
+    random b, and the closed-form minimizer A^-1 b of x.A x / 2 - b.x."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    a = (q * rng.uniform(0.1, 10.0, dim)) @ q.T
+    b = rng.standard_normal(dim)
+    return a, b, np.linalg.solve(a, b)
+
+
+@pytest.mark.parametrize("dim", [2, 12, 30])
+def test_minimize_reaches_quadratic_closed_form(monkeypatch, dim):
+    # with the relative-decrease stop off, and f written about its minimizer
+    # so that its rounding error shrinks with f, the gradient stop ends the search
+    a, b, x_star = _quadratic(dim, dim)
+    monkeypatch.setattr(linalg, "MINIMIZE_FTOL", 0.0)
+    f, x = linalg.minimize(lambda x: (0.5 * (x - x_star) @ a @ (x - x_star), a @ (x - x_star)),
+                           np.zeros(dim))
+    np.testing.assert_allclose(x, x_star, rtol=0, atol=1e-10)
+    assert f < 1e-20
+
+
+@pytest.mark.parametrize("dim", [2, 12, 30])
+def test_minimize_stops_at_the_rounding_floor_of_f(dim):
+    # x.A x / 2 - b.x carries a rounding error of about 1e-16 |f*|, so no
+    # line search on f places x closer than about sqrt(1e-15 |f*| / 0.1)
+    a, b, x_star = _quadratic(dim, dim)
+    f_star = -0.5 * b @ x_star
+    f, x = linalg.minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), np.zeros(dim))
+    assert abs(f - f_star) <= 1e-14 * max(abs(f_star), 1.0)
+    np.testing.assert_allclose(x, x_star, rtol=0, atol=1e-6)
+
+
+def test_minimize_reaches_rosenbrock_minimum():
+    def rosenbrock(x):
+        u, v = x
+        return ((1 - u) ** 2 + 100 * (v - u * u) ** 2,
+                np.array([-2 * (1 - u) - 400 * u * (v - u * u), 200 * (v - u * u)]))
+
+    f, x = linalg.minimize(rosenbrock, [-1.2, 1.0])
+    np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-8)
+    assert f < 1e-15
+
+
+def test_minimize_is_deterministic():
+    a, b, _ = _quadratic(3, 18)
+    fun = lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)  # noqa: E731
+    x0 = np.random.default_rng(4).uniform(-np.pi, np.pi, 18)
+    f1, x1 = linalg.minimize(fun, x0)
+    f2, x2 = linalg.minimize(fun, x0)
+    assert f1 == f2 and x1.tobytes() == x2.tobytes()

@@ -67,7 +67,7 @@ def test_zeno_study_small_run(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("--trials", "0"), ("--gates", "0"), ("--modes", "bogus"),
     *[("--intervals", tok) for tok in ("0", "-2", "nan", "abc", "1.5")],
-    ("--stddev", "-0.1"), ("--stddev", "nan"), ("--seed", "-1")])
+    ("--stddev", "-0.1"), ("--stddev", "nan"), ("--seed", "-1"), ("--out", "/dev/null/out")])
 def test_zeno_study_rejects_bad_arguments(tmp_path, argv):
     proc = run_script("zeno_study.py", tmp_path, *argv)
     assert proc.returncode == 2
@@ -83,7 +83,8 @@ def test_zeno_study_rejects_bad_arguments(tmp_path, argv):
     (("--deltas", "nan,1000"), "--deltas: delta_values must be positive and finite"),
     (("--coupling", "0"), "--coupling must be positive"),
     (("--coupling", "-1"), "--coupling must be positive"),
-    (("--coupling", "inf"), "--coupling must be positive and finite")])
+    (("--coupling", "inf"), "--coupling must be positive and finite"),
+    (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out")])
 def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("sweep_defects.py", tmp_path, *argv)
     assert proc.returncode == 2
@@ -97,7 +98,8 @@ def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     (("--coupling", "0"), "--coupling must be positive"),
     (("--pad", "-1"), "--pad must be >= 0"),
     (("--pad", "nan"), "--pad must be >= 0"),
-    (("--coupling", "inf"), "--coupling must be positive and finite")])
+    (("--coupling", "inf"), "--coupling must be positive and finite"),
+    (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out")])
 def test_revival_report_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("revival_report.py", tmp_path, *argv)
     assert proc.returncode == 2
@@ -121,7 +123,8 @@ def test_refocus_scan_small_run(tmp_path):
     (("--delta", "-3"), "delta must be positive"),
     (("--cycles", "0"), "--cycles must be >= 1"),
     (("--periods", "0.01,inf"), "segment duration must be positive and finite"),
-    (("--delta", "inf"), "delta must be positive and finite")])
+    (("--delta", "inf"), "delta must be positive and finite"),
+    (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out")])
 def test_refocus_scan_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("refocus_scan.py", tmp_path, *argv)
     assert proc.returncode == 2
