@@ -5,10 +5,9 @@ intervals and both jitter models, writing zeno_curve.csv under --out.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
-from chainlab import schemes
+from chainlab import analysis, schemes
 
 
 def parse_args():
@@ -57,10 +56,8 @@ def main():
               f"wrong={stats.wrong_collapse_probability:.4f}  "
               f"fidelity={stats.mean_fidelity:.4f}")
 
-    with open(args.out / "zeno_curve.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+    analysis.emit_table({name: [r[name] for r in rows] for name in rows[0]},
+                        args.out / "zeno_curve.csv")
 
 
 if __name__ == "__main__":

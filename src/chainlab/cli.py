@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator, validators
 
 from . import analysis, schemes
 from .errors import (ConfigInvalid, ExcessiveLeakage, IoFailure, NoRevivalFound,
@@ -44,17 +43,6 @@ _POSINT = {"type": "integer", "minimum": 1}
 
 def _nullable(schema: dict) -> dict:
     return {**schema, "type": [schema["type"], "null"]}
-
-
-def _finite(kind: str):
-    """Draft 7's check for `kind`, refusing the NaN, +-inf and integers beyond
-    float range that Python's json accepts."""
-    return lambda checker, x: (Draft7Validator.TYPE_CHECKER.is_type(x, kind)
-                               and abs(x) <= sys.float_info.max)
-
-
-_Validator = validators.extend(Draft7Validator, type_checker=Draft7Validator.TYPE_CHECKER
-                               .redefine_many({k: _finite(k) for k in ("number", "integer")}))
 
 
 CONFIG_SCHEMA = {
@@ -174,14 +162,65 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
+def _finite_number(x) -> bool:
+    """JSON true/false are no numbers, although Python's bool is an int; and
+    Python's json reads NaN, Infinity, 1e400 and integers beyond float range,
+    which no field takes."""
+    return not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, (int, float)) and _finite_number(x),
+    "integer": lambda x: isinstance(x, int) and _finite_number(x),   # so 2.0 is no integer
+}
+
+
+def _violations(schema: dict, x, path: tuple = ()):
+    """(path, message) of each way x breaks schema, reading only the JSON Schema
+    keywords CONFIG_SCHEMA uses."""
+    kinds = schema.get("type", [])
+    kinds = kinds if isinstance(kinds, list) else [kinds]
+    if kinds and not any(_TYPES[k](x) for k in kinds):
+        yield path, f"{x!r} is not of type {' or '.join(kinds)}"
+        return
+    if "enum" in schema and x not in schema["enum"]:
+        yield path, f"{x!r} is not one of {schema['enum']}"
+    if "const" in schema and x != schema["const"]:
+        yield path, f"{x!r} is not {schema['const']!r}"
+    if x is not None and "minimum" in schema and x < schema["minimum"]:
+        yield path, f"{x!r} is less than {schema['minimum']}"
+    if x is not None and "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]:
+        yield path, f"{x!r} is not greater than {schema['exclusiveMinimum']}"
+    if isinstance(x, dict):
+        props = schema.get("properties", {})
+        if schema.get("additionalProperties") is False and set(x) - set(props):
+            yield path, f"unknown keys {sorted(set(x) - set(props))}"
+        missing = [k for k in schema.get("required", ()) if k not in x]
+        if missing:
+            yield path, f"missing keys {missing}"
+        for key, sub in schema.get("dependencies", {}).items():
+            if key in x:
+                yield from _violations(sub, x, path)
+        for key, sub in props.items():
+            if key in x:
+                yield from _violations(sub, x[key], path + (key,))
+    if isinstance(x, list):
+        if len(x) < schema.get("minItems", 0):
+            yield path, f"{x!r} has fewer than {schema['minItems']} items"
+        for i, item in enumerate(x):
+            yield from _violations(schema.get("items", {}), item, path + (i,))
+
+
 def _validate_config(doc: dict) -> None:
     """Raise ConfigInvalid at the first schema violation, by path."""
-    errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(doc),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigInvalid(f"config invalid at {where}: {first.message}")
+    first = min(_violations(CONFIG_SCHEMA, doc), key=lambda e: e[0], default=None)
+    if first is not None:
+        where = "/".join(map(str, first[0])) or "<root>"
+        raise ConfigInvalid(f"config invalid at {where}: {first[1]}")
 
 
 def _write(path: Path, text: str) -> None:

@@ -153,6 +153,40 @@ def test_non_finite_tolerance_flag_is_config_error(capsys, tmp_path, command, va
     assert not (tmp_path / "out").exists()
 
 
+SHAPE_ERRORS = [   # (command, config document, path named in the detail)
+    ("verify-m", [], "<root>"),
+    ("verify-m", {"coupling": True}, "coupling"),
+    ("zeno", {"zeno": {"trials": True}}, "zeno/trials"),
+    ("verify-m", {"coupling": None}, "coupling"),
+    # Python's 2.0 == 2, but an integer field takes a JSON integer
+    ("zeno", {"zeno": {"trials": 100.0}}, "zeno/trials"),
+    ("synthesize", {"synthesize": {"jobs": [
+        {"entangler": "cphase", "n_uses": 2.0, "n_starts": 2.0}]}}, "synthesize/jobs/0/n_starts"),
+    ("zeno", {"seed": 5.0}, "seed"),
+    ("synthesize", {"seed": 5.0}, "seed"),
+    ("sweep", {"threads": 1.0}, "threads"),
+    ("zeno", {"zeno": {"jitter_mode": "sometimes"}}, "zeno/jitter_mode"),
+    ("sweep", {"sweep": {"format": "xml"}}, "sweep/format"),
+    ("sweep", {"sweep": {"delta_values": [1000]}}, "sweep/delta_values"),
+    ("synthesize", {"synthesize": {"jobs": []}}, "synthesize/jobs"),
+    ("synthesize", {"synthesize": {"jobs": [{"entangler": "cphase"}]}}, "synthesize/jobs/0"),
+    ("verify-m", {"output_dir": 5}, "output_dir"),
+]
+
+
+@pytest.mark.parametrize("command, doc, where", SHAPE_ERRORS)
+def test_config_of_the_wrong_shape_is_config_error(capsys, tmp_path, command, doc, where):
+    config = write_config(tmp_path, doc)
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    summary = json.loads(lines[0])
+    assert summary["reason"] == "config_invalid"
+    assert summary["detail"].startswith(f"config invalid at {where}: ")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-g
 
@@ -533,12 +567,12 @@ def test_python_dash_m_runs(tmp_path):
 
 
 # modules the package must not load: scipy costs more than half a second of
-# start-up, and numpy.ma is imported lazily by np.unique
+# start-up and jsonschema about a tenth, and numpy.ma is imported lazily by np.unique
 HEAVY_MODULES = """
 import json, sys
 def heavy():
-    return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "scipy" or m == "numpy.ma" or m.startswith("numpy.ma."))
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")
+                  or m == "numpy.ma" or m.startswith("numpy.ma."))
 from chainlab import cli
 after_import = heavy()
 codes = [cli.main([c, "--config", sys.argv[1], "--out", sys.argv[2]]) for c in cli.COMMANDS]
