@@ -7,10 +7,9 @@ detuning whose pipeline fails gets a row with the failure reason instead.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from chainlab import gates, schemes
+from chainlab import analysis, gates, schemes
 from chainlab.errors import ChainlabError
 from chainlab.model import ZeemanLevels
 
@@ -66,8 +65,7 @@ def main():
                   f"distance={row['distance_to_target']:.3e}  "
                   f"leakage={row['leakage']:.3e}  "
                   f"invariant_dev={row['invariant_deviation']:.3e}")
-    (args.out / "revival_report.json").write_text(
-        json.dumps(rows, indent=1, sort_keys=True) + "\n")
+    analysis.emit_json(rows, args.out / "revival_report.json")
 
 
 if __name__ == "__main__":

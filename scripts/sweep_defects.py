@@ -5,7 +5,7 @@ per detuning.
 """
 
 import argparse
-import json
+from dataclasses import asdict
 from pathlib import Path
 
 from chainlab import analysis
@@ -57,12 +57,8 @@ def main():
     fit_grid = tuple(d for d in deltas if d >= 10.0)
     if len(fit_grid) >= 3 and max(fit_grid) >= 10 * min(fit_grid):
         fit = analysis.ising_convergence(fit_grid, coupling=args.coupling)
-        doc = {"delta_grid": list(fit_grid),
-               "distance_slope": fit.distance_slope,
-               "leakage_slope": fit.leakage_slope,
-               "records": [{"delta": r.delta, "distance": r.distance,
-                            "leakage": r.leakage} for r in fit.records]}
-        (args.out / "ising_fit.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        doc = {"delta_grid": list(fit_grid), **asdict(fit)}
+        analysis.emit_json(doc, args.out / "ising_fit.json")
         print(f"ising fit: distance slope {fit.distance_slope:.3f}, "
               f"leakage slope {fit.leakage_slope:.3f}")
 

@@ -6,12 +6,12 @@ Submodules:
   model     chain spec, Zeeman levels, Heisenberg sector blocks and the
             classical (effective-Ising) energies
   evolve    piecewise-constant schedules, cached sector-blocked evolution
-            (every propagator) and the passive Zeeman frame
+            (of states, or of the identity for a unitary), the Zeeman frame
   gates     revival search, gate readout, invariants, CNOT synthesis
   schemes   the three chain architectures, each built once as a section
             (chain, levels, encoding) that its schedule builders act on;
             the arch-1 exchange-gate pipeline, Zeno runs, refocusing demo
-  analysis  detuning sweeps, Ising-limit convergence, table output
+  analysis  detuning sweeps, Ising-limit convergence, the artifact writers
   cli       the `chainlab` command line tool
 """
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigInvalid, IoFailure, NoRevivalFound
-from .evolve import ZeemanSchedule, propagator, zeeman_frame
+from .evolve import ZeemanSchedule, evolve, zeeman_frame
 from .gates import exchange_gate_target, logical_block
 from .linalg import golden_section, op_distance
 from .model import ChainSpec, ZeemanLevels, classical_ising_energies, sigma_z_values, site_energies
@@ -41,8 +41,11 @@ class SweepSpec:
         object.__setattr__(self, "delta_values", dv)
         if len(dv) < 2:
             raise ConfigInvalid("delta_values needs at least 2 points")
-        if not all(0 < d < np.inf for d in dv):
-            raise ConfigInvalid("delta_values must be positive and finite")
+        for d in dv:
+            try:
+                ZeemanLevels.from_delta(self.coupling, d)
+            except ValueError as exc:
+                raise ConfigInvalid(f"delta_values must be positive and finite: {exc}") from exc
         if list(dv) != sorted(dv):
             raise ConfigInvalid("delta_values must be ascending")
 
@@ -161,7 +164,8 @@ def ising_convergence(delta_grid: Sequence[float], coupling: float = 1.0) -> Isi
         energies = site_energies(chain, levels)
         # strip the same Zeeman frame from both propagators
         frame = zeeman_frame(chain, energies, t).conj()
-        u = propagator(chain, ZeemanSchedule.from_steps([(t, energies)])) * frame[:, None]
+        u = evolve(chain, ZeemanSchedule.from_steps([(t, energies)]), np.eye(chain.dim))
+        u *= frame[:, None]
         u_ising = np.diag(np.exp(-1j * classical_ising_energies(chain, energies) * t) * frame)
         dist = op_distance(u, u_ising)
         leak = float(np.max(1.0 - np.abs(np.diag(u)) ** 2))
@@ -187,7 +191,7 @@ def emit_table(columns: dict[str, Sequence], path, fmt: str = "csv") -> None:
 
     For numeric columns the CSV is byte for byte what csv.writer writes
     (CRLF line ends); it is built one format string per row and written
-    _CSV_CHUNK_ROWS rows at a time.
+    _CSV_CHUNK_ROWS rows at a time.  JSON rows go through emit_json.
     """
     cols = [np.asarray(c) for c in columns.values()]
     n_rows = len(cols[0]) if cols else 0
@@ -195,19 +199,25 @@ def emit_table(columns: dict[str, Sequence], path, fmt: str = "csv") -> None:
         raise ConfigInvalid("emit_table needs non-empty columns of equal length")
     if fmt not in ("csv", "json"):
         raise ConfigInvalid(f"unknown table format {fmt!r}")
+    if fmt == "json":
+        return emit_json([{name: (float(f"{v:.12g}") if isinstance(v, float) else v)
+                           for name, v in zip(columns, vals)}
+                          for vals in zip(*(c.tolist() for c in cols))], path)
+    row = ",".join("{:.12g}" if c.dtype.kind == "f" else "{}" for c in cols) + "\r\n"
     try:
         with open(path, "w", newline="") as fh:
-            if fmt == "csv":
-                row = ",".join("{:.12g}" if c.dtype.kind == "f" else "{}" for c in cols) + "\r\n"
-                fh.write(",".join(columns) + "\r\n")
-                for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
-                    chunk = (c[lo:lo + _CSV_CHUNK_ROWS].tolist() for c in cols)
-                    fh.write("".join(map(row.format, *chunk)))
-            else:
-                doc = [{name: (float(f"{v:.12g}") if isinstance(v, float) else v)
-                        for name, v in zip(columns, vals)}
-                       for vals in zip(*(c.tolist() for c in cols))]
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            fh.write(",".join(columns) + "\r\n")
+            for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+                chunk = (c[lo:lo + _CSV_CHUNK_ROWS].tolist() for c in cols)
+                fh.write("".join(map(row.format, *chunk)))
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def emit_json(doc, path) -> None:
+    """Write doc as every JSON artifact is written: indent 1, sorted keys, final newline."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

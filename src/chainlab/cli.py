@@ -223,15 +223,16 @@ def _validate_config(doc: dict) -> None:
         raise ConfigInvalid(f"config invalid at {where}: {first[1]}")
 
 
-def _write(path: Path, text: str) -> None:
+def _check_detunings(cfg: dict) -> None:
+    """Refuse, before any output exists, a detuning or sweep grid the schema cannot judge."""
+    where = "sweep/delta_values"
     try:
-        path.write_text(text)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
-def _emit(doc: dict, path: Path) -> None:
-    _write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        analysis.SweepSpec(tuple(cfg["sweep"]["delta_values"]), cfg["coupling"])
+        for section in ("verify_g", "verify_m", "six_settings"):
+            where = f"{section}/delta"
+            ZeemanLevels.from_delta(cfg["coupling"], cfg[section]["delta"])
+    except (ConfigInvalid, ValueError) as exc:
+        raise ConfigInvalid(f"config invalid at {where}: {exc}") from exc
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -263,7 +264,7 @@ def cmd_verify_g(cfg: dict, out: Path) -> tuple[bool, dict]:
         doc["failure"] = f"{type(exc).__name__}: {exc}"
         ok = False
     doc["status"] = "ok" if ok else "fail"
-    _emit(doc, out / "gate_report.json")
+    analysis.emit_json(doc, out / "gate_report.json")
     return ok, {"distance": doc.get("distance_to_target")}
 
 
@@ -290,7 +291,7 @@ def cmd_verify_m(cfg: dict, out: Path) -> tuple[bool, dict]:
         doc["failure"] = f"{type(exc).__name__}: {exc}"
         ok = False
     doc["status"] = "ok" if ok else "fail"
-    _emit(doc, out / "pair_gate_report.json")
+    analysis.emit_json(doc, out / "pair_gate_report.json")
     return ok, {"phase": doc.get("conditional_phase")}
 
 
@@ -332,7 +333,7 @@ def cmd_synthesize(cfg: dict, out: Path) -> tuple[bool, dict]:
         except SynthesisFailed as exc:
             entry.update({"status": "fail", "best_fidelity": exc.best_fidelity})
         results.append(entry)
-    _emit({"jobs": results}, out / "synthesis.json")
+    analysis.emit_json({"jobs": results}, out / "synthesis.json")
     fidelities = [r.get("fidelity", r.get("best_fidelity")) for r in results]
     return all(r["status"] == "ok" for r in results), {"fidelities": fidelities}
 
@@ -352,7 +353,7 @@ def cmd_zeno(cfg: dict, out: Path) -> tuple[bool, dict]:
            "n_collapse_points": stats.n_collapse_points, "trials": c["trials"],
            "collapse_interval": np.inf if k is None else k * t_gate,
            "jitter_stddev": c["jitter_stddev"], "seed": cfg["seed"]}
-    _write(out / "zeno_summary.json", json.dumps(doc, sort_keys=True) + "\n")
+    analysis.emit_json(doc, out / "zeno_summary.json")
     return stats.mean_fidelity >= c["min_fidelity"], {
         "wrong_collapse_probability": stats.wrong_collapse_probability,
         "mean_fidelity": stats.mean_fidelity}
@@ -425,7 +426,7 @@ def cmd_six_settings(cfg: dict, out: Path) -> tuple[bool, dict]:
                                and entry.get("pair_schmidt_weight", 1.0) > 1 - 1e-6)
         results.append(entry)
     doc = {"delta": delta, "tol_identity": tol_id, "tol_same": tol_same, "settings": results}
-    _emit(doc, out / "six_settings.json")
+    analysis.emit_json(doc, out / "six_settings.json")
     passed = [r["passed"] for r in results]
     return all(passed), {"passed": passed}
 
@@ -473,6 +474,7 @@ def main(argv=None) -> int:
                 raise ConfigInvalid(f"--tolerance does not apply to {args.command}")
             cfg[section]["tolerance"] = args.tolerance
         _validate_config(cfg)
+        _check_detunings(cfg)
         out = Path(cfg["output_dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)

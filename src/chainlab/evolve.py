@@ -1,4 +1,4 @@
-"""Piecewise-constant Zeeman schedules and the propagators they generate.
+"""Piecewise-constant Zeeman schedules and the evolution they generate.
 
 Control is a sequence of (duration, per-site energies) segments with abrupt
 switching between them.  Every segment Hamiltonian commutes with total
@@ -126,7 +126,7 @@ def _rotate(w: np.ndarray, v: np.ndarray, t, block: np.ndarray) -> np.ndarray:
 # public evolution API
 
 def evolve(chain: ChainSpec, schedule: ZeemanSchedule, psi0: np.ndarray) -> np.ndarray:
-    """Apply the schedule to a state (or a (dim, m) batch of states).
+    """Apply the schedule to a state or a (dim, m) batch; the identity gives its unitary.
 
     An empty schedule is the zero-duration limit and returns the input.
     """
@@ -135,13 +135,6 @@ def evolve(chain: ChainSpec, schedule: ZeemanSchedule, psi0: np.ndarray) -> np.n
     for seg in schedule.segments:
         cols = _apply(chain, seg.energies, seg.duration, cols)
     return cols.reshape(psi.shape)
-
-
-def propagator(chain: ChainSpec, schedule: ZeemanSchedule) -> np.ndarray:
-    """Full unitary of the schedule; later segments act on the left."""
-    if not schedule.segments:
-        raise ValueError("schedule must contain at least one segment")
-    return evolve(chain, schedule, np.eye(chain.dim))
 
 
 def apply_hold(chain: ChainSpec, energies: Sequence[float], durations: np.ndarray,

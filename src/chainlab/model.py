@@ -70,9 +70,9 @@ class ZeemanLevels:
     @classmethod
     def from_delta(cls, coupling: float, delta: float) -> "ZeemanLevels":
         """Equally spaced levels: A = 0 and (B - A)/J = (C - B)/J = delta."""
-        if not 0 < delta < np.inf:
-            raise ValueError(f"delta must be positive and finite, got {delta}")
         b = delta * coupling
+        if not (0 < delta < np.inf and b + b < np.inf):
+            raise ValueError(f"delta must be positive and finite, as must 2 delta J; got {delta}")
         return cls(a=0.0, b=b, c=b + b)
 
     def of_role(self, role: str) -> float:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidGrouping
-from .evolve import ZeemanSchedule, apply_hold, evolve, propagator
+from .evolve import ZeemanSchedule, apply_hold, evolve
 from .gates import (IDENTITY_INVARIANTS, EncodingMap, PhaseAlignment, align_phases,
                     exchange_gate_target, extract_gate, find_revival,
                     local_equivalence_invariants, logical_block)
@@ -359,10 +359,10 @@ def echo_cycle(chain: ChainSpec, energies: Sequence[float], tau: float,
     pulse = np.eye(chain.dim, dtype=complex)
     for site in pulsed_sites:
         pulse = pauli_site("x", site, chain.n) @ pulse
-    hold = _steps((tau, energies))
+    hold = evolve(chain, _steps((tau, energies)), np.eye(chain.dim))
     u = np.eye(chain.dim, dtype=complex)
     for _ in range(cycles):
-        u = pulse @ propagator(chain, hold) @ pulse @ propagator(chain, hold) @ u
+        u = pulse @ hold @ pulse @ hold @ u
     return u
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from chainlab import analysis, gates, linalg, schemes
 from chainlab.errors import ExcessiveLeakage, NotDiagonalizableLocally, SynthesisFailed
-from chainlab.evolve import ZeemanSchedule, evolve, propagator
+from chainlab.evolve import ZeemanSchedule, evolve
 from chainlab.model import ChainSpec, ZeemanLevels, site_energies
 
 J = 1.0
@@ -306,7 +306,7 @@ def test_criterion_9_conservation_suite():
     worst_sz = 0.0
     corpus = schedule_corpus()
     for chain, sched in corpus:
-        u = propagator(chain, sched)
+        u = evolve(chain, sched, np.eye(chain.dim))
         worst_unitarity = max(worst_unitarity, linalg.unitarity_defect(u))
         psi = rng.normal(size=chain.dim) + 1j * rng.normal(size=chain.dim)
         psi /= np.linalg.norm(psi)

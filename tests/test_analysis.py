@@ -184,6 +184,26 @@ def test_emit_table_rejects_bad_input(tmp_path):
         analysis.emit_table(analysis.record_columns([rec]), tmp_path / "missing" / "x.csv")
 
 
+def test_emit_json_writes_the_artifact_format(tmp_path):
+    path = tmp_path / "doc.json"
+    analysis.emit_json({"zeta": [1, 2.5], "alpha": {"b": np.inf, "a": None}}, path)
+    assert path.read_bytes() == (b'{\n "alpha": {\n  "a": null,\n  "b": Infinity\n },\n'
+                                 b' "zeta": [\n  1,\n  2.5\n ]\n}\n')
+    with pytest.raises(IoFailure):
+        analysis.emit_json({}, tmp_path / "missing" / "x.json")
+    # a DefectRecord table in JSON keeps its bytes: 12-digit floats, one object per row
+    records = [analysis.DefectRecord(delta=300.0, t_r=1.0463038171829868, defect_worst=1 / 3,
+                                     phase_noise_rad=2.5e-13, leakage=0.0),
+               analysis.DefectRecord(delta=1000.0, t_r=1.0478616219295298,
+                                     defect_worst=2 / 3e5, phase_noise_rad=1e-15, leakage=7e-7)]
+    analysis.emit_table(analysis.record_columns(records), path, fmt="json")
+    assert path.read_bytes() == (
+        b'[\n {\n  "defect_worst": 0.333333333333,\n  "delta": 300.0,\n  "leakage": 0.0,\n'
+        b'  "phase_noise_rad": 2.5e-13,\n  "t_r": 1.04630381718\n },\n'
+        b' {\n  "defect_worst": 6.66666666667e-06,\n  "delta": 1000.0,\n  "leakage": 7e-07,\n'
+        b'  "phase_noise_rad": 1e-15,\n  "t_r": 1.04786162193\n }\n]\n')
+
+
 def _csv_writer_bytes(names, rows):
     ref = io.StringIO(newline="")
     writer = csv.writer(ref)

@@ -171,6 +171,14 @@ SHAPE_ERRORS = [   # (command, config document, path named in the detail)
     ("synthesize", {"synthesize": {"jobs": []}}, "synthesize/jobs"),
     ("synthesize", {"synthesize": {"jobs": [{"entangler": "cphase"}]}}, "synthesize/jobs/0"),
     ("verify-m", {"output_dir": 5}, "output_dir"),
+    # schema-valid, but B = delta J overflows; every command checks every section
+    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g/delta"),
+    ("verify-m", {"coupling": 1e300, "verify_m": {"delta": 1e10}}, "verify_m/delta"),
+    ("six-settings", {"coupling": 1e300, "six_settings": {"delta": 1e10}}, "six_settings/delta"),
+    ("sweep", {"coupling": 1e300, "sweep": {"delta_values": [1e10, 2e10]}},
+     "sweep/delta_values"),
+    ("zeno", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g/delta"),
+    ("verify-g", {"sweep": {"delta_values": [1000, 300]}}, "sweep/delta_values"),
 ]
 
 
@@ -178,8 +186,10 @@ SHAPE_ERRORS = [   # (command, config document, path named in the detail)
 def test_config_of_the_wrong_shape_is_config_error(capsys, tmp_path, command, doc, where):
     config = write_config(tmp_path, doc)
     code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert code == 2
+    assert captured.err == ""
     assert len(lines) == 1
     summary = json.loads(lines[0])
     assert summary["reason"] == "config_invalid"
@@ -328,6 +338,7 @@ def test_sweep_descending_grid_is_config_error(capsys, tmp_path):
     code, summary = run_cli(capsys, "sweep", config=path, out=tmp_path / "out")
     assert code == 2
     assert summary["reason"] == "config_invalid"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def test_propagator_matches_dense_matrix_exponential():
     h = model.build_heisenberg(chain, energies)
     u_dense = linalg.expm_i(h, t)
     sched = evolve.ZeemanSchedule.from_steps([(t, energies)])
-    u = evolve.propagator(chain, sched)
+    u = evolve.evolve(chain, sched, np.eye(chain.dim))
     assert np.abs(u - u_dense).max() < 1e-10
     assert linalg.unitarity_defect(u) < 1e-10
 
@@ -40,7 +40,7 @@ def test_two_segments_compose():
     chain, e1, rng = random_chain_and_energies(seed=11, n=3)
     e2 = tuple(rng.uniform(-4, 4, 3))
     sched = evolve.ZeemanSchedule.from_steps([(0.4, e1), (0.9, e2)])
-    u = evolve.propagator(chain, sched)
+    u = evolve.evolve(chain, sched, np.eye(chain.dim))
     u1 = linalg.expm_i(model.build_heisenberg(chain, e1), 0.4)
     u2 = linalg.expm_i(model.build_heisenberg(chain, e2), 0.9)
     assert np.abs(u - u2 @ u1).max() < 1e-10
@@ -52,11 +52,9 @@ def test_evolve_agrees_with_propagator_and_empty_schedule():
     psi0 /= np.linalg.norm(psi0)
     sched = evolve.ZeemanSchedule.from_steps([(1.3, energies)])
     psi = evolve.evolve(chain, sched, psi0)
-    assert np.allclose(psi, evolve.propagator(chain, sched) @ psi0, atol=1e-10)
+    assert np.allclose(psi, evolve.evolve(chain, sched, np.eye(chain.dim)) @ psi0, atol=1e-10)
     empty = evolve.ZeemanSchedule(segments=())
     assert np.array_equal(evolve.evolve(chain, empty, psi0), psi0)
-    with pytest.raises(ValueError):
-        evolve.propagator(chain, empty)
 
 
 def test_energy_vector_length_checked():
@@ -234,7 +232,8 @@ def test_eig_cache_stays_within_byte_budget(monkeypatch):
     rng = np.random.default_rng(29)
     vectors = [tuple(rng.uniform(-4, 4, 6)) for _ in range(12)]
     for energies in vectors:
-        u = evolve.propagator(chain, evolve.ZeemanSchedule.from_steps([(0.7, energies)]))
+        u = evolve.evolve(chain, evolve.ZeemanSchedule.from_steps([(0.7, energies)]),
+                          np.eye(chain.dim))
         held = sum(w.nbytes + v.nbytes for w, v in evolve._EIG_CACHE.values())
         assert 0 < held <= budget
         # the sector used last (all spins down) is the newest entry
@@ -256,7 +255,7 @@ def test_eig_cache_byte_count_survives_concurrent_fills(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(evolve.propagator, chain, s) for s in sched]
+            futures = [pool.submit(evolve.evolve, chain, s, np.eye(chain.dim)) for s in sched]
             units = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)

@@ -59,6 +59,14 @@ def test_zeeman_levels_refuse_a_nonpositive_or_infinite_delta(delta):
         model.ZeemanLevels.from_delta(coupling=1.0, delta=delta)
 
 
+def test_zeeman_levels_refuse_a_delta_whose_levels_overflow():
+    with pytest.raises(ValueError, match="as must 2 delta J"):
+        model.ZeemanLevels.from_delta(coupling=1e300, delta=1e10)
+    with pytest.raises(ValueError, match="as must 2 delta J"):
+        model.ZeemanLevels.from_delta(coupling=1e300, delta=1e8)   # B finite, C = 2B not
+    assert model.ZeemanLevels.from_delta(coupling=1e300, delta=5e7).c == 2 * 5e7 * 1e300
+
+
 def test_basis_convention():
     # site 0 is the most significant bit; up = bit 0
     assert model.basis_index((0, 0, 1)) == 1
