@@ -28,6 +28,8 @@ def parse_args():
     try:
         args.levels = [(float(tok), ZeemanLevels.from_delta(args.coupling, float(tok)))
                        for tok in args.deltas.split(",")]
+        for _, levels in args.levels:
+            schemes.arch1_section(levels, args.coupling)
     except ValueError as exc:
         p.error(f"--deltas: {exc}")
     try:

@@ -22,7 +22,7 @@ from .evolve import ZeemanSchedule, evolve, zeeman_frame
 from .gates import exchange_gate_target, logical_block
 from .linalg import golden_section, op_distance
 from .model import ChainSpec, ZeemanLevels, classical_ising_energies, sigma_z_values, site_energies
-from .schemes import arch1_revival
+from .schemes import arch1_revival, arch1_section
 
 DEFAULT_DELTA_GRID = (5.0, 10.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
 CHI_SCAN_POINTS = 720
@@ -43,7 +43,7 @@ class SweepSpec:
             raise ConfigInvalid("delta_values needs at least 2 points")
         for d in dv:
             try:
-                ZeemanLevels.from_delta(self.coupling, d)
+                arch1_section(ZeemanLevels.from_delta(self.coupling, d), self.coupling)
             except ValueError as exc:
                 raise ConfigInvalid(f"delta_values must be positive and finite: {exc}") from exc
         if list(dv) != sorted(dv):

@@ -224,13 +224,17 @@ def _validate_config(doc: dict) -> None:
 
 
 def _check_detunings(cfg: dict) -> None:
-    """Refuse, before any output exists, a detuning or sweep grid the schema cannot judge."""
+    """Refuse, before any output exists, what the schema cannot judge: a
+    detuning whose Zeeman levels or section Hamiltonian overflow, or a sweep
+    grid that SweepSpec refuses."""
     where = "sweep/delta_values"
     try:
         analysis.SweepSpec(tuple(cfg["sweep"]["delta_values"]), cfg["coupling"])
-        for section in ("verify_g", "verify_m", "six_settings"):
+        for section, layout in (("verify_g", schemes.arch1_section),
+                                ("verify_m", schemes.arch2_section),
+                                ("six_settings", schemes.arch3_section)):
             where = f"{section}/delta"
-            ZeemanLevels.from_delta(cfg["coupling"], cfg[section]["delta"])
+            layout(ZeemanLevels.from_delta(cfg["coupling"], cfg[section]["delta"]), cfg["coupling"])
     except (ConfigInvalid, ValueError) as exc:
         raise ConfigInvalid(f"config invalid at {where}: {exc}") from exc
 

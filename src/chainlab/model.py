@@ -80,8 +80,17 @@ class ZeemanLevels:
 
 
 def site_energies(chain: ChainSpec, levels: ZeemanLevels) -> np.ndarray:
-    """Passive per-site Zeeman energies implied by the role pattern."""
-    return np.array([levels.of_role(r) for r in chain.roles], dtype=float)
+    """Passive per-site Zeeman energies implied by the role pattern.
+
+    Refuses (ValueError) a chain whose largest diagonal energy,
+    sum_i |E_i| + (n - 1) J, is not finite: its Hamiltonian would overflow.
+    """
+    e = [float(levels.of_role(r)) for r in chain.roles]
+    # Python floats: an overflowing sum is inf without a numpy warning
+    if not sum(map(abs, e)) + (chain.n - 1) * chain.coupling < np.inf:
+        raise ValueError(f"the {chain.roles} chain's diagonal energy sum |E_i| + (n-1)J "
+                         f"overflows at B = {levels.b}, J = {chain.coupling}")
+    return np.array(e, dtype=float)
 
 
 # ---------------------------------------------------------------------------

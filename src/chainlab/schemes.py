@@ -37,6 +37,7 @@ ARCH1_REVIVAL_WINDOW = (0.4, 2.2)   # in units of the nominal gate time pi / (3J
 ARCH1_REVIVAL_THRESHOLD = 0.5       # strongly detuned points never reach 0.999
 ARCH1_REVIVAL_DIP = 0.85
 JITTER_MODES = ("independent", "systematic")
+_ZENO_BLOCK_TRIALS = 4096  # trials zeno_run simulates together; bounds the states held
 
 
 def _steps(*segments: tuple[float, Sequence[float]]) -> ZeemanSchedule:
@@ -51,6 +52,9 @@ class Section:
     chain: ChainSpec
     levels: ZeemanLevels
     enc: EncodingMap
+
+    def __post_init__(self):
+        site_energies(self.chain, self.levels)   # refuses a layout whose Hamiltonian overflows
 
     @property
     def passive_energies(self) -> tuple[float, ...]:
@@ -299,6 +303,14 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
     are measured in the z basis (outcomes recorded, never fed forward).
     Jitter and collapse randomness come from separate streams of cfg.seed,
     so runs with different k see identical timing noise.
+
+    The trials run through the whole train in blocks of _ZENO_BLOCK_TRIALS,
+    so peak memory is one block's states and duration factors plus about
+    8 bytes per trial and collapse point (the collapse uniforms) and
+    9 bytes per trial (fidelity and wrong_collapse).  Each trial's column
+    is computed on its own, so the block size changes no outcome; a
+    fidelity may move in its last bits, as BLAS rounds a product's tail
+    columns with another kernel.
     """
     n_gates = len(base_schedule_sequence)
     trials = cfg.trials
@@ -306,39 +318,43 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
     flags = [(g + 1) % every == 0 or g == n_gates - 1 for g in range(n_gates)]
     n_points = sum(flags)
     barriers = enc.barrier_refs
+    noise_cols = n_gates if cfg.jitter_mode == "independent" else 1
 
     rng_jit = np.random.default_rng([cfg.seed, 1])
     rng_col = np.random.default_rng([cfg.seed, 2])
-    if cfg.jitter_mode == "independent":
-        noise = rng_jit.standard_normal((trials, n_gates))
-    else:
-        noise = np.broadcast_to(rng_jit.standard_normal((trials, 1)), (trials, n_gates))
-    # one contiguous row of duration factors per gate
-    factors = np.clip(1.0 + cfg.jitter_stddev * noise, 0.05, None).T.copy()
+    # trials are the last axis of this draw, so it is drawn whole and sliced per block
     uniforms = rng_col.random((n_points, len(barriers), trials))
-
-    psi = np.repeat(np.asarray(psi0, dtype=complex)[:, None], trials, axis=1)
-    ideal = np.asarray(psi0, dtype=complex).copy()
+    psi0 = np.asarray(psi0, dtype=complex)
+    ideal = psi0
+    for sched in base_schedule_sequence:
+        ideal = evolve(chain, sched, ideal)
 
     wrong = np.zeros(trials, dtype=bool)
-    point = 0
-    for g, sched in enumerate(base_schedule_sequence):
-        for seg in sched.segments:
-            psi = apply_hold(chain, seg.energies, seg.duration * factors[g], psi)
-        ideal = evolve(chain, sched, ideal)
-        if flags[g]:
-            for b, (site, ref) in enumerate(barriers):
-                # collapse in place on the two half views; where= skips 1/sqrt(p) of
-                # the dropped half, which may hold no probability at all
-                split = psi.reshape(1 << site, 2, -1, trials, copy=False)
-                halves = split[:, ref], split[:, 1 - ref]
-                probs = [(np.abs(h) ** 2).sum(axis=(0, 1)) for h in halves]
-                hit_ref = uniforms[point, b] < probs[0]
-                wrong |= ~hit_ref
-                for half, p, hit in zip(halves, probs, (hit_ref, ~hit_ref)):
-                    half *= np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=hit)
-            point += 1
-    fid = np.abs(ideal.conj() @ psi) ** 2
+    fid = np.empty(trials)
+    for lo in range(0, trials, _ZENO_BLOCK_TRIALS):
+        hi = min(lo + _ZENO_BLOCK_TRIALS, trials)
+        # the block's rows of one (trials, noise_cols) draw; one contiguous
+        # row of duration factors per gate
+        noise = np.broadcast_to(rng_jit.standard_normal((hi - lo, noise_cols)), (hi - lo, n_gates))
+        factors = np.clip(1.0 + cfg.jitter_stddev * noise, 0.05, None).T.copy()
+        psi = np.repeat(psi0[:, None], hi - lo, axis=1)
+        point = 0
+        for g, sched in enumerate(base_schedule_sequence):
+            for seg in sched.segments:
+                psi = apply_hold(chain, seg.energies, seg.duration * factors[g], psi)
+            if flags[g]:
+                for b, (site, ref) in enumerate(barriers):
+                    # collapse in place on the two half views; where= skips 1/sqrt(p) of
+                    # the dropped half, which may hold no probability at all
+                    split = psi.reshape(1 << site, 2, -1, hi - lo, copy=False)
+                    halves = split[:, ref], split[:, 1 - ref]
+                    probs = [(np.abs(h) ** 2).sum(axis=(0, 1)) for h in halves]
+                    hit_ref = uniforms[point, b, lo:hi] < probs[0]
+                    wrong[lo:hi] |= ~hit_ref
+                    for half, p, hit in zip(halves, probs, (hit_ref, ~hit_ref)):
+                        half *= np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=hit)
+                point += 1
+        fid[lo:hi] = np.abs(ideal.conj() @ psi) ** 2
     return ZenoStats(wrong_collapse=wrong, fidelity=fid, n_collapse_points=n_points)
 
 

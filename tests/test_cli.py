@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chainlab
-from chainlab import cli
+from chainlab import cli, schemes
 
 
 def run_cli(capsys, command, config=None, out=None, extra=()):
@@ -179,6 +179,8 @@ SHAPE_ERRORS = [   # (command, config document, path named in the detail)
      "sweep/delta_values"),
     ("zeno", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g/delta"),
     ("verify-g", {"sweep": {"delta_values": [1000, 300]}}, "sweep/delta_values"),
+    # levels finite, but the nine-site chain's diagonal sum of |E_i| overflows
+    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 8e7}}, "verify_g/delta"),
 ]
 
 
@@ -412,6 +414,14 @@ def test_zeno_default_success(capsys, tmp_path):
     text = (tmp_path / "never" / "zeno_summary.json").read_text()
     assert '"collapse_interval": Infinity' in text
     assert json.loads(text)["n_collapse_points"] == 1
+    # two full blocks of trials and a short third one, written in trial order
+    trials = 2 * schemes._ZENO_BLOCK_TRIALS + 3
+    path = write_config(tmp_path, {"zeno": {"trials": trials, "gates": 2}}, name="blocks.json")
+    run_cli(capsys, "zeno", config=path, out=tmp_path / "blocks")
+    rows = (tmp_path / "blocks" / "zeno_stats.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(trials))
+    doc = json.loads((tmp_path / "blocks" / "zeno_summary.json").read_text())
+    assert doc["trials"] == trials
 
 
 def test_zeno_strict_fidelity_floor_fails(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -326,7 +327,7 @@ def two_barrier_train():
 @pytest.mark.parametrize("mode", ["independent", "systematic"])
 @pytest.mark.parametrize("seed", [5, 1234])
 @pytest.mark.parametrize("train", ["three_spin", "two_barrier"])
-def test_zeno_run_matches_dense_per_trial_oracle(train, seed, mode, k):
+def test_zeno_run_matches_dense_per_trial_oracle(monkeypatch, train, seed, mode, k):
     if train == "three_spin":
         chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
         seq = [gate] * 20
@@ -335,10 +336,18 @@ def test_zeno_run_matches_dense_per_trial_oracle(train, seed, mode, k):
     cfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=0.05, trials=64, seed=seed,
                              jitter_mode=mode)
     stats = schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0)
+    # blocks of 5: 13 blocks, the last one short
+    monkeypatch.setattr(schemes, "_ZENO_BLOCK_TRIALS", 5)
+    blocked = schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0)
     wrong, fid = zeno_oracle(chain, seq, enc, cfg, psi0, k, mode)
-    assert np.array_equal(stats.wrong_collapse, wrong)
-    assert np.abs(stats.fidelity - fid).max() < 1e-12
+    for run in (stats, blocked):
+        assert np.array_equal(run.wrong_collapse, wrong)
+        assert np.abs(run.fidelity - fid).max() < 1e-12
     assert 0 < wrong.sum() < cfg.trials
+    # the same trials either way; BLAS rounds a product's tail columns with
+    # its own kernel, so a trial's fidelity may move in the last bits
+    assert np.array_equal(blocked.wrong_collapse, stats.wrong_collapse)
+    assert np.abs(blocked.fidelity - stats.fidelity).max() < 1e-15
 
 
 @pytest.mark.parametrize("index, off_reference", [(0b111, False), (0b000, True)])
@@ -354,6 +363,20 @@ def test_zeno_collapse_with_an_empty_half_warns_nothing(index, off_reference):
         stats = schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
     assert np.all(stats.wrong_collapse == off_reference)
     assert np.abs(stats.fidelity - 1.0).max() < 1e-12
+
+
+def test_zeno_run_memory_is_one_block_plus_per_trial_results():
+    # 50 000 trials collapsing after each of 20 gates: the collapse uniforms
+    # take 8 MB; holding every trial's state at once peaked near 48 MB
+    chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
+    cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=50_000, seed=1)
+    tracemalloc.start()
+    try:
+        schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_zeno_json_summary(tmp_path):

@@ -85,7 +85,8 @@ def test_zeno_study_rejects_bad_arguments(tmp_path, argv):
     (("--coupling", "-1"), "--coupling must be positive"),
     (("--coupling", "inf"), "--coupling must be positive and finite"),
     (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out"),
-    (("--coupling", "1e300", "--deltas", "1e10,2e10"), "as must 2 delta J")])
+    (("--coupling", "1e300", "--deltas", "1e10,2e10"), "as must 2 delta J"),
+    (("--coupling", "1e300", "--deltas", "8e7,9e7"), "chain's diagonal energy")])
 def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("sweep_defects.py", tmp_path, *argv)
     assert proc.returncode == 2
@@ -101,7 +102,8 @@ def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     (("--pad", "nan"), "--pad must be >= 0"),
     (("--coupling", "inf"), "--coupling must be positive and finite"),
     (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out"),
-    (("--coupling", "1e300", "--deltas", "1e10"), "as must 2 delta J")])
+    (("--coupling", "1e300", "--deltas", "1e10"), "as must 2 delta J"),
+    (("--coupling", "1e300", "--deltas", "8e7"), "chain's diagonal energy")])
 def test_revival_report_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("revival_report.py", tmp_path, *argv)
     assert proc.returncode == 2
