@@ -5,7 +5,9 @@ subcommand; command-line flags override config fields.  Every command writes
 its artifacts into the output directory and returns (ok, summary fields);
 main prints them as a single JSON summary line to stdout with the exit code:
 0 success, 1 scientific-tolerance failure, 2 configuration error, 3 internal
-error.  Reruns with identical config produce byte-identical artifacts.
+error.  Reruns with identical config on one machine and BLAS thread count
+produce byte-identical artifacts; six_settings.json follows the BLAS thread
+count in its last digits.
 """
 
 from __future__ import annotations
@@ -355,7 +357,7 @@ def cmd_zeno(cfg: dict, out: Path) -> tuple[bool, dict]:
     doc = {"wrong_collapse_probability": stats.wrong_collapse_probability,
            "mean_fidelity": stats.mean_fidelity,
            "n_collapse_points": stats.n_collapse_points, "trials": c["trials"],
-           "collapse_interval": np.inf if k is None else k * t_gate,
+           "collapse_interval": None if k is None else k * t_gate,
            "jitter_stddev": c["jitter_stddev"], "seed": cfg["seed"]}
     analysis.emit_json(doc, out / "zeno_summary.json")
     return stats.mean_fidelity >= c["min_fidelity"], {

@@ -37,7 +37,10 @@ ARCH1_REVIVAL_WINDOW = (0.4, 2.2)   # in units of the nominal gate time pi / (3J
 ARCH1_REVIVAL_THRESHOLD = 0.5       # strongly detuned points never reach 0.999
 ARCH1_REVIVAL_DIP = 0.85
 JITTER_MODES = ("independent", "systematic")
-_ZENO_BLOCK_TRIALS = 4096  # trials zeno_run simulates together; bounds the states held
+# trials zeno_run simulates together: bounds the states held, and keeps each
+# sector product small enough that BLAS runs it on one thread, so no BLAS
+# worker spins during a run (tests/test_schemes.py checks the worker's CPU time)
+_ZENO_BLOCK_TRIALS = 4096
 
 
 def _steps(*segments: tuple[float, Sequence[float]]) -> ZeemanSchedule:
@@ -308,9 +311,9 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
     so peak memory is one block's states and duration factors plus about
     8 bytes per trial and collapse point (the collapse uniforms) and
     9 bytes per trial (fidelity and wrong_collapse).  Each trial's column
-    is computed on its own, so the block size changes no outcome; a
-    fidelity may move in its last bits, as BLAS rounds a product's tail
-    columns with another kernel.
+    is computed on its own, and its overlap with the ideal state is summed
+    in one fixed order, so the block size changes no outcome: every
+    wrong_collapse and every fidelity is bitwise the same for any block size.
     """
     n_gates = len(base_schedule_sequence)
     trials = cfg.trials
@@ -354,7 +357,9 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
                     for half, p, hit in zip(halves, probs, (hit_ref, ~hit_ref)):
                         half *= np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=hit)
                 point += 1
-        fid[lo:hi] = np.abs(ideal.conj() @ psi) ** 2
+        # einsum's own loop, not a BLAS gemv: each column is summed in one
+        # fixed order, and no BLAS worker thread is woken for the block
+        fid[lo:hi] = np.abs(np.einsum("i,ij->j", ideal.conj(), psi)) ** 2
     return ZenoStats(wrong_collapse=wrong, fidelity=fid, n_collapse_points=n_points)
 
 

@@ -304,6 +304,26 @@ def test_rerun_gives_byte_identical_artifacts(capsys, tmp_path, command):
     assert artifacts(out) == first
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command, doc", [
+    *((command, {}) for command in cli.COMMANDS),
+    ("zeno", {"zeno": {"collapse_every_gates": None, "trials": 8}}),
+])
+def test_artifacts_and_summary_are_strict_json(capsys, tmp_path, command, doc):
+    # NaN and Infinity are Python's extensions; RFC 8259 parsers refuse them
+    out = tmp_path / "out"
+    cli.main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    texts = [capsys.readouterr().out.strip().splitlines()[-1]]
+    texts += [p.read_text() for p in sorted(out.glob("*.json"))]
+    # every command but sweep (a CSV table at its default) writes a JSON artifact
+    assert len(texts) == (1 if command == "sweep" else 2)
+    for text in texts:
+        json.loads(text, parse_constant=_refuse_constant)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -412,7 +432,7 @@ def test_zeno_default_success(capsys, tmp_path):
     path = write_config(tmp_path, {"zeno": {"collapse_every_gates": None, "trials": 8}})
     run_cli(capsys, "zeno", config=path, out=tmp_path / "never")
     text = (tmp_path / "never" / "zeno_summary.json").read_text()
-    assert '"collapse_interval": Infinity' in text
+    assert '"collapse_interval": null' in text
     assert json.loads(text)["n_collapse_points"] == 1
     # two full blocks of trials and a short third one, written in trial order
     trials = 2 * schemes._ZENO_BLOCK_TRIALS + 3

@@ -1,8 +1,12 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,10 +348,25 @@ def test_zeno_run_matches_dense_per_trial_oracle(monkeypatch, train, seed, mode,
         assert np.array_equal(run.wrong_collapse, wrong)
         assert np.abs(run.fidelity - fid).max() < 1e-12
     assert 0 < wrong.sum() < cfg.trials
-    # the same trials either way; BLAS rounds a product's tail columns with
-    # its own kernel, so a trial's fidelity may move in the last bits
+    # the same trials either way, bit for bit: each column is computed on its
+    # own and its overlap is summed in one fixed order
     assert np.array_equal(blocked.wrong_collapse, stats.wrong_collapse)
-    assert np.abs(blocked.fidelity - stats.fidelity).max() < 1e-15
+    assert np.array_equal(blocked.fidelity, stats.fidelity)
+
+
+@pytest.mark.parametrize("mode", ["independent", "systematic"])
+def test_zeno_fidelity_is_bitwise_independent_of_a_large_block(monkeypatch, mode):
+    # 2053 trials in one block against 294 blocks of 7, the last of 2: a product
+    # this wide is one BLAS may split between threads and kernels
+    chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
+    cfg = schemes.ZenoConfig(collapse_every_gates=3, jitter_stddev=0.05, trials=2053, seed=1234,
+                             jitter_mode=mode)
+    assert cfg.trials <= schemes._ZENO_BLOCK_TRIALS
+    whole = schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
+    monkeypatch.setattr(schemes, "_ZENO_BLOCK_TRIALS", 7)
+    blocked = schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
+    assert np.array_equal(blocked.wrong_collapse, whole.wrong_collapse)
+    assert np.array_equal(blocked.fidelity, whole.fidelity)
 
 
 @pytest.mark.parametrize("index, off_reference", [(0b111, False), (0b000, True)])
@@ -377,6 +396,54 @@ def test_zeno_run_memory_is_one_block_plus_per_trial_results():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+# CPU clock ticks (utime + stime, fields 14-15 of /proc/<pid>/task/<tid>/stat)
+# that the threads other than the main one gain over one zeno_run
+BLAS_WORKER_TICKS = """
+import json, threading, time
+from pathlib import Path
+from chainlab import schemes
+
+def worker_ticks():
+    main, total = threading.get_native_id(), 0
+    for stat in Path("/proc/self/task").glob("*/stat"):
+        if int(stat.parent.name) != main:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+            total += int(fields[11]) + int(fields[12])
+    return total
+
+n_threads = len(list(Path("/proc/self/task").iterdir()))
+# BLAS workers spin for a while after they start; wait until they sleep
+settled = worker_ticks()
+for _ in range(20):
+    time.sleep(0.1)
+    settled, previous = worker_ticks(), settled
+    if settled == previous:
+        break
+chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
+cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=30_000, seed=1)
+before, start = worker_ticks(), time.process_time()
+schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
+print(json.dumps([n_threads, worker_ticks() - before, time.process_time() - start]))
+"""
+
+
+def test_zeno_run_leaves_blas_workers_idle():
+    # every product of a block runs on one BLAS thread; a threaded one keeps a
+    # worker spinning through the run, about as busy as the main thread
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc to read per-thread CPU time from")
+    env = dict(os.environ)
+    src = str(Path(schemes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_WORKER_TICKS], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    n_threads, worker_ticks, cpu_s = json.loads(proc.stdout)
+    if n_threads == 1:
+        pytest.skip("BLAS runs on a single thread here")
+    assert worker_ticks <= 2, f"BLAS workers took {worker_ticks} ticks of {cpu_s:.2f} CPU s"
 
 
 def test_zeno_json_summary(tmp_path):
