@@ -96,6 +96,7 @@ def _apply(chain: ChainSpec, energies: tuple[float, ...], t, psi: np.ndarray) ->
     rows of the others stay exactly zero.  The real eigenvectors act on the
     float view of the complex columns.
     """
+    _check_phase(chain, energies, t)
     out = np.zeros_like(psi)
     for k, rows in _occupied(chain, psi, energies):
         out[rows] = _rotate(*_sector_eig(chain, energies, k), t, psi[rows])
@@ -112,6 +113,19 @@ def _occupied(chain: ChainSpec, psi: np.ndarray, *energies: tuple[float, ...]
     # bincount, not np.unique: unique imports numpy.ma on its first call
     return [(int(k), sector_rows[k])
             for k in np.flatnonzero(np.bincount(down[psi.any(axis=1)]))]
+
+
+def _check_phase(chain: ChainSpec, energies: Sequence[float], t) -> None:
+    """Refuse (ValueError) a hold for t, one duration or an array of them,
+    whose phases w t could overflow.  Every eigenvalue w of its Hamiltonian
+    lies within sum_i |E_i| + 3 (n - 1) J (Gershgorin: the diagonal bound
+    model.site_energies checks, plus the 2J flip-flops); Python floats, so an
+    overflowing bound is inf without a numpy warning.  O(n) for a scalar t."""
+    longest = abs(float(t)) if np.ndim(t) == 0 else float(np.abs(t).max(initial=0.0))
+    bound = sum(abs(float(x)) for x in energies) + 3 * (chain.n - 1) * chain.coupling
+    if not longest * bound < np.inf:
+        raise ValueError(f"a hold of {longest} under energies bounded by {bound} "
+                         "overflows its phase")
 
 
 def _rotate(w: np.ndarray, v: np.ndarray, t, block: np.ndarray) -> np.ndarray:
@@ -164,6 +178,8 @@ def hold_modes(chain: ChainSpec, energies: Sequence[float], after: ZeemanSchedul
     """
     energies = tuple(float(x) for x in energies)
     psi = np.ascontiguousarray(psi, dtype=complex)
+    for seg in after.segments:
+        _check_phase(chain, seg.energies, seg.duration)
     for k, rows in _occupied(chain, psi, energies, *(seg.energies for seg in after.segments)):
         w, v = _sector_eig(chain, energies, k)
         amp = (v.T @ psi[rows].view(float)).view(complex)
@@ -174,6 +190,8 @@ def hold_modes(chain: ChainSpec, energies: Sequence[float], after: ZeemanSchedul
 
 
 def zeeman_frame(chain: ChainSpec, energies: Sequence[float], t: float) -> np.ndarray:
-    """Diagonal of R(t) = exp(-i t sum_i E_i sigma^z_i)."""
+    """Diagonal of R(t) = exp(-i t sum_i E_i sigma^z_i); refuses a t whose
+    phase could overflow, as every hold does."""
+    _check_phase(chain, energies, t)
     zphase = check_energies(chain, energies) @ sigma_z_values(chain.n)
     return np.exp(-1j * t * zphase)

@@ -339,12 +339,15 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
         # the block's rows of one (trials, noise_cols) draw; one contiguous
         # row of duration factors per gate
         noise = np.broadcast_to(rng_jit.standard_normal((hi - lo, noise_cols)), (hi - lo, n_gates))
-        factors = np.clip(1.0 + cfg.jitter_stddev * noise, 0.05, None).T.copy()
+        with np.errstate(over="ignore"):   # an overflowing factor is inf, which apply_hold refuses
+            factors = np.clip(1.0 + cfg.jitter_stddev * noise, 0.05, None).T.copy()
         psi = np.repeat(psi0[:, None], hi - lo, axis=1)
         point = 0
         for g, sched in enumerate(base_schedule_sequence):
             for seg in sched.segments:
-                psi = apply_hold(chain, seg.energies, seg.duration * factors[g], psi)
+                with np.errstate(over="ignore"):   # likewise an overflowing duration
+                    durations = seg.duration * factors[g]
+                psi = apply_hold(chain, seg.energies, durations, psi)
             if flags[g]:
                 for b, (site, ref) in enumerate(barriers):
                     # collapse in place on the two half views; where= skips 1/sqrt(p) of

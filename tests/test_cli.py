@@ -1,7 +1,9 @@
 import copy
 import importlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +199,42 @@ def test_config_of_the_wrong_shape_is_config_error(capsys, tmp_path, command, do
     assert summary["reason"] == "config_invalid"
     assert summary["detail"].startswith(f"config invalid at {where}: ")
     assert not (tmp_path / "out").exists()
+
+
+def assert_finite_artifacts(out):
+    """No artifact under out holds NaN or Infinity: JSON is parsed strictly,
+    and every number in a CSV table is finite."""
+    for path in sorted(out.glob("*")):
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_refuse_constant)
+            continue
+        for field in re.split(r"[,\r\n]+", text):
+            try:
+                assert math.isfinite(float(field)), (path.name, field)
+            except ValueError:   # a header name
+                pass
+
+
+OVERFLOW_REPRODUCERS = [   # (command, config): a hold whose phase w t overflows
+    ("zeno", {"coupling": 1e-9, "zeno": {"trials": 35, "gates": 2, "jitter_stddev": 1e300}}),
+    ("verify-m", {"coupling": 1e-300, "verify_m": {"delta": 1e6, "eps": -1e300}}),
+    ("verify-g", {"coupling": 1000.0, "verify_g": {"delta": 1e6, "pad": 1e300}}),
+]
+
+
+@pytest.mark.parametrize("command, doc", OVERFLOW_REPRODUCERS)
+def test_hold_whose_phase_overflows_is_an_internal_error(tmp_path, command, doc):
+    out = tmp_path / "out"
+    proc = python_m(command, "--config", str(write_config(tmp_path, doc)), "--out", str(out))
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    summary = json.loads(lines[0], parse_constant=_refuse_constant)
+    assert proc.returncode == summary["exit_code"] == 3
+    assert summary["detail"].startswith("ValueError: a hold of ")
+    assert summary["detail"].endswith(" overflows its phase")
+    assert_finite_artifacts(out)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,25 @@ def test_zeeman_frame_matches_dense_expm():
     assert np.abs(frame - np.diag(dense)).max() < 1e-12
 
 
+def test_hold_whose_phase_overflows_is_refused():
+    # |w| <= sum |E_i| + 3 (n - 1) J = 3 here, so t = 6e307 is the first to overflow
+    chain = model.ChainSpec(n=2, coupling=1.0, roles="AB")
+    energies = (0.0, 0.0)
+    psi = np.eye(4, dtype=complex)
+    hold = evolve.ZeemanSchedule.from_steps([(6e307, energies)])
+    with pytest.raises(ValueError, match="overflows its phase"):
+        evolve.evolve(chain, hold, psi)
+    with pytest.raises(ValueError, match="overflows its phase"):
+        next(evolve.hold_modes(chain, energies, hold, psi))
+    for t in (6e307, np.inf, np.nan):
+        with pytest.raises(ValueError, match="overflows its phase"):
+            evolve.apply_hold(chain, energies, np.array([1.0, t, 1.0, 1.0]), psi)
+    with pytest.raises(ValueError, match="overflows its phase"):
+        evolve.zeeman_frame(chain, (1e308, 1e308), 1.0)
+    short = evolve.ZeemanSchedule.from_steps([(5e307, energies)])
+    assert np.isfinite(evolve.evolve(chain, short, psi)).all()
+
+
 # ---------------------------------------------------------------------------
 # the sector kernel against dense exp(-iHt) built from the full Hamiltonian
 
