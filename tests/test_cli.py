@@ -1,15 +1,21 @@
+import contextlib
 import copy
+import functools
 import importlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import chainlab
 from chainlab import cli, schemes
@@ -235,6 +241,87 @@ def test_hold_whose_phase_overflows_is_an_internal_error(tmp_path, command, doc)
     assert summary["detail"].startswith("ValueError: a hold of ")
     assert summary["detail"].endswith(" overflows its phase")
     assert_finite_artifacts(out)
+
+
+# ---------------------------------------------------------------------------
+# schema-driven fuzzing: every document CONFIG_SCHEMA describes, run through
+# every command, ends in a documented exit code with clean output
+
+# integers whose size sets the run time, bounded so that an example takes
+# well under a second; the seed spans its whole range
+FUZZ_INTEGERS = {"seed": (0, 10**300), "threads": (1, 2), "gates": (1, 4), "trials": (1, 40),
+                 "collapse_every_gates": (1, 6), "n_uses": (1, 3), "n_starts": (1, 2)}
+FUZZ_STRINGS = {"jitter_mode": st.sampled_from(schemes.JITTER_MODES),
+                "output_dir": st.just("overridden by --out")}
+FUZZ_SWEEP_POINTS = (2, 3)
+# magnitudes from 1e-300 to 1e300, mostly positive so that most examples get
+# past the range checks and run
+FUZZ_NUMBERS = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                         st.sampled_from([1.0] * 8 + [0.0, -1.0]),
+                         st.floats(min_value=-300, max_value=300))
+
+
+def _config_strategy(schema, name=None):
+    """Documents of the given CONFIG_SCHEMA node: each object holds its
+    required keys and any of its others, and only keys the schema names."""
+    kinds = schema.get("type", [])
+    kinds = kinds if isinstance(kinds, list) else [kinds]
+    if "enum" in schema:
+        base = st.sampled_from(schema["enum"])
+    elif "object" in kinds:
+        props = {k: _config_strategy(sub, k) for k, sub in schema["properties"].items()}
+        required = schema.get("required", [])
+        base = st.fixed_dictionaries(
+            {k: props[k] for k in required},
+            optional={k: v for k, v in props.items() if k not in required},
+        ).map(functools.partial(_drop_unmet_dependencies, schema))
+    elif "array" in kinds:
+        items = _config_strategy(schema["items"], name)
+        if schema["items"].get("type") == "number":   # the sweep grid, ascending
+            return st.lists(items, min_size=FUZZ_SWEEP_POINTS[0],
+                            max_size=FUZZ_SWEEP_POINTS[1]).map(sorted)
+        return st.lists(items, min_size=1, max_size=2)
+    elif "integer" in kinds:
+        base = st.integers(*FUZZ_INTEGERS[name])
+    elif "number" in kinds:
+        base = FUZZ_NUMBERS
+    else:
+        base = FUZZ_STRINGS[name]
+    return st.one_of(st.none(), base) if "null" in kinds else base
+
+
+def _drop_unmet_dependencies(schema, doc):
+    for key, sub in schema.get("dependencies", {}).items():
+        if key in doc and next(cli._violations(sub, doc), None) is not None:
+            del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_config_strategy(cli.CONFIG_SCHEMA))
+@example(doc=OVERFLOW_REPRODUCERS[0][1])
+@example(doc=OVERFLOW_REPRODUCERS[1][1])
+@example(doc=OVERFLOW_REPRODUCERS[2][1])
+def test_every_schema_document_ends_cleanly(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        config = write_config(Path(tmp), doc)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", str(config), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0], parse_constant=_refuse_constant)["exit_code"] == code
+        assert "Traceback" not in stderr.getvalue()
+        assert "RuntimeWarning" not in stderr.getvalue()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        if out.exists():
+            assert_finite_artifacts(out)
 
 
 # ---------------------------------------------------------------------------
