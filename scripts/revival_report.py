@@ -26,10 +26,9 @@ def parse_args():
     if not args.pad >= 0:
         p.error("--pad must be >= 0")
     try:
-        args.levels = [(float(tok), ZeemanLevels.from_delta(args.coupling, float(tok)))
-                       for tok in args.deltas.split(",")]
-        for _, levels in args.levels:
-            schemes.arch1_section(levels, args.coupling)
+        args.sections = [(float(tok), schemes.arch1_section(
+            ZeemanLevels.from_delta(args.coupling, float(tok)), args.coupling))
+            for tok in args.deltas.split(",")]
     except ValueError as exc:
         p.error(f"--deltas: {exc}")
     try:
@@ -39,8 +38,8 @@ def parse_args():
     return args
 
 
-def pipeline(delta, levels, coupling, pad):
-    t_r, p, gate, leakage, aligned = schemes.arch1_exchange_gate(levels, coupling, pad=pad)
+def pipeline(delta, arch, pad):
+    t_r, p, gate, leakage, aligned = schemes.arch1_exchange_gate(arch, pad=pad)
     return {
         "delta": delta,
         "revival_time": t_r,
@@ -54,9 +53,9 @@ def pipeline(delta, levels, coupling, pad):
 def main():
     args = parse_args()
     rows = []
-    for delta, levels in args.levels:
+    for delta, arch in args.sections:
         try:
-            row = pipeline(delta, levels, args.coupling, args.pad)
+            row = pipeline(delta, arch, args.pad)
         except ChainlabError as exc:   # no revival, or a gate too leaky to compare
             row = {"delta": delta, "failure": str(exc)}
         rows.append(row)

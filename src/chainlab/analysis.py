@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Sequence
 
@@ -22,7 +22,7 @@ from .evolve import ZeemanSchedule, evolve, zeeman_frame
 from .gates import exchange_gate_target, logical_block
 from .linalg import golden_section, op_distance
 from .model import ChainSpec, ZeemanLevels, classical_ising_energies, sigma_z_values, site_energies
-from .schemes import arch1_revival, arch1_section
+from .schemes import ArchitectureOne, arch1_revival, arch1_section
 
 DEFAULT_DELTA_GRID = (5.0, 10.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
 CHI_SCAN_POINTS = 720
@@ -33,21 +33,26 @@ _CSV_CHUNK_ROWS = 8192  # rows per write of emit_table; bounds the text held
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """At least two ascending detunings and the coupling; sections holds the
+    arch-1 section of each detuning, built here once."""
+
     delta_values: tuple[float, ...]
     coupling: float = 1.0
+    sections: tuple[ArchitectureOne, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dv = tuple(float(d) for d in self.delta_values)
         object.__setattr__(self, "delta_values", dv)
         if len(dv) < 2:
             raise ConfigInvalid("delta_values needs at least 2 points")
-        for d in dv:
-            try:
-                arch1_section(ZeemanLevels.from_delta(self.coupling, d), self.coupling)
-            except ValueError as exc:
-                raise ConfigInvalid(f"delta_values must be positive and finite: {exc}") from exc
+        try:
+            sections = tuple(arch1_section(ZeemanLevels.from_delta(self.coupling, d), self.coupling)
+                             for d in dv)
+        except ValueError as exc:
+            raise ConfigInvalid(f"delta_values must be positive and finite: {exc}") from exc
         if list(dv) != sorted(dv):
             raise ConfigInvalid("delta_values must be ascending")
+        object.__setattr__(self, "sections", sections)
 
 
 @dataclass(frozen=True)
@@ -83,8 +88,8 @@ def _walsh_phase_residual(overlaps: Sequence[complex], signs: np.ndarray) -> flo
     return float(np.max(np.abs(residual)))
 
 
-def _sweep_point(delta: float, coupling: float) -> DefectRecord:
-    arch, sched, t_r, _ = arch1_revival(ZeemanLevels.from_delta(coupling, delta), coupling)
+def _sweep_point(delta: float, arch: ArchitectureOne) -> DefectRecord:
+    sched, t_r, _ = arch1_revival(arch)
     logical, leakage = logical_block(arch.chain, sched, arch.enc, arch.passive_energies)
     target = np.kron(np.kron(np.eye(2), exchange_gate_target()), np.eye(2))
     # overlap_j(chi) = sum_k conj(dress_k * target[k, j]) * logical[k, j]
@@ -115,17 +120,17 @@ def _sweep_point(delta: float, coupling: float) -> DefectRecord:
 def defect_sweep(spec: SweepSpec, threads: int | None = None) -> list[DefectRecord]:
     """One DefectRecord per detuning; points without a barrier revival are
     skipped (missing row) rather than failing the sweep."""
-    def safe(delta: float) -> DefectRecord | None:
+    def safe(delta: float, arch: ArchitectureOne) -> DefectRecord | None:
         try:
-            return _sweep_point(delta, spec.coupling)
+            return _sweep_point(delta, arch)
         except NoRevivalFound:
             return None
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(safe, spec.delta_values))
+            results = list(pool.map(safe, spec.delta_values, spec.sections))
     else:
-        results = [safe(d) for d in spec.delta_values]
+        results = list(map(safe, spec.delta_values, spec.sections))
     return [r for r in results if r is not None]
 
 

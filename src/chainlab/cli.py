@@ -1,8 +1,11 @@
 """Command-line front end.
 
 One JSON config document carries chain-level defaults plus one section per
-subcommand; command-line flags override config fields.  Every command writes
-its artifacts into the output directory and returns (ok, summary fields);
+subcommand; command-line flags override config fields.  CONFIG_SCHEMA judges
+its shape, and _build then makes every library object the config names, so
+that their constructors judge the rest before any output.  Every command
+takes the object of its section, writes its artifacts into the output
+directory and returns (ok, summary fields);
 main prints them as a single JSON summary line to stdout with the exit code:
 0 success, 1 scientific-tolerance failure, 2 configuration error, 3 internal
 error.  Reruns with identical config on one machine and BLAS thread count
@@ -38,6 +41,7 @@ EXIT_INTERNAL = 3
 ENTANGLING_PHASE = 2.0 * np.pi / np.sqrt(5.0)  # measured conditional phase of the pair gate
 
 _NUM = {"type": "number"}
+_INT = {"type": "integer"}
 _NONNEG = {"type": "number", "minimum": 0}
 _POSNUM = {"type": "number", "exclusiveMinimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
@@ -47,77 +51,37 @@ def _nullable(schema: dict) -> dict:
     return {**schema, "type": [schema["type"], "null"]}
 
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "coupling": _POSNUM,
-        "seed": {"type": "integer", "minimum": 0},
-        "threads": _POSINT,
-        "output_dir": {"type": "string"},
-        "verify_g": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"delta": _POSNUM, "tolerance": _POSNUM, "pad": _NONNEG},
-        },
-        "verify_m": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"delta": _POSNUM, "tolerance": _POSNUM,
-                           "target_phase": _NUM, "eps": _nullable(_NUM)},
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "delta_values": {"type": "array", "items": _POSNUM, "minItems": 2},
-                "format": {"enum": ["csv", "json"]},
-            },
-        },
-        "synthesize": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "jobs": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "properties": {
-                            "entangler": {"enum": ["exchange", "cphase"]},
-                            "phase": _NUM,
-                            "n_uses": _POSINT,
-                            "n_starts": _POSINT,
-                        },
-                        "required": ["entangler", "n_uses"],
-                        # a phase sets the controlled phase, so only cphase takes one
-                        "dependencies": {
-                            "phase": {"properties": {"entangler": {"const": "cphase"}}}},
-                    },
-                }
-            },
-        },
-        "zeno": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "gates": _POSINT,
-                "trials": _POSINT,
-                "jitter_stddev": _NONNEG,
-                "collapse_every_gates": _nullable(_POSINT),
-                "jitter_mode": {"enum": list(schemes.JITTER_MODES)},
-                "min_fidelity": _NUM,
-            },
-        },
-        "six_settings": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"delta": _POSNUM, "tol_identity": _nullable(_POSNUM),
-                           "tol_same": _POSNUM},
-        },
-    },
-}
+def _closed(properties: dict, **keywords) -> dict:
+    """An object that takes only the named keys."""
+    return {"type": "object", "additionalProperties": False, "properties": properties,
+            **keywords}
+
+
+# Shape only, plus the ranges that no library object judges before the run:
+# coupling, delta, delta_values, seed and the Zeno run's trials, jitter_stddev,
+# collapse_every_gates and jitter_mode are judged by the constructors _build calls.
+CONFIG_SCHEMA = _closed({
+    "coupling": _NUM,
+    "seed": _INT,
+    "threads": _POSINT,
+    "output_dir": {"type": "string"},
+    "verify_g": _closed({"delta": _NUM, "tolerance": _POSNUM, "pad": _NONNEG}),
+    "verify_m": _closed({"delta": _NUM, "tolerance": _POSNUM, "target_phase": _NUM,
+                         "eps": _nullable(_NUM)}),
+    "sweep": _closed({"delta_values": {"type": "array", "items": _NUM},
+                      "format": {"enum": ["csv", "json"]}}),
+    "synthesize": _closed({"jobs": {"type": "array", "minItems": 1, "items": _closed(
+        {"entangler": {"enum": ["exchange", "cphase"]}, "phase": _NUM,
+         "n_uses": _POSINT, "n_starts": _POSINT},
+        required=["entangler", "n_uses"],
+        # a phase sets the controlled phase, so only cphase takes one
+        dependencies={"phase": {"properties": {"entangler": {"const": "cphase"}}}})}}),
+    "zeno": _closed({"gates": _POSINT, "trials": _INT, "jitter_stddev": _NUM,
+                     "collapse_every_gates": _nullable(_INT),
+                     "jitter_mode": {"type": "string"}, "min_fidelity": _NUM}),
+    "six_settings": _closed({"delta": _NUM, "tol_identity": _nullable(_POSNUM),
+                             "tol_same": _POSNUM}),
+})
 
 DEFAULT_CONFIG = {
     "coupling": 1.0,
@@ -225,20 +189,27 @@ def _validate_config(doc: dict) -> None:
         raise ConfigInvalid(f"config invalid at {where}: {first[1]}")
 
 
-def _check_detunings(cfg: dict) -> None:
-    """Refuse, before any output exists, what the schema cannot judge: a
-    detuning whose Zeeman levels or section Hamiltonian overflow, or a sweep
-    grid that SweepSpec refuses."""
-    where = "sweep/delta_values"
+def _build(cfg: dict) -> dict:
+    """The library object of each config section, built for every command
+    before any output: the three architectures' sections, the SweepSpec and
+    the ZenoConfig.  Their constructors alone judge the fields they take; a
+    refusal becomes ConfigInvalid at its section."""
+    coupling, z = cfg["coupling"], cfg["zeno"]
+    built, where = {}, None
     try:
-        analysis.SweepSpec(tuple(cfg["sweep"]["delta_values"]), cfg["coupling"])
-        for section, layout in (("verify_g", schemes.arch1_section),
-                                ("verify_m", schemes.arch2_section),
-                                ("six_settings", schemes.arch3_section)):
-            where = f"{section}/delta"
-            layout(ZeemanLevels.from_delta(cfg["coupling"], cfg[section]["delta"]), cfg["coupling"])
+        for where, layout in (("verify_g", schemes.arch1_section),
+                              ("verify_m", schemes.arch2_section),
+                              ("six_settings", schemes.arch3_section)):
+            built[where] = layout(ZeemanLevels.from_delta(coupling, cfg[where]["delta"]), coupling)
+        where = "sweep"
+        built[where] = analysis.SweepSpec(tuple(cfg[where]["delta_values"]), coupling)
+        where = "zeno"
+        built[where] = schemes.ZenoConfig(
+            collapse_every_gates=z["collapse_every_gates"], jitter_stddev=z["jitter_stddev"],
+            trials=z["trials"], seed=cfg["seed"], jitter_mode=z["jitter_mode"])
     except (ConfigInvalid, ValueError) as exc:
         raise ConfigInvalid(f"config invalid at {where}: {exc}") from exc
+    return built
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -250,18 +221,17 @@ def _summary(command: str, code: int, reason: str | None, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the config, the object _build made for its section
+# (synthesize needs none) and the output directory
 
 
-def cmd_verify_g(cfg: dict, out: Path) -> tuple[bool, dict]:
+def cmd_verify_g(cfg: dict, arch: schemes.ArchitectureOne, out: Path) -> tuple[bool, dict]:
     """Run the alternate-site pipeline and compare the extracted gate to the
     ideal exchange gate after two-sided z-phase alignment."""
     c = cfg["verify_g"]
-    coupling = cfg["coupling"]
-    levels = ZeemanLevels.from_delta(coupling, c["delta"])
     doc = {"delta": c["delta"], "tolerance": c["tolerance"]}
     try:
-        t_r, p, gate, leakage, al = schemes.arch1_exchange_gate(levels, coupling, pad=c["pad"])
+        t_r, p, gate, leakage, al = schemes.arch1_exchange_gate(arch, pad=c["pad"])
         doc.update({"logical_unitary": _matrix_json(gate),
                     "leakage": leakage, "revival_time": t_r,
                     "revival_probability": p, "distance_to_target": al.distance})
@@ -274,14 +244,12 @@ def cmd_verify_g(cfg: dict, out: Path) -> tuple[bool, dict]:
     return ok, {"distance": doc.get("distance_to_target")}
 
 
-def cmd_verify_m(cfg: dict, out: Path) -> tuple[bool, dict]:
+def cmd_verify_m(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool, dict]:
     """Run the paired-encoding pipeline at the simultaneous-revival working
     point and check the conditional phase of the extracted gate."""
     c = cfg["verify_m"]
-    coupling = cfg["coupling"]
-    levels = ZeemanLevels.from_delta(coupling, c["delta"])
-    arch = schemes.arch2_section(levels, coupling)
-    eps = c["eps"] if c["eps"] is not None else schemes.arch2_working_point(levels, coupling)
+    coupling = arch.chain.coupling
+    eps = c["eps"] if c["eps"] is not None else schemes.arch2_working_point(arch.levels, coupling)
     t_gate = np.pi / (np.sqrt(5.0) * coupling)
     sched = schemes.arch2_two_qubit_schedule(arch, t_gate, eps)
     doc = {"delta": c["delta"], "eps": eps, "t_gate": t_gate,
@@ -301,10 +269,8 @@ def cmd_verify_m(cfg: dict, out: Path) -> tuple[bool, dict]:
     return ok, {"phase": doc.get("conditional_phase")}
 
 
-def cmd_sweep(cfg: dict, out: Path) -> tuple[bool, dict]:
+def cmd_sweep(cfg: dict, spec: analysis.SweepSpec, out: Path) -> tuple[bool, dict]:
     c = cfg["sweep"]
-    spec = analysis.SweepSpec(delta_values=tuple(c["delta_values"]),
-                              coupling=cfg["coupling"])
     records = analysis.defect_sweep(spec, threads=cfg["threads"])
     fmt = c["format"]
     path = out / f"defect_sweep.{fmt}"
@@ -318,7 +284,7 @@ def cmd_sweep(cfg: dict, out: Path) -> tuple[bool, dict]:
                 "table": str(path) if records else None}
 
 
-def cmd_synthesize(cfg: dict, out: Path) -> tuple[bool, dict]:
+def cmd_synthesize(cfg: dict, _: None, out: Path) -> tuple[bool, dict]:
     results = []
     for job in cfg["synthesize"]["jobs"]:
         if job["entangler"] == "exchange":
@@ -344,21 +310,19 @@ def cmd_synthesize(cfg: dict, out: Path) -> tuple[bool, dict]:
     return all(r["status"] == "ok" for r in results), {"fidelities": fidelities}
 
 
-def cmd_zeno(cfg: dict, out: Path) -> tuple[bool, dict]:
+def cmd_zeno(cfg: dict, zcfg: schemes.ZenoConfig, out: Path) -> tuple[bool, dict]:
     c = cfg["zeno"]
     chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train(cfg["coupling"])
-    k = c["collapse_every_gates"]
-    zcfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=c["jitter_stddev"],
-                              trials=c["trials"], seed=cfg["seed"], jitter_mode=c["jitter_mode"])
+    k = zcfg.collapse_every_gates
     stats = schemes.zeno_run(chain, [gate] * c["gates"], enc, zcfg, psi0=psi0)
-    analysis.emit_table({"trial": np.arange(c["trials"]),
+    analysis.emit_table({"trial": np.arange(zcfg.trials),
                          "wrong_collapse": stats.wrong_collapse.astype(np.uint8),
                          "fidelity": stats.fidelity}, out / "zeno_stats.csv")
     doc = {"wrong_collapse_probability": stats.wrong_collapse_probability,
            "mean_fidelity": stats.mean_fidelity,
-           "n_collapse_points": stats.n_collapse_points, "trials": c["trials"],
+           "n_collapse_points": stats.n_collapse_points, "trials": zcfg.trials,
            "collapse_interval": None if k is None else k * t_gate,
-           "jitter_stddev": c["jitter_stddev"], "seed": cfg["seed"]}
+           "jitter_stddev": zcfg.jitter_stddev, "seed": zcfg.seed}
     analysis.emit_json(doc, out / "zeno_summary.json")
     return stats.mean_fidelity >= c["min_fidelity"], {
         "wrong_collapse_probability": stats.wrong_collapse_probability,
@@ -387,7 +351,7 @@ _SIX_CHECKS = (
 )
 
 
-def cmd_six_settings(cfg: dict, out: Path) -> tuple[bool, dict]:
+def cmd_six_settings(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool, dict]:
     """Enumerate the six global settings on a 12-site chain and verify that
     each drives exactly its own parity group.
 
@@ -399,13 +363,11 @@ def cmd_six_settings(cfg: dict, out: Path) -> tuple[bool, dict]:
     pair maps stay product across the pair/rest cut.
     """
     c = cfg["six_settings"]
-    coupling = cfg["coupling"]
+    coupling = arch.chain.coupling
     delta = c["delta"]
     tol_id = c["tol_identity"] if c["tol_identity"] is not None else 10.0 * coupling / delta
     tol_same = c["tol_same"]
-    levels = ZeemanLevels.from_delta(coupling, delta)
-    arch = schemes.arch3_section(levels, coupling)
-    settings = schemes.six_settings(levels, coupling)
+    settings = schemes.six_settings(arch.levels, coupling)
     logical = [logical_block(arch.chain, schemes.arch3_apply(arch, s), arch.enc,
                              arch.passive_energies)[0] for s in settings]
 
@@ -474,19 +436,19 @@ def main(argv=None) -> int:
             cfg["threads"] = args.threads
         if args.out is not None:
             cfg["output_dir"] = args.out
+        section = args.command.replace("-", "_")
         if args.tolerance is not None:
-            section = args.command.replace("-", "_")
             if "tolerance" not in cfg[section]:
                 raise ConfigInvalid(f"--tolerance does not apply to {args.command}")
             cfg[section]["tolerance"] = args.tolerance
         _validate_config(cfg)
-        _check_detunings(cfg)
+        built = _build(cfg)
         out = Path(cfg["output_dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoFailure(f"cannot create output directory: {exc}") from exc
-        ok, fields = COMMANDS[args.command](cfg, out)
+        ok, fields = COMMANDS[args.command](cfg, built.get(section), out)
         summary = _summary(args.command, EXIT_OK if ok else EXIT_TOLERANCE,
                            None if ok else "tolerance_exceeded", **fields)
     except ConfigInvalid as exc:

@@ -105,34 +105,33 @@ def arch1_two_qubit_schedule(arch: ArchitectureOne, t_gate: float,
     return _steps((pad, passive), (t_gate, _arch1_gate_energies(arch)), (pad, passive))
 
 
-def arch1_revival(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFAULT_PAD
-                  ) -> tuple[ArchitectureOne, ZeemanSchedule, float, float]:
-    """Barrier revival of the two-qubit gate: (section, schedule at the
+def arch1_revival(arch: ArchitectureOne, pad: float = DEFAULT_PAD
+                  ) -> tuple[ZeemanSchedule, float, float]:
+    """Barrier revival of the section's two-qubit gate: (schedule at the
     revival, revival time, revival probability).
 
     The gate-barrier revival is searched on the gate pair within
     ARCH1_REVIVAL_WINDOW times the nominal pi / (3J); raises NoRevivalFound.
     """
-    arch = arch1_section(levels, coupling)
     pad_hold = _steps((pad, arch.passive_energies))
-    nominal = np.pi / (3.0 * coupling)
+    nominal = np.pi / (3.0 * arch.chain.coupling)
     lo, hi = ARCH1_REVIVAL_WINDOW
     t_r, p_r = find_revival(arch.chain, pad_hold, _arch1_gate_energies(arch), pad_hold,
                             ARCH1_GATE_BARRIER, (lo * nominal, hi * nominal),
                             arch.enc_gate_pair, ARCH1_REVIVAL_THRESHOLD, ARCH1_REVIVAL_DIP)
-    return arch, arch1_two_qubit_schedule(arch, t_r, pad), t_r, p_r
+    return arch1_two_qubit_schedule(arch, t_r, pad), t_r, p_r
 
 
-def arch1_exchange_gate(levels: ZeemanLevels, coupling: float = 1.0, pad: float = DEFAULT_PAD
+def arch1_exchange_gate(arch: ArchitectureOne, pad: float = DEFAULT_PAD
                         ) -> tuple[float, float, np.ndarray, float, PhaseAlignment]:
-    """The exchange gate at the barrier revival: (revival time, revival
-    probability, the gate pair's gate, its leakage, z-phase alignment to the
-    ideal exchange gate).
+    """The section's exchange gate at the barrier revival: (revival time,
+    revival probability, the gate pair's gate, its leakage, z-phase alignment
+    to the ideal exchange gate).
 
     The gate pair's block is read in the passive Zeeman frame (see
     gates.logical_block); raises NoRevivalFound or ExcessiveLeakage.
     """
-    arch, sched, t_r, p_r = arch1_revival(levels, coupling, pad)
+    sched, t_r, p_r = arch1_revival(arch, pad)
     block, leakage = logical_block(arch.chain, sched, arch.enc_gate_pair, arch.passive_energies)
     gate = extract_gate(block, leakage)
     return t_r, p_r, gate, leakage, align_phases(gate, exchange_gate_target())

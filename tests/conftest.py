@@ -16,7 +16,8 @@ def arch1_pipeline():
     """Nine-site exchange gate at detuning 1000: revival, extraction, alignment."""
     coupling = 1.0
     levels = ZeemanLevels.from_delta(coupling=coupling, delta=1000.0)
-    t_r, p_r, gate, leakage, alignment = schemes.arch1_exchange_gate(levels, coupling)
+    arch = schemes.arch1_section(levels, coupling)
+    t_r, p_r, gate, leakage, alignment = schemes.arch1_exchange_gate(arch)
     return {
         "coupling": coupling,
         "levels": levels,

@@ -23,8 +23,11 @@ def test_sweep_spec_validation():
         analysis.SweepSpec(delta_values=(10.0, -1.0))
     with pytest.raises(ConfigInvalid):
         analysis.SweepSpec(delta_values=(100.0, 10.0))
-    spec = analysis.SweepSpec(delta_values=[10, 100])
+    spec = analysis.SweepSpec(delta_values=[10, 100], coupling=2.0)
     assert spec.delta_values == (10.0, 100.0)
+    # one arch-1 section per detuning, built once for the sweep to use
+    assert [s.levels.b for s in spec.sections] == [20.0, 200.0]
+    assert all(s.chain.coupling == 2.0 for s in spec.sections)
 
 
 # ---------------------------------------------------------------------------

@@ -121,11 +121,30 @@ def numeric_leaves(schema, path=()):
         yield from numeric_leaves(schema["items"], path + (0,))
 
 
+# The minima of the numeric fields whose range a library constructor judges
+# in cli._build (ChainSpec, ZeemanLevels.from_delta, SweepSpec, ZenoConfig);
+# the schema holds the minima of the others.
+LIBRARY_MINIMA = {
+    ("coupling",): {"exclusiveMinimum": 0},
+    ("seed",): {"minimum": 0},
+    ("verify_g", "delta"): {"exclusiveMinimum": 0},
+    ("verify_m", "delta"): {"exclusiveMinimum": 0},
+    ("sweep", "delta_values", 0): {"exclusiveMinimum": 0},
+    ("zeno", "trials"): {"minimum": 1},
+    ("zeno", "jitter_stddev"): {"minimum": 0},
+    ("zeno", "collapse_every_gates"): {"minimum": 1},
+    ("six_settings", "delta"): {"exclusiveMinimum": 0},
+}
+
+
 @pytest.mark.parametrize("path, schema", [pytest.param(p, s, id="/".join(map(str, p)))
                                           for p, s in numeric_leaves(cli.CONFIG_SCHEMA)])
 def test_non_finite_or_below_minimum_number_is_config_error(capsys, tmp_path, path, schema):
     # Python's json reads NaN, Infinity and 1e400 (= inf) as numbers
     values = ["NaN", "Infinity", "-Infinity", "1e400"]
+    if path in LIBRARY_MINIMA:   # one judge per rule
+        assert not {"minimum", "exclusiveMinimum"} & set(schema)
+        schema = LIBRARY_MINIMA[path]
     low = schema.get("minimum", schema.get("exclusiveMinimum"))
     if low is not None:
         values.append(repr(low - 1))
@@ -173,22 +192,21 @@ SHAPE_ERRORS = [   # (command, config document, path named in the detail)
     ("zeno", {"seed": 5.0}, "seed"),
     ("synthesize", {"seed": 5.0}, "seed"),
     ("sweep", {"threads": 1.0}, "threads"),
-    ("zeno", {"zeno": {"jitter_mode": "sometimes"}}, "zeno/jitter_mode"),
+    ("zeno", {"zeno": {"jitter_mode": "sometimes"}}, "zeno"),
     ("sweep", {"sweep": {"format": "xml"}}, "sweep/format"),
-    ("sweep", {"sweep": {"delta_values": [1000]}}, "sweep/delta_values"),
+    ("sweep", {"sweep": {"delta_values": [1000]}}, "sweep"),
     ("synthesize", {"synthesize": {"jobs": []}}, "synthesize/jobs"),
     ("synthesize", {"synthesize": {"jobs": [{"entangler": "cphase"}]}}, "synthesize/jobs/0"),
     ("verify-m", {"output_dir": 5}, "output_dir"),
-    # schema-valid, but B = delta J overflows; every command checks every section
-    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g/delta"),
-    ("verify-m", {"coupling": 1e300, "verify_m": {"delta": 1e10}}, "verify_m/delta"),
-    ("six-settings", {"coupling": 1e300, "six_settings": {"delta": 1e10}}, "six_settings/delta"),
-    ("sweep", {"coupling": 1e300, "sweep": {"delta_values": [1e10, 2e10]}},
-     "sweep/delta_values"),
-    ("zeno", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g/delta"),
-    ("verify-g", {"sweep": {"delta_values": [1000, 300]}}, "sweep/delta_values"),
+    # schema-valid, but B = delta J overflows; every command builds every section
+    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g"),
+    ("verify-m", {"coupling": 1e300, "verify_m": {"delta": 1e10}}, "verify_m"),
+    ("six-settings", {"coupling": 1e300, "six_settings": {"delta": 1e10}}, "six_settings"),
+    ("sweep", {"coupling": 1e300, "sweep": {"delta_values": [1e10, 2e10]}}, "sweep"),
+    ("zeno", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g"),
+    ("verify-g", {"sweep": {"delta_values": [1000, 300]}}, "sweep"),
     # levels finite, but the nine-site chain's diagonal sum of |E_i| overflows
-    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 8e7}}, "verify_g/delta"),
+    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 8e7}}, "verify_g"),
 ]
 
 
@@ -241,6 +259,63 @@ def test_hold_whose_phase_overflows_is_an_internal_error(tmp_path, command, doc)
     assert summary["detail"].startswith("ValueError: a hold of ")
     assert summary["detail"].endswith(" overflows its phase")
     assert_finite_artifacts(out)
+
+
+BUILD_RULES = [   # (config, section, field): a range that one constructor in _build judges
+    ({"coupling": 0}, "verify_g", "coupling"),
+    ({"verify_g": {"delta": 0}}, "verify_g", "delta"),
+    ({"verify_m": {"delta": 0}}, "verify_m", "delta"),
+    ({"six_settings": {"delta": 0}}, "six_settings", "delta"),
+    ({"sweep": {"delta_values": [1000]}}, "sweep", "delta_values"),
+    ({"sweep": {"delta_values": [1000, 300]}}, "sweep", "delta_values"),
+    ({"zeno": {"trials": 0}}, "zeno", "trials"),
+    ({"zeno": {"jitter_stddev": -1}}, "zeno", "jitter_stddev"),
+    ({"zeno": {"collapse_every_gates": 0}}, "zeno", "collapse_every_gates"),
+    ({"zeno": {"jitter_mode": "x"}}, "zeno", "jitter_mode"),
+    ({"seed": -1}, "zeno", "seed"),
+]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("doc, section, field", BUILD_RULES,
+                         ids=[f"{s}-{f}-{i}" for i, (_, s, f) in enumerate(BUILD_RULES)])
+def test_every_rule_build_judges_is_config_error_from_every_command(capsys, tmp_path, command,
+                                                                    doc, section, field):
+    config = write_config(tmp_path, doc)
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2 and len(lines) == 1
+    summary = json.loads(lines[0])
+    assert summary["reason"] == "config_invalid"
+    assert summary["detail"].startswith(f"config invalid at {section}: ")
+    assert field in summary["detail"].split(": ", 1)[1]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_build_makes_each_object_once_before_any_output(capsys, tmp_path, monkeypatch, command):
+    out = tmp_path / "out"
+    made = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            made.append((name, out.exists()))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for cls in (schemes.Section, cli.analysis.SweepSpec, schemes.ZenoConfig):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(cli.ZeemanLevels, "from_delta",
+                        staticmethod(counted("ZeemanLevels", cli.ZeemanLevels.from_delta)))
+    config = write_config(tmp_path, {
+        "sweep": {"delta_values": [300, 1000]}, "zeno": {"trials": 8},
+        "synthesize": {"jobs": [{"entangler": "cphase", "n_uses": 1, "n_starts": 1}]}})
+    code, _ = run_cli(capsys, command, config=config, out=out)
+    assert code in (0, 1)
+    # verify_g, verify_m and six_settings, then one section per sweep point
+    assert sorted(name for name, _ in made) == sorted(
+        ["ZeemanLevels", "Section"] * (3 + 2) + ["SweepSpec", "ZenoConfig"])
+    assert not any(after_mkdir for _, after_mkdir in made)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +856,7 @@ def test_unwritable_output_is_an_io_failure(capsys, tmp_path):
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, tmp_path, monkeypatch):
-    def boom(cfg, out):
+    def boom(cfg, built, out):
         return 1 / 0
 
     monkeypatch.setitem(cli.COMMANDS, "zeno", boom)

@@ -226,8 +226,8 @@ def test_batched_revival_matches_pointwise_search(case):
 
 
 def test_arch1_revival_searches_its_gate_schedule():
-    levels = model.ZeemanLevels.from_delta(1.0, 100.0)
-    arch, sched, t_r, p_r = schemes.arch1_revival(levels)
+    arch = schemes.arch1_section(model.ZeemanLevels.from_delta(1.0, 100.0))
+    sched, t_r, p_r = schemes.arch1_revival(arch)
     assert (t_r, p_r) == gates.find_revival(*arch1_revival_case(100.0))
     assert sched == schemes.arch1_two_qubit_schedule(arch, t_r, schemes.DEFAULT_PAD)
 
@@ -298,7 +298,8 @@ def test_logical_block_leakage_is_the_barrier_population_lost(t):
 
 
 def arch1_gate_case(delta):
-    arch, sched, _, _ = schemes.arch1_revival(model.ZeemanLevels.from_delta(1.0, delta))
+    arch = schemes.arch1_section(model.ZeemanLevels.from_delta(1.0, delta))
+    sched, _, _ = schemes.arch1_revival(arch)
     return arch.chain, sched, arch.enc_gate_pair, arch.passive_energies
 
 
@@ -562,7 +563,7 @@ def test_synthesis_reaches_closed_form_optimum(entangler, n_uses, best):
 def test_synthesize_json_round_trip(tmp_path):
     cfg = {"seed": 3, "synthesize": {"jobs": [
         {"entangler": "cphase", "phase": np.pi, "n_uses": 1, "n_starts": 4}]}}
-    ok, summary = cli.cmd_synthesize(cfg, tmp_path)
+    ok, summary = cli.cmd_synthesize(cfg, None, tmp_path)
     res = gates.synthesize_cnot(gates.controlled_phase(np.pi), 1, seed=3, n_starts=4)
     doc = json.loads((tmp_path / "synthesis.json").read_text())["jobs"][0]
     assert ok

@@ -63,7 +63,7 @@ def test_arch1_schedules_refuse_a_negative_or_nan_pad(pad):
     with pytest.raises(ValueError, match="must be positive"):
         schemes.arch1_two_qubit_schedule(arch, np.pi / 3.0, pad=pad)
     with pytest.raises(ValueError, match="must be positive"):
-        schemes.arch1_revival(LEVELS, 1.0, pad=pad)
+        schemes.arch1_revival(arch, pad=pad)
 
 
 def test_five_site_section_reference_state():
@@ -450,7 +450,7 @@ def test_zeno_json_summary(tmp_path):
     cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
     cfg["seed"] = 3
     cfg["zeno"].update({"trials": 8, "collapse_every_gates": 4})
-    cli.cmd_zeno(cfg, tmp_path)
+    cli.cmd_zeno(cfg, cli._build(cfg)["zeno"], tmp_path)
     doc = json.loads((tmp_path / "zeno_summary.json").read_text())
     chain, enc, gate, t_gate, psi0 = schemes.zeno_gate_train(cfg["coupling"])
     zcfg = schemes.ZenoConfig(collapse_every_gates=4, jitter_stddev=0.05, trials=8, seed=3)
