@@ -96,7 +96,7 @@ def _apply(chain: ChainSpec, energies: tuple[float, ...], t, psi: np.ndarray) ->
     rows of the others stay exactly zero.  The real eigenvectors act on the
     float view of the complex columns.
     """
-    _check_phase(chain, energies, t)
+    check_phase(chain, energies, t)
     out = np.zeros_like(psi)
     for k, rows in _occupied(chain, psi, energies):
         out[rows] = _rotate(*_sector_eig(chain, energies, k), t, psi[rows])
@@ -115,7 +115,7 @@ def _occupied(chain: ChainSpec, psi: np.ndarray, *energies: tuple[float, ...]
             for k in np.flatnonzero(np.bincount(down[psi.any(axis=1)]))]
 
 
-def _check_phase(chain: ChainSpec, energies: Sequence[float], t) -> None:
+def check_phase(chain: ChainSpec, energies: Sequence[float], t) -> None:
     """Refuse (ValueError) a hold for t, one duration or an array of them,
     whose phases w t could overflow.  Every eigenvalue w of its Hamiltonian
     lies within sum_i |E_i| + 3 (n - 1) J (Gershgorin: the diagonal bound
@@ -179,7 +179,7 @@ def hold_modes(chain: ChainSpec, energies: Sequence[float], after: ZeemanSchedul
     energies = tuple(float(x) for x in energies)
     psi = np.ascontiguousarray(psi, dtype=complex)
     for seg in after.segments:
-        _check_phase(chain, seg.energies, seg.duration)
+        check_phase(chain, seg.energies, seg.duration)
     for k, rows in _occupied(chain, psi, energies, *(seg.energies for seg in after.segments)):
         w, v = _sector_eig(chain, energies, k)
         amp = (v.T @ psi[rows].view(float)).view(complex)
@@ -192,6 +192,6 @@ def hold_modes(chain: ChainSpec, energies: Sequence[float], after: ZeemanSchedul
 def zeeman_frame(chain: ChainSpec, energies: Sequence[float], t: float) -> np.ndarray:
     """Diagonal of R(t) = exp(-i t sum_i E_i sigma^z_i); refuses a t whose
     phase could overflow, as every hold does."""
-    _check_phase(chain, energies, t)
+    check_phase(chain, energies, t)
     zphase = check_energies(chain, energies) @ sigma_z_values(chain.n)
     return np.exp(-1j * t * zphase)

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                      NotDiagonalizableLocally, NotUnitary, SynthesisFailed)
-from .evolve import ZeemanSchedule, evolve, hold_modes, zeeman_frame
+from .evolve import ZeemanSchedule, check_phase, evolve, hold_modes, zeeman_frame
 from .linalg import minimize
 from .model import ChainSpec, basis_index, sigma_z_values
 
@@ -145,6 +145,7 @@ def find_revival(chain: ChainSpec, head: ZeemanSchedule, hold: Sequence[float],
     barrier's reference rows.  The grid is scored in batches of at most
     REVIVAL_BATCH_COLUMNS (time, input) columns.
     """
+    check_phase(chain, hold, max(map(abs, window)))   # the grid phases the hold itself
     ref = enc.reference_bit(barrier_site)
     lead = evolve(chain, head, enc.embed_basis())
     n_in = enc.logical_dim

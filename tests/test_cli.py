@@ -180,7 +180,7 @@ def test_non_finite_tolerance_flag_is_config_error(capsys, tmp_path, command, va
     assert not (tmp_path / "out").exists()
 
 
-SHAPE_ERRORS = [   # (command, config document, path named in the detail)
+SHAPE_ERRORS = [   # (command, config document, path of the offending field)
     ("verify-m", [], "<root>"),
     ("verify-m", {"coupling": True}, "coupling"),
     ("zeno", {"zeno": {"trials": True}}, "zeno/trials"),
@@ -192,21 +192,22 @@ SHAPE_ERRORS = [   # (command, config document, path named in the detail)
     ("zeno", {"seed": 5.0}, "seed"),
     ("synthesize", {"seed": 5.0}, "seed"),
     ("sweep", {"threads": 1.0}, "threads"),
-    ("zeno", {"zeno": {"jitter_mode": "sometimes"}}, "zeno"),
+    ("zeno", {"zeno": {"jitter_mode": "sometimes"}}, "zeno/jitter_mode"),
     ("sweep", {"sweep": {"format": "xml"}}, "sweep/format"),
-    ("sweep", {"sweep": {"delta_values": [1000]}}, "sweep"),
+    ("sweep", {"sweep": {"delta_values": [1000]}}, "sweep/delta_values"),
     ("synthesize", {"synthesize": {"jobs": []}}, "synthesize/jobs"),
     ("synthesize", {"synthesize": {"jobs": [{"entangler": "cphase"}]}}, "synthesize/jobs/0"),
     ("verify-m", {"output_dir": 5}, "output_dir"),
     # schema-valid, but B = delta J overflows; every command builds every section
-    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g"),
-    ("verify-m", {"coupling": 1e300, "verify_m": {"delta": 1e10}}, "verify_m"),
-    ("six-settings", {"coupling": 1e300, "six_settings": {"delta": 1e10}}, "six_settings"),
-    ("sweep", {"coupling": 1e300, "sweep": {"delta_values": [1e10, 2e10]}}, "sweep"),
-    ("zeno", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g"),
-    ("verify-g", {"sweep": {"delta_values": [1000, 300]}}, "sweep"),
+    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g/delta"),
+    ("verify-m", {"coupling": 1e300, "verify_m": {"delta": 1e10}}, "verify_m/delta"),
+    ("six-settings", {"coupling": 1e300, "six_settings": {"delta": 1e10}}, "six_settings/delta"),
+    ("sweep", {"coupling": 1e300, "sweep": {"delta_values": [1e10, 2e10]}},
+     "sweep/delta_values"),
+    ("zeno", {"coupling": 1e300, "verify_g": {"delta": 1e10}}, "verify_g/delta"),
+    ("verify-g", {"sweep": {"delta_values": [1000, 300]}}, "sweep/delta_values"),
     # levels finite, but the nine-site chain's diagonal sum of |E_i| overflows
-    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 8e7}}, "verify_g"),
+    ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 8e7}}, "verify_g/delta"),
 ]
 
 
@@ -221,6 +222,10 @@ def test_config_of_the_wrong_shape_is_config_error(capsys, tmp_path, command, do
     assert len(lines) == 1
     summary = json.loads(lines[0])
     assert summary["reason"] == "config_invalid"
+    # the schema names the path it refuses; a library constructor in _build
+    # refuses a schema-valid document, and the detail names its section
+    if next(cli._violations(cli.CONFIG_SCHEMA, doc), None) is None:
+        where = where.split("/")[0]
     assert summary["detail"].startswith(f"config invalid at {where}: ")
     assert not (tmp_path / "out").exists()
 
@@ -244,6 +249,8 @@ OVERFLOW_REPRODUCERS = [   # (command, config): a hold whose phase w t overflows
     ("zeno", {"coupling": 1e-9, "zeno": {"trials": 35, "gates": 2, "jitter_stddev": 1e300}}),
     ("verify-m", {"coupling": 1e-300, "verify_m": {"delta": 1e6, "eps": -1e300}}),
     ("verify-g", {"coupling": 1000.0, "verify_g": {"delta": 1e6, "pad": 1e300}}),
+    # the revival grid's own phases w t, before any hold is evolved
+    ("verify-g", {"coupling": 1e-300, "verify_g": {"delta": 1e308}}),
 ]
 
 
