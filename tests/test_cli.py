@@ -386,6 +386,7 @@ def _drop_unmet_dependencies(schema, doc):
 @example(doc=OVERFLOW_REPRODUCERS[0][1])
 @example(doc=OVERFLOW_REPRODUCERS[1][1])
 @example(doc=OVERFLOW_REPRODUCERS[2][1])
+@example(doc=OVERFLOW_REPRODUCERS[3][1])
 def test_every_schema_document_ends_cleanly(command, doc):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
