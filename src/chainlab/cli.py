@@ -19,6 +19,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -207,9 +208,21 @@ def _build(cfg: dict) -> dict:
         built[where] = schemes.ZenoConfig(
             collapse_every_gates=z["collapse_every_gates"], jitter_stddev=z["jitter_stddev"],
             trials=z["trials"], seed=cfg["seed"], jitter_mode=z["jitter_mode"])
+        where = "six_settings"
+        if not math.isfinite(_tol_identity(cfg)):
+            raise ValueError(f"the default tol_identity 10 J/delta overflows at J = {coupling!r}, "
+                             f"delta = {cfg[where]['delta']!r}; set tol_identity")
     except (ConfigInvalid, ValueError) as exc:
         raise ConfigInvalid(f"config invalid at {where}: {exc}") from exc
     return built
+
+
+def _tol_identity(cfg: dict) -> float:
+    """six_settings.tol_identity, by default 10 J/delta."""
+    c = cfg["six_settings"]
+    if c["tol_identity"] is not None:
+        return c["tol_identity"]
+    return 10.0 * cfg["coupling"] / c["delta"]
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -365,7 +378,7 @@ def cmd_six_settings(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool,
     c = cfg["six_settings"]
     coupling = arch.chain.coupling
     delta = c["delta"]
-    tol_id = c["tol_identity"] if c["tol_identity"] is not None else 10.0 * coupling / delta
+    tol_id = _tol_identity(cfg)
     tol_same = c["tol_same"]
     settings = schemes.six_settings(arch.levels, coupling)
     logical = [logical_block(arch.chain, schemes.arch3_apply(arch, s), arch.enc,

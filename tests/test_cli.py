@@ -208,6 +208,9 @@ SHAPE_ERRORS = [   # (command, config document, path of the offending field)
     ("verify-g", {"sweep": {"delta_values": [1000, 300]}}, "sweep/delta_values"),
     # levels finite, but the nine-site chain's diagonal sum of |E_i| overflows
     ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 8e7}}, "verify_g/delta"),
+    # B = delta J is 1, but six-settings' default tol_identity 10 J/delta overflows
+    ("six-settings", {"coupling": 1e300, "six_settings": {"delta": 1e-300}},
+     "six_settings/tol_identity"),
 ]
 
 
