@@ -8,7 +8,8 @@ takes the object of its section, writes its artifacts into the output
 directory and returns (ok, summary fields);
 main prints them as a single JSON summary line to stdout with the exit code:
 0 success, 1 scientific-tolerance failure, 2 configuration error, 3 internal
-error.  Reruns with identical config on one machine and BLAS thread count
+error.  Every command but six-settings runs on one BLAS thread
+(THREADED_BLAS_COMMAND), so reruns with identical config on one machine
 produce byte-identical artifacts; six_settings.json follows the BLAS thread
 count in its last digits.
 """
@@ -16,6 +17,7 @@ count in its last digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import json
@@ -31,7 +33,7 @@ from .errors import (ConfigInvalid, ExcessiveLeakage, IoFailure, NoRevivalFound,
 from .gates import (SYNTH_SUCCESS_FIDELITY, controlled_phase, derive_local_corrections,
                     exchange_gate_target, extract_gate, logical_block,
                     operator_schmidt_factor, synthesize_cnot)
-from .linalg import op_distance
+from .linalg import op_distance, single_blas_thread
 from .model import ZeemanLevels
 
 EXIT_OK = 0
@@ -40,6 +42,14 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 ENTANGLING_PHASE = 2.0 * np.pi / np.sqrt(5.0)  # measured conditional phase of the pair gate
+
+# The one command that keeps OpenBLAS's own thread count; main runs every
+# other one on a single BLAS thread, since a second one only spins beside the
+# main thread (sweep, 2 vCPU: CPU 0.69 -> 0.36 s per run, wall unchanged).
+# six-settings' 12-site sector eigh calls are the one place a second thread
+# does work: pinned, its wall time rose by about 20% and 14 values of
+# six_settings.json moved in their last digits.
+THREADED_BLAS_COMMAND = "six-settings"
 
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
@@ -461,7 +471,9 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoFailure(f"cannot create output directory: {exc}") from exc
-        ok, fields = COMMANDS[args.command](cfg, built.get(section), out)
+        with (contextlib.nullcontext() if args.command == THREADED_BLAS_COMMAND
+              else single_blas_thread()):
+            ok, fields = COMMANDS[args.command](cfg, built.get(section), out)
         summary = _summary(args.command, EXIT_OK if ok else EXIT_TOLERANCE,
                            None if ok else "tolerance_exceeded", **fields)
     except ConfigInvalid as exc:

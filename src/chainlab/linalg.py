@@ -1,13 +1,17 @@
 """Dense linear algebra for small spin chains.
 
 Unitarity checks, the phase-invariant operator distance, polar projection,
-golden-section search and a BFGS minimizer.  expm_i, the dense spectral
+golden-section search, a BFGS minimizer, and single_blas_thread, which runs
+a block on one OpenBLAS thread.  expm_i, the dense spectral
 exp(-i H t) = V exp(-i D t) V+ of a Hermitian H, is the independent reference
 that the tests hold the sector kernel of evolve to; the package itself never
 calls it.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
 
 import numpy as np
 
@@ -139,6 +143,39 @@ def minimize(fun, x0) -> tuple[float, np.ndarray]:
         if done:
             break
     return f, x
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's own
+    extension links, or None where that library does not export both."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the previous count on
+    exit, also when the block raises.  A second thread on the small products
+    and eigensolves of a 9-site chain spins beside the main one and buys no
+    wall time.  Does nothing where the thread count cannot be bound."""
+    binding = _openblas_threads()
+    if binding is None:
+        yield
+        return
+    get, put = binding
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def polar_unitary(mat) -> np.ndarray:
