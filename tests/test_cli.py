@@ -798,9 +798,10 @@ def test_console_script_runs(tmp_path, chainlab_on_path):
     assert json.loads(proc.stdout.strip())["command"] == "verify-m"
 
 
-def python(*argv):
-    """Run a fresh interpreter on the imported package's source tree."""
-    env = dict(os.environ)
+def python(*argv, **environ):
+    """Run a fresh interpreter on the imported package's source tree, with
+    environ added to this process's environment."""
+    env = {**os.environ, **environ}
     src = str(Path(chainlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv],
@@ -898,3 +899,30 @@ def test_default_thread_count_starts_no_pool(capsys, tmp_path, monkeypatch):
     assert code == 0
     code, _ = run_cli(capsys, "synthesize", config=path, out=tmp_path / "synth")
     assert code in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads: every command but cli.THREADED_BLAS_COMMAND runs on one
+
+
+# Left threaded, six-settings keeps a worker busy with its 12-site sector eigh
+# calls (20-28 worker ticks on 2 vCPU); on one thread its wall time rose by
+# about 20% and 14 values of six_settings.json moved in their last digits.
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != cli.THREADED_BLAS_COMMAND])
+def test_command_leaves_blas_workers_idle(blas_worker_ticks, tmp_path, command):
+    # unpinned, a second BLAS thread spun beside the main one through sweep
+    # (23-34 worker ticks, twice its wall time in CPU) and verify-g
+    worker_ticks, cpu_s = blas_worker_ticks(
+        f"cli.main([{command!r}, '--out', {str(tmp_path / 'out')!r}])")
+    assert worker_ticks <= 2, f"BLAS workers took {worker_ticks} ticks of {cpu_s:.2f} CPU s"
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify-g"])
+def test_pinned_artifacts_match_a_one_thread_process(capsys, tmp_path, command):
+    # in process, cli.main pins whatever thread count this process has; a
+    # process started with OPENBLAS_NUM_THREADS=1 never had a second thread
+    code, _ = run_cli(capsys, command, out=tmp_path / "in_process")
+    proc = python("-m", "chainlab", command, "--out", str(tmp_path / "fresh"),
+                  OPENBLAS_NUM_THREADS="1")
+    assert code == proc.returncode == 0, proc.stderr
+    assert artifacts(tmp_path / "in_process") == artifacts(tmp_path / "fresh")

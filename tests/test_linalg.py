@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,3 +167,42 @@ def test_minimize_is_deterministic():
     f1, x1 = linalg.minimize(fun, x0)
     f2, x2 = linalg.minimize(fun, x0)
     assert f1 == f2 and x1.tobytes() == x2.tobytes()
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_single_blas_thread_restores_the_previous_count(monkeypatch, raises):
+    threads = [3]   # every count set, the current one last
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (lambda: threads[-1], threads.append))
+    with pytest.raises(KeyError) if raises else contextlib.nullcontext():
+        with linalg.single_blas_thread():
+            assert threads == [3, 1]
+            if raises:
+                raise KeyError("body")
+    assert threads == [3, 1, 3]
+
+
+def test_single_blas_thread_sets_numpys_openblas_to_one_thread():
+    binding = linalg._openblas_threads()
+    if binding is None:
+        pytest.skip("numpy's BLAS exports no thread-count functions here")
+    get, _ = binding
+    before = get()
+    with linalg.single_blas_thread():
+        assert get() == 1
+    assert get() == before
+
+
+def _no_library(path):
+    raise OSError(f"cannot open {path}")
+
+
+@pytest.mark.parametrize("cdll", [lambda path: object(), _no_library],
+                         ids=["symbols-missing", "library-missing"])
+def test_single_blas_thread_is_a_silent_no_op_when_unbound(monkeypatch, cdll):
+    monkeypatch.setattr(linalg.ctypes, "CDLL", cdll)
+    assert linalg._openblas_threads() is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with linalg.single_blas_thread():
+            product = np.eye(2) @ np.eye(2)
+    assert np.array_equal(product, np.eye(2))

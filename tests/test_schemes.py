@@ -1,12 +1,8 @@
 import copy
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,51 +394,15 @@ def test_zeno_run_memory_is_one_block_plus_per_trial_results():
     assert peak < 16e6
 
 
-# CPU clock ticks (utime + stime, fields 14-15 of /proc/<pid>/task/<tid>/stat)
-# that the threads other than the main one gain over one zeno_run
-BLAS_WORKER_TICKS = """
-import json, threading, time
-from pathlib import Path
-from chainlab import schemes
-
-def worker_ticks():
-    main, total = threading.get_native_id(), 0
-    for stat in Path("/proc/self/task").glob("*/stat"):
-        if int(stat.parent.name) != main:
-            fields = stat.read_text().rsplit(")", 1)[1].split()
-            total += int(fields[11]) + int(fields[12])
-    return total
-
-n_threads = len(list(Path("/proc/self/task").iterdir()))
-# BLAS workers spin for a while after they start; wait until they sleep
-settled = worker_ticks()
-for _ in range(20):
-    time.sleep(0.1)
-    settled, previous = worker_ticks(), settled
-    if settled == previous:
-        break
-chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
-cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=30_000, seed=1)
-before, start = worker_ticks(), time.process_time()
-schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
-print(json.dumps([n_threads, worker_ticks() - before, time.process_time() - start]))
-"""
-
-
-def test_zeno_run_leaves_blas_workers_idle():
-    # every product of a block runs on one BLAS thread; a threaded one keeps a
-    # worker spinning through the run, about as busy as the main thread
-    if not Path("/proc/self/task").is_dir():
-        pytest.skip("no /proc to read per-thread CPU time from")
-    env = dict(os.environ)
-    src = str(Path(schemes.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", BLAS_WORKER_TICKS], capture_output=True,
-                          text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    n_threads, worker_ticks, cpu_s = json.loads(proc.stdout)
-    if n_threads == 1:
-        pytest.skip("BLAS runs on a single thread here")
+def test_zeno_run_leaves_blas_workers_idle(blas_worker_ticks):
+    # every product of a block runs on one BLAS thread, without cli.main's
+    # pin; a threaded one keeps a worker spinning through the run, about as
+    # busy as the main thread
+    worker_ticks, cpu_s = blas_worker_ticks(
+        "chain, enc, gate, _, psi0 = schemes.zeno_gate_train()\n"
+        "cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=30_000,"
+        " seed=1)\n"
+        "schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)")
     assert worker_ticks <= 2, f"BLAS workers took {worker_ticks} ticks of {cpu_s:.2f} CPU s"
 
 
