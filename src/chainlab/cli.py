@@ -8,10 +8,10 @@ takes the object of its section, writes its artifacts into the output
 directory and returns (ok, summary fields);
 main prints them as a single JSON summary line to stdout with the exit code:
 0 success, 1 scientific-tolerance failure, 2 configuration error, 3 internal
-error.  Every command but six-settings runs on one BLAS thread
-(THREADED_BLAS_COMMAND), so reruns with identical config on one machine
-produce byte-identical artifacts; six_settings.json follows the BLAS thread
-count in its last digits.
+error.  Reruns with identical config on one machine produce byte-identical
+artifacts.  Every command but six-settings (THREADED_BLAS_COMMAND) runs on
+one BLAS thread, so its artifacts do not depend on the BLAS thread count;
+six_settings.json follows that count in its last digits.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ ENTANGLING_PHASE = 2.0 * np.pi / np.sqrt(5.0)  # measured conditional phase of t
 
 # The one command that keeps OpenBLAS's own thread count; main runs every
 # other one on a single BLAS thread, since a second one only spins beside the
-# main thread (sweep, 2 vCPU: CPU 0.69 -> 0.36 s per run, wall unchanged).
+# main thread (sweep, 2 vCPU: CPU 0.64 -> 0.32 s per run, wall unchanged).
 # six-settings' 12-site sector eigh calls are the one place a second thread
-# does work: pinned, its wall time rose by about 20% and 14 values of
+# does work: pinned, its wall time rose by 15-20% and 14 values of
 # six_settings.json moved in their last digits.
 THREADED_BLAS_COMMAND = "six-settings"
 
@@ -97,7 +97,7 @@ CONFIG_SCHEMA = _closed({
 DEFAULT_CONFIG = {
     "coupling": 1.0,
     "seed": 1234,
-    "threads": 1,   # the sweep pool measured slower than serial on 2 vCPU
+    "threads": 1,   # one core per run; README gives the pool's timings on 2 vCPU
     "output_dir": "chainlab_out",
     "verify_g": {"delta": 1000.0, "tolerance": 1e-3, "pad": 0.2},
     "verify_m": {"delta": 4000.0, "tolerance": 1e-3,

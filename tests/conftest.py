@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import chainlab
-
 from chainlab import analysis, schemes
 from chainlab.model import ZeemanLevels
 

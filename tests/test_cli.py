@@ -907,7 +907,7 @@ def test_default_thread_count_starts_no_pool(capsys, tmp_path, monkeypatch):
 
 # Left threaded, six-settings keeps a worker busy with its 12-site sector eigh
 # calls (20-28 worker ticks on 2 vCPU); on one thread its wall time rose by
-# about 20% and 14 values of six_settings.json moved in their last digits.
+# 15-20% and 14 values of six_settings.json moved in their last digits.
 @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != cli.THREADED_BLAS_COMMAND])
 def test_command_leaves_blas_workers_idle(blas_worker_ticks, tmp_path, command):
     # unpinned, a second BLAS thread spun beside the main one through sweep
