@@ -142,8 +142,10 @@ def find_revival(chain: ChainSpec, head: ZeemanSchedule, hold: Sequence[float],
     own eigenbasis, so an input's population is the sum over the sectors k
     it occupies of ||C_k (a_k * exp(-i w_k t))||^2, with a_k its hold
     eigenbasis amplitudes and C_k the tail-evolved hold eigenmodes on the
-    barrier's reference rows.  The grid is scored in batches of at most
-    REVIVAL_BATCH_COLUMNS (time, input) columns.
+    barrier's reference rows.  The grid is scored in order, in batches of at
+    most REVIVAL_BATCH_COLUMNS (time, input) columns, and the scoring stops
+    after the batch that holds the grid point just past the first revival;
+    a search that finds no revival scores all REVIVAL_GRID_POINTS points.
     """
     check_phase(chain, hold, max(map(abs, window)))   # the grid phases the hold itself
     ref = enc.reference_bit(barrier_site)
@@ -163,19 +165,25 @@ def find_revival(chain: ChainSpec, head: ZeemanSchedule, hold: Sequence[float],
 
     ts = np.linspace(window[0], window[1], REVIVAL_GRID_POINTS)
     step = max(1, REVIVAL_BATCH_COLUMNS // n_in)
-    ps = np.concatenate([probs(ts[i:i + step]) for i in range(0, len(ts), step)])
-    dipped = np.flatnonzero(ps < dip_level)
-    if dipped.size == 0:
+    ps: list[float] = []
+
+    def grid(i: int) -> float:   # p(ts[i]), scoring the batches up to i's in order
+        while len(ps) <= i:
+            ps.extend(probs(ts[len(ps):len(ps) + step]))
+        return ps[i]
+
+    start = next((i for i in range(len(ts)) if grid(i) < dip_level), None)
+    if start is None:
         raise NoRevivalFound(
             f"barrier {barrier_site} never left its reference state "
-            f"(min population {ps.min():.6f})")
-    start = dipped[0]
+            f"(min population {np.min(ps):.6f})")
     best_i, best_p = None, 0.0
     for i in range(start + 1, len(ts) - 1):
-        if ps[i] >= ps[i - 1] and ps[i] >= ps[i + 1]:
-            if ps[i] > best_p:
-                best_p = float(ps[i])
-            if ps[i] >= threshold:
+        lo, p, hi = grid(i - 1), grid(i), grid(i + 1)
+        if p >= lo and p >= hi:
+            if p > best_p:
+                best_p = float(p)
+            if p >= threshold:
                 best_i = i
                 break
     if best_i is None:

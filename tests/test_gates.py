@@ -232,24 +232,125 @@ def test_arch1_revival_searches_its_gate_schedule():
     assert sched == schemes.arch1_two_qubit_schedule(arch, t_r, schemes.DEFAULT_PAD)
 
 
-def test_find_revival_batches_stay_within_column_cap(monkeypatch):
-    widths = []
+def full_grid_search(monkeypatch, args):
+    """find_revival's answer beside the search it replaced, which scored the
+    whole grid before scanning it.
+
+    Returns (got, want, best_i, calls): got and want are each (t_r, p) or the
+    NoRevivalFound message, want from the old scan over all REVIVAL_GRID_POINTS
+    points scored in find_revival's batches with the modes it built; best_i is
+    that scan's revival index (None without one), and calls holds the times
+    of each _revival_populations call find_revival made."""
+    *_, window, enc, threshold, dip_level = args
     populations = gates._revival_populations
+    calls, seen = [], []
 
     def recording(modes, n_in, times):
-        widths.append(n_in * len(times))
+        calls.append(np.array(times))
+        seen.append(modes)
         return populations(modes, n_in, times)
 
     monkeypatch.setattr(gates, "_revival_populations", recording)
+    try:
+        got = gates.find_revival(*args)
+    except NoRevivalFound as exc:
+        got = str(exc)
+    n_in = enc.logical_dim
+
+    def probs(times):
+        return populations(seen[0], n_in, times).min(axis=0)
+
+    def prob(t):
+        return float(probs(np.array([t]))[0])
+
+    ts = np.linspace(window[0], window[1], gates.REVIVAL_GRID_POINTS)
+    step = max(1, gates.REVIVAL_BATCH_COLUMNS // n_in)
+    ps = np.concatenate([probs(ts[i:i + step]) for i in range(0, len(ts), step)])
+    dipped = np.flatnonzero(ps < dip_level)
+    if dipped.size == 0:
+        return got, (f"barrier {args[4]} never left its reference state "
+                     f"(min population {ps.min():.6f})"), None, calls
+    best_i, best_p = None, 0.0
+    for i in range(dipped[0] + 1, len(ts) - 1):
+        if ps[i] >= ps[i - 1] and ps[i] >= ps[i + 1]:
+            best_p = max(best_p, float(ps[i]))
+            if ps[i] >= threshold:
+                best_i = i
+                break
+    if best_i is None:
+        return got, f"no revival above {threshold} in window (best {best_p:.6f})", None, calls
+    t_r, _ = linalg.golden_section(prob, ts[best_i - 1], ts[best_i + 1],
+                                   gates.REVIVAL_REFINE_TOL / args[0].coupling, maximize=True)
+    return got, (float(t_r), prob(t_r)), best_i, calls
+
+
+def batch_end_revival_case():
+    # the window puts the revival at pi/3 on grid index 255, the last of the
+    # fourth 64-time batch, so the point just past it opens the fifth batch
+    chain, enc = reduced_resonant_chain()
+    hi = 0.5 + (np.pi / 3.0 - 0.5) * (gates.REVIVAL_GRID_POINTS - 1) / 255
+    return (chain, NO_SEGMENTS, (1.0, 1.0, 1.0), NO_SEGMENTS, 1, (0.5, hi), enc,
+            gates.REVIVAL_THRESHOLD, gates.REVIVAL_DIP_LEVEL)
+
+
+def assert_grid_stops_past_the_revival(args, calls, best_i):
+    """The grid went through full batches, in order, and stopped after the
+    batch holding best_i + 1; every later call refines one time."""
+    step = gates.REVIVAL_BATCH_COLUMNS // args[6].logical_dim
+    n_grid = (best_i + 1) // step + 1
+    ts = np.linspace(*args[5], gates.REVIVAL_GRID_POINTS)
+    assert [len(times) for times in calls[:n_grid]] == [step] * n_grid
+    assert np.array_equal(np.concatenate(calls[:n_grid]), ts[:n_grid * step])
+    assert [len(times) for times in calls[n_grid:]] == [1] * (len(calls) - n_grid)
+
+
+def test_find_revival_batches_stay_within_column_cap(monkeypatch):
     args = arch1_revival_case(100.0)
-    gates.find_revival(*args)
-    enc = args[6]
-    assert max(widths) <= gates.REVIVAL_BATCH_COLUMNS
-    # the 800-point grid went through full batches, not one time per call
-    full = gates.REVIVAL_BATCH_COLUMNS
-    n_grid = -(-800 * enc.logical_dim // full)
-    assert widths[:n_grid - 1] == [full] * (n_grid - 1)
-    assert sum(widths[:n_grid]) == 800 * enc.logical_dim
+    got, want, best_i, calls = full_grid_search(monkeypatch, args)
+    n_in = args[6].logical_dim
+    assert got == want
+    assert max(n_in * len(times) for times in calls) <= gates.REVIVAL_BATCH_COLUMNS
+    assert_grid_stops_past_the_revival(args, calls, best_i)
+    # the revival sits about a third into the window: 5 of the 13 batches
+    assert (best_i + 1) // (gates.REVIVAL_BATCH_COLUMNS // n_in) + 1 == 5
+
+
+@pytest.mark.parametrize("case", [reduced_revival_case, lambda: arch1_revival_case(1000.0),
+                                  batch_end_revival_case],
+                         ids=["reduced-3-site", "arch1-delta-1000", "revival-at-batch-end"])
+def test_find_revival_stops_after_the_batch_past_the_revival(monkeypatch, case):
+    args = case()
+    got, want, best_i, calls = full_grid_search(monkeypatch, args)
+    assert got == want
+    assert_grid_stops_past_the_revival(args, calls, best_i)
+
+
+def test_batch_end_case_revives_on_a_batch_end(monkeypatch):
+    _, _, best_i, _ = full_grid_search(monkeypatch, batch_end_revival_case())
+    assert best_i == 255
+
+
+@pytest.mark.parametrize("args", [
+    # the barrier is parked far off resonance and never dips
+    (*reduced_revival_case()[:2], (1.0, 600.0, 1.0), *reduced_revival_case()[3:]),
+    # the window ends before the revival
+    (*reduced_revival_case()[:5], (0.4, 0.8), *reduced_revival_case()[6:]),
+    # every maximum in the window falls short of the threshold
+    (*arch1_revival_case(100.0)[:7], 1.5, schemes.ARCH1_REVIVAL_DIP)],
+    ids=["never-dips", "window-too-short", "threshold-unreached"])
+def test_find_revival_without_revival_scores_the_whole_grid(monkeypatch, args):
+    got, want, best_i, calls = full_grid_search(monkeypatch, args)
+    assert best_i is None
+    assert got == want   # the same message, from the same minimum or best maximum
+    ts = np.linspace(*args[5], gates.REVIVAL_GRID_POINTS)
+    assert max(args[6].logical_dim * len(times) for times in calls) <= gates.REVIVAL_BATCH_COLUMNS
+    assert np.array_equal(np.concatenate(calls), ts)
+
+
+@pytest.mark.parametrize("delta", [5.0, 20.0, 100.0, 300.0, 1000.0, 3000.0])
+def test_find_revival_matches_the_full_grid_scan(monkeypatch, delta):
+    got, want, _, _ = full_grid_search(monkeypatch, arch1_revival_case(delta))
+    assert got == want   # bit for bit
 
 
 # ---------------------------------------------------------------------------
