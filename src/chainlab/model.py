@@ -104,10 +104,14 @@ def basis_index(bits: Sequence[int]) -> int:
     return idx
 
 
+@functools.lru_cache(maxsize=None)
 def sigma_z_values(n: int) -> np.ndarray:
-    """(n, 2^n) array of sigma^z eigenvalues: entry [i, k] is s_i of basis state k."""
+    """(n, 2^n) read-only array of sigma^z eigenvalues: entry [i, k] is s_i of
+    basis state k."""
     idx = np.arange(1 << n)
-    return np.stack([1 - 2 * ((idx >> (n - 1 - i)) & 1) for i in range(n)]).astype(float)
+    s = np.stack([1 - 2 * ((idx >> (n - 1 - i)) & 1) for i in range(n)]).astype(float)
+    s.flags.writeable = False
+    return s
 
 
 # ---------------------------------------------------------------------------

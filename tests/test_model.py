@@ -76,6 +76,13 @@ def test_basis_convention():
     assert tuple(model.sigma_z_values(2)[:, 2]) == (-1.0, 1.0)
 
 
+def test_sigma_z_values_are_built_once_and_read_only():
+    s = model.sigma_z_values(3)
+    assert model.sigma_z_values(3) is s
+    with pytest.raises(ValueError, match="read-only"):
+        s[0, 0] = 5.0
+
+
 def test_heisenberg_pair_spectrum():
     chain = model.ChainSpec(n=2, coupling=1.0, roles="AB")
     h = model.build_heisenberg(chain, (0.0, 0.0))
