@@ -9,7 +9,7 @@ detuning whose pipeline fails gets a row with the failure reason instead.
 import argparse
 from pathlib import Path
 
-from chainlab import analysis, gates, schemes
+from chainlab import analysis, gates, linalg, schemes
 from chainlab.errors import ChainlabError
 from chainlab.model import ZeemanLevels
 
@@ -52,21 +52,22 @@ def pipeline(delta, arch, pad):
 
 def main():
     args = parse_args()
-    rows = []
-    for delta, arch in args.sections:
-        try:
-            row = pipeline(delta, arch, args.pad)
-        except ChainlabError as exc:   # no revival, or a gate too leaky to compare
-            row = {"delta": delta, "failure": str(exc)}
-        rows.append(row)
-        if "failure" in row:
-            print(f"delta={delta:8.1f}  failed: {row['failure']}")
-        else:
-            print(f"delta={delta:8.1f}  t_r={row['revival_time']:.9f}  "
-                  f"distance={row['distance_to_target']:.3e}  "
-                  f"leakage={row['leakage']:.3e}  "
-                  f"invariant_dev={row['invariant_deviation']:.3e}")
-    analysis.emit_json(rows, args.out / "revival_report.json")
+    with linalg.single_blas_thread():   # as in cli.main: a second thread only spins
+        rows = []
+        for delta, arch in args.sections:
+            try:
+                row = pipeline(delta, arch, args.pad)
+            except ChainlabError as exc:   # no revival, or a gate too leaky to compare
+                row = {"delta": delta, "failure": str(exc)}
+            rows.append(row)
+            if "failure" in row:
+                print(f"delta={delta:8.1f}  failed: {row['failure']}")
+            else:
+                print(f"delta={delta:8.1f}  t_r={row['revival_time']:.9f}  "
+                      f"distance={row['distance_to_target']:.3e}  "
+                      f"leakage={row['leakage']:.3e}  "
+                      f"invariant_dev={row['invariant_deviation']:.3e}")
+        analysis.emit_json(rows, args.out / "revival_report.json")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import argparse
 from dataclasses import asdict
 from pathlib import Path
 
-from chainlab import analysis
+from chainlab import analysis, linalg
 from chainlab.errors import ConfigInvalid
 
 
@@ -43,24 +43,25 @@ def main():
     args = parse_args()
     deltas = args.spec.delta_values
 
-    records = analysis.defect_sweep(args.spec, threads=args.threads)
-    for r in records:
-        print(f"delta={r.delta:8.1f}  t_r={r.t_r:.9f}  defect={r.defect_worst:.6e}  "
-              f"phase_noise={r.phase_noise_rad:.6e}  leakage={r.leakage:.6e}")
-    missing = len(deltas) - len(records)
-    if missing:
-        print(f"{missing} grid point(s) had no revival and were dropped")
-    if records:
-        analysis.emit_table(analysis.record_columns(records),
-                            args.out / f"defect_sweep.{args.format}", fmt=args.format)
+    with linalg.single_blas_thread():   # as in cli.main: a second thread only spins
+        records = analysis.defect_sweep(args.spec, threads=args.threads)
+        for r in records:
+            print(f"delta={r.delta:8.1f}  t_r={r.t_r:.9f}  defect={r.defect_worst:.6e}  "
+                  f"phase_noise={r.phase_noise_rad:.6e}  leakage={r.leakage:.6e}")
+        missing = len(deltas) - len(records)
+        if missing:
+            print(f"{missing} grid point(s) had no revival and were dropped")
+        if records:
+            analysis.emit_table(analysis.record_columns(records),
+                                args.out / f"defect_sweep.{args.format}", fmt=args.format)
 
-    fit_grid = tuple(d for d in deltas if d >= 10.0)
-    if len(fit_grid) >= 3 and max(fit_grid) >= 10 * min(fit_grid):
-        fit = analysis.ising_convergence(fit_grid, coupling=args.coupling)
-        doc = {"delta_grid": list(fit_grid), **asdict(fit)}
-        analysis.emit_json(doc, args.out / "ising_fit.json")
-        print(f"ising fit: distance slope {fit.distance_slope:.3f}, "
-              f"leakage slope {fit.leakage_slope:.3f}")
+        fit_grid = tuple(d for d in deltas if d >= 10.0)
+        if len(fit_grid) >= 3 and max(fit_grid) >= 10 * min(fit_grid):
+            fit = analysis.ising_convergence(fit_grid, coupling=args.coupling)
+            doc = {"delta_grid": list(fit_grid), **asdict(fit)}
+            analysis.emit_json(doc, args.out / "ising_fit.json")
+            print(f"ising fit: distance slope {fit.distance_slope:.3f}, "
+                  f"leakage slope {fit.leakage_slope:.3f}")
 
 
 if __name__ == "__main__":

@@ -49,6 +49,16 @@ def test_sweep_defects_with_ising_fit(tmp_path):
     assert abs(fit["leakage_slope"] + 2.0) < 0.1
 
 
+@pytest.mark.parametrize("name", ["revival_report.py", "sweep_defects.py"])
+def test_script_leaves_blas_workers_idle(blas_worker_ticks, tmp_path, name):
+    # unpinned, sweep_defects.py at its defaults spent 0.92-1.35 CPU s at
+    # 0.47-0.71 s wall, against 0.64-0.81 CPU s on one BLAS thread
+    worker_ticks, cpu_s = blas_worker_ticks(
+        f"import runpy; sys.argv = [{name!r}, '--out', {str(tmp_path / 'out')!r}]; "
+        f"runpy.run_path({str(SCRIPTS / name)!r}, run_name='__main__')")
+    assert worker_ticks <= 2, f"BLAS workers took {worker_ticks} ticks of {cpu_s:.2f} CPU s"
+
+
 def test_zeno_study_small_run(tmp_path):
     proc = run_script("zeno_study.py", tmp_path, "--trials", "200", "--gates", "4")
     assert proc.returncode == 0, proc.stderr
