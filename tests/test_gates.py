@@ -330,15 +330,16 @@ def test_batch_end_case_revives_on_a_batch_end(monkeypatch):
     assert best_i == 255
 
 
-@pytest.mark.parametrize("args", [
+@pytest.mark.parametrize("case", [
     # the barrier is parked far off resonance and never dips
-    (*reduced_revival_case()[:2], (1.0, 600.0, 1.0), *reduced_revival_case()[3:]),
+    lambda: (*reduced_revival_case()[:2], (1.0, 600.0, 1.0), *reduced_revival_case()[3:]),
     # the window ends before the revival
-    (*reduced_revival_case()[:5], (0.4, 0.8), *reduced_revival_case()[6:]),
+    lambda: (*reduced_revival_case()[:5], (0.4, 0.8), *reduced_revival_case()[6:]),
     # every maximum in the window falls short of the threshold
-    (*arch1_revival_case(100.0)[:7], 1.5, schemes.ARCH1_REVIVAL_DIP)],
+    lambda: (*arch1_revival_case(100.0)[:7], 1.5, schemes.ARCH1_REVIVAL_DIP)],
     ids=["never-dips", "window-too-short", "threshold-unreached"])
-def test_find_revival_without_revival_scores_the_whole_grid(monkeypatch, args):
+def test_find_revival_without_revival_scores_the_whole_grid(monkeypatch, case):
+    args = case()
     got, want, best_i, calls = full_grid_search(monkeypatch, args)
     assert best_i is None
     assert got == want   # the same message, from the same minimum or best maximum
