@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from chainlab import analysis, gates, schemes
-from chainlab.evolve import Segment
+from chainlab.evolve import Segment, check_phase
 from chainlab.model import ChainSpec, ZeemanLevels, site_energies
 
 
@@ -23,9 +23,11 @@ def parse_args():
     args = p.parse_args()
     if args.cycles < 1:
         p.error("--cycles must be >= 1")
-    try:   # a pulse period is a hold's duration, so Segment judges it
+    try:   # a pulse period is a hold's duration: Segment judges each, check_phase the longest
         args.periods = [Segment(float(x), ()).duration for x in args.periods.split(",")]
-        args.levels = ZeemanLevels.from_delta(1.0, args.delta)
+        args.levels = ZeemanLevels(1.0, args.delta)
+        args.chain = ChainSpec(n=2, coupling=args.levels.coupling, roles="AB")
+        check_phase(args.chain, site_energies(args.chain, args.levels), max(args.periods))
     except ValueError as exc:
         p.error(str(exc))
     try:
@@ -37,15 +39,14 @@ def parse_args():
 
 def main():
     args = parse_args()
-    chain = ChainSpec(n=2, coupling=1.0, roles="AB")
 
-    records = schemes.refocus_demo(chain, args.levels, args.periods, cycles=args.cycles)
+    records = schemes.refocus_demo(args.chain, args.levels, args.periods, cycles=args.cycles)
     for rec in records:
         print(f"period={rec.pulse_period:8.4f}  residual={rec.residual:.6e}")
     analysis.emit_table(analysis.record_columns(records), args.out / "refocus.csv", fmt="csv")
 
     tau = max(args.periods)
-    u_free = schemes.echo_cycle(chain, site_energies(chain, args.levels), tau,
+    u_free = schemes.echo_cycle(args.chain, site_energies(args.chain, args.levels), tau,
                                 pulsed_sites=(), cycles=args.cycles)
     baseline = gates.invariant_deviation(u_free, np.eye(4))
     print(f"unpulsed baseline at period={tau}: {baseline:.6e}")

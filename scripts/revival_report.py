@@ -9,7 +9,7 @@ detuning whose pipeline fails gets a row with the failure reason instead.
 import argparse
 from pathlib import Path
 
-from chainlab import analysis, gates, linalg, schemes
+from chainlab import analysis, evolve, gates, linalg, schemes
 from chainlab.errors import ChainlabError
 from chainlab.model import ZeemanLevels
 
@@ -26,11 +26,15 @@ def parse_args():
     if not args.pad >= 0:
         p.error("--pad must be >= 0")
     try:
-        args.sections = [(float(tok), schemes.arch1_section(
-            ZeemanLevels.from_delta(args.coupling, float(tok)), args.coupling))
-            for tok in args.deltas.split(",")]
+        args.sections = [schemes.arch1_section(ZeemanLevels(args.coupling, float(tok)))
+                         for tok in args.deltas.split(",")]
     except ValueError as exc:
         p.error(f"--deltas: {exc}")
+    try:   # refused here, not by a traceback once the run is under way
+        for arch in args.sections:
+            evolve.check_phase(arch.chain, arch.passive_energies, args.pad)
+    except ValueError as exc:
+        p.error(f"--pad: {exc}")
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -38,10 +42,10 @@ def parse_args():
     return args
 
 
-def pipeline(delta, arch, pad):
+def pipeline(arch, pad):
     t_r, p, gate, leakage, aligned = schemes.arch1_exchange_gate(arch, pad=pad)
     return {
-        "delta": delta,
+        "delta": arch.levels.delta,
         "revival_time": t_r,
         "revival_probability": p,
         "distance_to_target": aligned.distance,
@@ -54,16 +58,16 @@ def main():
     args = parse_args()
     with linalg.single_blas_thread():   # as in cli.main: a second thread only spins
         rows = []
-        for delta, arch in args.sections:
+        for arch in args.sections:
             try:
-                row = pipeline(delta, arch, args.pad)
+                row = pipeline(arch, args.pad)
             except ChainlabError as exc:   # no revival, or a gate too leaky to compare
-                row = {"delta": delta, "failure": str(exc)}
+                row = {"delta": arch.levels.delta, "failure": str(exc)}
             rows.append(row)
             if "failure" in row:
-                print(f"delta={delta:8.1f}  failed: {row['failure']}")
+                print(f"delta={row['delta']:8.1f}  failed: {row['failure']}")
             else:
-                print(f"delta={delta:8.1f}  t_r={row['revival_time']:.9f}  "
+                print(f"delta={row['delta']:8.1f}  t_r={row['revival_time']:.9f}  "
                       f"distance={row['distance_to_target']:.3e}  "
                       f"leakage={row['leakage']:.3e}  "
                       f"invariant_dev={row['invariant_deviation']:.3e}")

@@ -2,9 +2,10 @@
 
 Submodules:
   linalg    operator distance, unitarity, polar projection, golden-section
-            search; the dense spectral exp(-iHt) the tests check against
-  model     chain spec, Zeeman levels, Heisenberg sector blocks and the
-            classical (effective-Ising) energies
+            search, BFGS minimize, single_blas_thread; the dense spectral
+            exp(-iHt) the tests check against
+  model     chain spec, Zeeman levels (J, delta and the energies they set),
+            Heisenberg sector blocks and the classical (effective-Ising) energies
   evolve    piecewise-constant schedules, cached sector-blocked evolution
             (of states, or of the identity for a unitary), the Zeeman frame
   gates     revival search, gate readout, invariants, CNOT synthesis

@@ -46,8 +46,7 @@ class SweepSpec:
         if len(dv) < 2:
             raise ConfigInvalid("delta_values needs at least 2 points")
         try:
-            sections = tuple(arch1_section(ZeemanLevels.from_delta(self.coupling, d), self.coupling)
-                             for d in dv)
+            sections = tuple(arch1_section(ZeemanLevels(self.coupling, d)) for d in dv)
         except ValueError as exc:
             raise ConfigInvalid(f"delta_values must be positive and finite: {exc}") from exc
         if list(dv) != sorted(dv):
@@ -88,7 +87,7 @@ def _walsh_phase_residual(overlaps: Sequence[complex], signs: np.ndarray) -> flo
     return float(np.max(np.abs(residual)))
 
 
-def _sweep_point(delta: float, arch: ArchitectureOne) -> DefectRecord:
+def _sweep_point(arch: ArchitectureOne) -> DefectRecord:
     sched, t_r, _ = arch1_revival(arch)
     logical, leakage = logical_block(arch.chain, sched, arch.enc, arch.passive_energies)
     target = np.kron(np.kron(np.eye(2), exchange_gate_target()), np.eye(2))
@@ -112,7 +111,7 @@ def _sweep_point(delta: float, arch: ArchitectureOne) -> DefectRecord:
     mid_diag = signs[:, 1] == signs[:, 2]
     phase_noise = _walsh_phase_residual(amp.sum(axis=0)[mid_diag],
                                         signs[mid_diag][:, [0, 1, 3]])
-    return DefectRecord(delta=float(delta), t_r=float(t_r),
+    return DefectRecord(delta=float(arch.levels.delta), t_r=float(t_r),
                         defect_worst=defect_worst, phase_noise_rad=phase_noise,
                         leakage=leakage)
 
@@ -120,17 +119,17 @@ def _sweep_point(delta: float, arch: ArchitectureOne) -> DefectRecord:
 def defect_sweep(spec: SweepSpec, threads: int | None = None) -> list[DefectRecord]:
     """One DefectRecord per detuning; points without a barrier revival are
     skipped (missing row) rather than failing the sweep."""
-    def safe(delta: float, arch: ArchitectureOne) -> DefectRecord | None:
+    def safe(arch: ArchitectureOne) -> DefectRecord | None:
         try:
-            return _sweep_point(delta, arch)
+            return _sweep_point(arch)
         except NoRevivalFound:
             return None
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(safe, spec.delta_values, spec.sections))
+            results = list(pool.map(safe, spec.sections))
     else:
-        results = list(map(safe, spec.delta_values, spec.sections))
+        results = list(map(safe, spec.sections))
     return [r for r in results if r is not None]
 
 
@@ -165,7 +164,7 @@ def ising_convergence(delta_grid: Sequence[float], coupling: float = 1.0) -> Isi
     chain = ChainSpec(n=n, coupling=coupling, roles=("AB" * n)[:n])
     records = []
     for delta in grid:
-        levels = ZeemanLevels.from_delta(coupling, delta)
+        levels = ZeemanLevels(coupling, delta)
         energies = site_energies(chain, levels)
         # strip the same Zeeman frame from both propagators
         frame = zeeman_frame(chain, energies, t).conj()

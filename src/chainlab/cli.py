@@ -211,7 +211,7 @@ def _build(cfg: dict) -> dict:
         for where, layout in (("verify_g", schemes.arch1_section),
                               ("verify_m", schemes.arch2_section),
                               ("six_settings", schemes.arch3_section)):
-            built[where] = layout(ZeemanLevels.from_delta(coupling, cfg[where]["delta"]), coupling)
+            built[where] = layout(ZeemanLevels(coupling, cfg[where]["delta"]))
         where = "sweep"
         built[where] = analysis.SweepSpec(tuple(cfg[where]["delta_values"]), coupling)
         where = "zeno"
@@ -271,9 +271,8 @@ def cmd_verify_m(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool, dic
     """Run the paired-encoding pipeline at the simultaneous-revival working
     point and check the conditional phase of the extracted gate."""
     c = cfg["verify_m"]
-    coupling = arch.chain.coupling
-    eps = c["eps"] if c["eps"] is not None else schemes.arch2_working_point(arch.levels, coupling)
-    t_gate = np.pi / (np.sqrt(5.0) * coupling)
+    eps = c["eps"] if c["eps"] is not None else schemes.arch2_working_point(arch.levels)
+    t_gate = np.pi / (np.sqrt(5.0) * arch.levels.coupling)
     sched = schemes.arch2_two_qubit_schedule(arch, t_gate, eps)
     doc = {"delta": c["delta"], "eps": eps, "t_gate": t_gate,
            "target_phase": c["target_phase"], "tolerance": c["tolerance"]}
@@ -386,11 +385,10 @@ def cmd_six_settings(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool,
     pair maps stay product across the pair/rest cut.
     """
     c = cfg["six_settings"]
-    coupling = arch.chain.coupling
     delta = c["delta"]
     tol_id = _tol_identity(cfg)
     tol_same = c["tol_same"]
-    settings = schemes.six_settings(arch.levels, coupling)
+    settings = schemes.six_settings(arch.levels)
     logical = [logical_block(arch.chain, schemes.arch3_apply(arch, s), arch.enc,
                              arch.passive_energies)[0] for s in settings]
 

@@ -16,7 +16,7 @@ Basis convention, used everywhere in this package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -61,19 +61,21 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class ZeemanLevels:
-    """The three passive Zeeman energies. Detunings are in units of J."""
+    """The coupling J, the detuning delta in units of J, and the three passive
+    Zeeman energies they set: A = 0 and (B - A)/J = (C - B)/J = delta."""
 
-    a: float
-    b: float
-    c: float
+    coupling: float
+    delta: float
+    a: float = field(init=False)
+    b: float = field(init=False)
+    c: float = field(init=False)
 
-    @classmethod
-    def from_delta(cls, coupling: float, delta: float) -> "ZeemanLevels":
-        """Equally spaced levels: A = 0 and (B - A)/J = (C - B)/J = delta."""
-        b = delta * coupling
-        if not (0 < delta < np.inf and b + b < np.inf):
-            raise ValueError(f"delta must be positive and finite, as must 2 delta J; got {delta}")
-        return cls(a=0.0, b=b, c=b + b)
+    def __post_init__(self):
+        b = self.delta * self.coupling
+        if not (0 < self.delta < np.inf and b + b < np.inf):
+            raise ValueError(f"delta must be positive and finite, as must 2 delta J; got {self.delta}")
+        for name, energy in (("a", 0.0), ("b", b), ("c", b + b)):
+            object.__setattr__(self, name, energy)
 
     def of_role(self, role: str) -> float:
         return {"A": self.a, "B": self.b, "C": self.c}[role]
@@ -82,9 +84,11 @@ class ZeemanLevels:
 def site_energies(chain: ChainSpec, levels: ZeemanLevels) -> np.ndarray:
     """Passive per-site Zeeman energies implied by the role pattern.
 
-    Refuses (ValueError) a chain whose largest diagonal energy,
-    sum_i |E_i| + (n - 1) J, is not finite: its Hamiltonian would overflow.
+    Refuses (ValueError) levels at another J, and a chain whose largest diagonal
+    energy, sum_i |E_i| + (n - 1) J, is not finite: its Hamiltonian would overflow.
     """
+    if chain.coupling != levels.coupling:
+        raise ValueError(f"a chain at J = {chain.coupling} given levels at J = {levels.coupling}")
     e = [float(levels.of_role(r)) for r in chain.roles]
     # Python floats: an overflowing sum is inf without a numpy warning
     if not sum(map(abs, e)) + (chain.n - 1) * chain.coupling < np.inf:

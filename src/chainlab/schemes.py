@@ -75,14 +75,14 @@ class ArchitectureOne(Section):
     enc_gate_pair: EncodingMap    # just the two qubits adjacent to ARCH1_GATE_BARRIER
 
 
-def arch1_section(levels: ZeemanLevels, coupling: float = 1.0) -> ArchitectureOne:
+def arch1_section(levels: ZeemanLevels) -> ArchitectureOne:
     """Nine-site section: barriers at even sites, qubits at odd sites.
 
     Barrier references alternate down/up from the chain ends so that the
     central gate barrier sits in the down state with up guards beside it.
     """
     n = ARCH1_SECTION_SITES
-    chain = ChainSpec(n=n, coupling=coupling, roles="BA" * (n // 2) + "B")
+    chain = ChainSpec(n=n, coupling=levels.coupling, roles="BA" * (n // 2) + "B")
     barrier_refs = {site: (1 if (site // 2) % 2 == 0 else 0) for site in range(0, n, 2)}
     enc = EncodingMap.single_site(n, [1, 3, 5, 7], barrier_refs)
     pair_refs = dict(barrier_refs)
@@ -141,30 +141,30 @@ def arch1_exchange_gate(arch: ArchitectureOne, pad: float = DEFAULT_PAD
 # architecture 2: paired-site qubits on an ABC chain
 
 
-def arch2_section(levels: ZeemanLevels, coupling: float = 1.0, n_triples: int = 2) -> Section:
+def arch2_section(levels: ZeemanLevels, n_triples: int = 2) -> Section:
     """ABC triples; each qubit is the (A, B) pair of a triple, guarded by its
     C barrier held up."""
-    chain = ChainSpec(n=3 * n_triples, coupling=coupling, roles="ABC" * n_triples)
+    chain = ChainSpec(n=3 * n_triples, coupling=levels.coupling, roles="ABC" * n_triples)
     pairs = [(3 * k, 3 * k + 1) for k in range(n_triples)]
     refs = {3 * k + 2: 0 for k in range(n_triples)}
     return Section(chain=chain, levels=levels, enc=EncodingMap.paired(chain.n, pairs, refs))
 
 
-def arch2_single_qubit_schedule(levels: ZeemanLevels, delta: float, t: float,
-                                coupling: float = 1.0) -> tuple[ZeemanSchedule, EncodingMap]:
+def arch2_single_qubit_schedule(levels: ZeemanLevels, offset: float,
+                                t: float) -> tuple[ZeemanSchedule, EncodingMap]:
     """Four-site guarded section (C A B C); the qubit's upper site is tuned
-    to A + delta for time t, driving a logical rotation in the x-z plane."""
-    chain = ChainSpec(n=4, coupling=coupling, roles="CABC")
+    to A + offset for time t, driving a logical rotation in the x-z plane."""
+    chain = ChainSpec(n=4, coupling=levels.coupling, roles="CABC")
     enc = EncodingMap.paired(4, [(1, 2)], {0: 0, 3: 0})
     gate = list(site_energies(chain, levels))
-    gate[2] = levels.a + delta
+    gate[2] = levels.a + offset
     return _steps((t, gate)), enc
 
 
-def arch2_working_point(levels: ZeemanLevels, coupling: float = 1.0) -> float:
+def arch2_working_point(levels: ZeemanLevels) -> float:
     """Tunable-site energy giving equal two-level detunings on both logical
     branches of the two-qubit gate, hence a simultaneous barrier revival."""
-    return levels.c - coupling
+    return levels.c - levels.coupling
 
 
 def arch2_two_qubit_schedule(arch: Section, t_gate: float, eps: float) -> ZeemanSchedule:
@@ -189,7 +189,7 @@ class SixSetting:
     duration: float
 
 
-def six_settings(levels: ZeemanLevels, coupling: float = 1.0) -> tuple[SixSetting, ...]:
+def six_settings(levels: ZeemanLevels) -> tuple[SixSetting, ...]:
     """The six (eps_even, eps_odd) pairs driving universal control.
 
     One side always idles at B.  Resonant and shifted single-qubit values
@@ -197,7 +197,7 @@ def six_settings(levels: ZeemanLevels, coupling: float = 1.0) -> tuple[SixSettin
     carries the nominal two-qubit revival duration.  The all-passive pair
     (B, B) is represented by the absence of a segment, not a setting.
     """
-    j = coupling
+    j = levels.coupling
     t1 = np.pi / (4.0 * j)
     t2 = np.pi / (np.sqrt(5.0) * j)
     a, b, c = levels.a, levels.b, levels.c
@@ -211,10 +211,10 @@ def six_settings(levels: ZeemanLevels, coupling: float = 1.0) -> tuple[SixSettin
     )
 
 
-def arch3_section(levels: ZeemanLevels, coupling: float = 1.0) -> Section:
+def arch3_section(levels: ZeemanLevels) -> Section:
     """Four-qubit architecture-2 section; qubits 0 and 2 form the even group,
     qubits 1 and 3 the odd group."""
-    return arch2_section(levels, coupling, n_triples=4)
+    return arch2_section(levels, n_triples=4)
 
 
 def arch3_apply(arch: Section, setting: SixSetting) -> ZeemanSchedule:

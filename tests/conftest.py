@@ -23,8 +23,8 @@ from chainlab.model import ZeemanLevels
 def arch1_pipeline():
     """Nine-site exchange gate at detuning 1000: revival, extraction, alignment."""
     coupling = 1.0
-    levels = ZeemanLevels.from_delta(coupling=coupling, delta=1000.0)
-    arch = schemes.arch1_section(levels, coupling)
+    levels = ZeemanLevels(coupling=coupling, delta=1000.0)
+    arch = schemes.arch1_section(levels)
     t_r, p_r, gate, leakage, alignment = schemes.arch1_exchange_gate(arch)
     return {
         "coupling": coupling,

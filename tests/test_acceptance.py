@@ -69,7 +69,7 @@ def test_criterion_1_invariants_attainable_bound(arch1_pipeline):
 def test_criterion_2_revival_time_and_ratio():
     ratios = {}
     for delta in (100.0, 1000.0):
-        levels = ZeemanLevels.from_delta(J, delta)
+        levels = ZeemanLevels(J, delta)
         chain, enc = reduced_chain()
         none = ZeemanSchedule(())
         t_r, p = gates.find_revival(chain, none, (levels.a + J,) * 3, none, 1, (0.5, 2.0), enc)
@@ -88,8 +88,8 @@ def test_criterion_2_revival_time_and_ratio():
 
 
 def pair_gate_corrections(delta, eps_offset):
-    levels = ZeemanLevels.from_delta(J, delta)
-    arch = schemes.arch2_section(levels, J)
+    levels = ZeemanLevels(J, delta)
+    arch = schemes.arch2_section(levels)
     t_gate = np.pi / (np.sqrt(5.0) * J)
     sched = schemes.arch2_two_qubit_schedule(arch, t_gate, eps=levels.c + eps_offset)
     gate = gates.extract_gate(*gates.logical_block(arch.chain, sched, arch.enc,
@@ -183,7 +183,7 @@ def test_criterion_6_ising_leakage_slope():
 
 def test_criterion_7_six_setting_isolation():
     delta = 1000.0
-    levels = ZeemanLevels.from_delta(J, delta)
+    levels = ZeemanLevels(J, delta)
     arch = schemes.arch3_section(levels)
     setting = schemes.six_settings(levels)[1]
     assert setting.eps_even == levels.b and setting.eps_odd == levels.a + J
@@ -212,7 +212,7 @@ def test_criterion_7_six_setting_isolation():
 @pytest.fixture(scope="module")
 def zeno_curves():
     chain, enc = reduced_chain()
-    levels = ZeemanLevels.from_delta(J, 1000.0)
+    levels = ZeemanLevels(J, 1000.0)
     t_gate = np.pi / (3.0 * J)
     gate = ZeemanSchedule.from_steps([(t_gate, (levels.a + J,) * 3)])
     qa = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -273,7 +273,7 @@ def test_criterion_8_companion_systematic_miscalibration(zeno_curves):
 
 
 def schedule_corpus():
-    lv = ZeemanLevels.from_delta(J, 1000.0)
+    lv = ZeemanLevels(J, 1000.0)
     out = []
     arch1 = schemes.arch1_section(lv)
     out.append((arch1.chain, schemes.arch1_two_qubit_schedule(arch1, np.pi / 3.0,
@@ -319,7 +319,7 @@ def test_criterion_9_conservation_suite():
     assert worst_sz < 1e-9
 
     # reduced three-spin core against the five-spin frozen-guard oracle
-    lv = ZeemanLevels.from_delta(J, 1000.0)
+    lv = ZeemanLevels(J, 1000.0)
     ch5 = ChainSpec(n=5, coupling=J, roles="BABAB")
     enc5 = gates.EncodingMap.single_site(5, [1, 3], {0: 0, 2: 1, 4: 0})
     e5 = list(site_energies(ch5, lv))

@@ -122,7 +122,7 @@ def numeric_leaves(schema, path=()):
 
 
 # The minima of the numeric fields whose range a library constructor judges
-# in cli._build (ChainSpec, ZeemanLevels.from_delta, SweepSpec, ZenoConfig);
+# in cli._build (ChainSpec, ZeemanLevels, SweepSpec, ZenoConfig);
 # the schema holds the minima of the others.
 LIBRARY_MINIMA = {
     ("coupling",): {"exclusiveMinimum": 0},
@@ -313,10 +313,8 @@ def test_build_makes_each_object_once_before_any_output(capsys, tmp_path, monkey
             return real(*args, **kwargs)
         return wrapper
 
-    for cls in (schemes.Section, cli.analysis.SweepSpec, schemes.ZenoConfig):
+    for cls in (cli.ZeemanLevels, schemes.Section, cli.analysis.SweepSpec, schemes.ZenoConfig):
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-    monkeypatch.setattr(cli.ZeemanLevels, "from_delta",
-                        staticmethod(counted("ZeemanLevels", cli.ZeemanLevels.from_delta)))
     config = write_config(tmp_path, {
         "sweep": {"delta_values": [300, 1000]}, "zeno": {"trials": 8},
         "synthesize": {"jobs": [{"entangler": "cphase", "n_uses": 1, "n_starts": 1}]}})

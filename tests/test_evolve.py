@@ -108,7 +108,7 @@ def test_guarded_section_matches_reduced_three_spin():
     # the inner three, like the shifted three-spin model.
     J, delta = 1.0, 1000.0
     chain5 = model.ChainSpec(n=5, coupling=J, roles="BABAB")
-    lv = model.ZeemanLevels.from_delta(coupling=J, delta=delta)
+    lv = model.ZeemanLevels(coupling=J, delta=delta)
     passive = list(model.site_energies(chain5, lv))
     gate = list(passive)
     gate[2] = lv.a + J  # resonant middle site

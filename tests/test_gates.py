@@ -166,8 +166,8 @@ def pointwise_revival(chain, head, hold, tail, site, window, enc, threshold, dip
 def arch1_revival_case(delta):
     """The arch-1 gate schedule's (pad, gate hold, pad) parts, as published by
     arch1_two_qubit_schedule, with the search settings of arch1_revival."""
-    levels = model.ZeemanLevels.from_delta(1.0, delta)
-    arch = schemes.arch1_section(levels, 1.0)
+    levels = model.ZeemanLevels(1.0, delta)
+    arch = schemes.arch1_section(levels)
     pad, gate, _ = schemes.arch1_two_qubit_schedule(arch, 1.0, schemes.DEFAULT_PAD).segments
     lo, hi = schemes.ARCH1_REVIVAL_WINDOW
     nominal = np.pi / 3.0
@@ -226,7 +226,7 @@ def test_batched_revival_matches_pointwise_search(case):
 
 
 def test_arch1_revival_searches_its_gate_schedule():
-    arch = schemes.arch1_section(model.ZeemanLevels.from_delta(1.0, 100.0))
+    arch = schemes.arch1_section(model.ZeemanLevels(1.0, 100.0))
     sched, t_r, p_r = schemes.arch1_revival(arch)
     assert (t_r, p_r) == gates.find_revival(*arch1_revival_case(100.0))
     assert sched == schemes.arch1_two_qubit_schedule(arch, t_r, schemes.DEFAULT_PAD)
@@ -400,13 +400,13 @@ def test_logical_block_leakage_is_the_barrier_population_lost(t):
 
 
 def arch1_gate_case(delta):
-    arch = schemes.arch1_section(model.ZeemanLevels.from_delta(1.0, delta))
+    arch = schemes.arch1_section(model.ZeemanLevels(1.0, delta))
     sched, _, _ = schemes.arch1_revival(arch)
     return arch.chain, sched, arch.enc_gate_pair, arch.passive_energies
 
 
 def verify_m_gate_case():
-    levels = model.ZeemanLevels.from_delta(1.0, 4000.0)
+    levels = model.ZeemanLevels(1.0, 4000.0)
     arch = schemes.arch2_section(levels)
     sched = schemes.arch2_two_qubit_schedule(arch, np.pi / np.sqrt(5.0),
                                              eps=schemes.arch2_working_point(levels))

@@ -48,7 +48,7 @@ def test_chain_spec_validation():
 
 
 def test_zeeman_levels_default_spacing():
-    lv = model.ZeemanLevels.from_delta(coupling=2.0, delta=50.0)
+    lv = model.ZeemanLevels(coupling=2.0, delta=50.0)
     assert lv.b - lv.a == pytest.approx(100.0)
     assert lv.c - lv.b == pytest.approx(100.0)
 
@@ -56,15 +56,15 @@ def test_zeeman_levels_default_spacing():
 @pytest.mark.parametrize("delta", [0.0, -1.0, float("inf"), float("nan")])
 def test_zeeman_levels_refuse_a_nonpositive_or_infinite_delta(delta):
     with pytest.raises(ValueError, match="delta must be positive and finite"):
-        model.ZeemanLevels.from_delta(coupling=1.0, delta=delta)
+        model.ZeemanLevels(coupling=1.0, delta=delta)
 
 
 def test_zeeman_levels_refuse_a_delta_whose_levels_overflow():
     with pytest.raises(ValueError, match="as must 2 delta J"):
-        model.ZeemanLevels.from_delta(coupling=1e300, delta=1e10)
+        model.ZeemanLevels(coupling=1e300, delta=1e10)
     with pytest.raises(ValueError, match="as must 2 delta J"):
-        model.ZeemanLevels.from_delta(coupling=1e300, delta=1e8)   # B finite, C = 2B not
-    assert model.ZeemanLevels.from_delta(coupling=1e300, delta=5e7).c == 2 * 5e7 * 1e300
+        model.ZeemanLevels(coupling=1e300, delta=1e8)   # B finite, C = 2B not
+    assert model.ZeemanLevels(coupling=1e300, delta=5e7).c == 2 * 5e7 * 1e300
 
 
 def test_basis_convention():
@@ -158,7 +158,7 @@ def test_effective_ising_classical_enumeration_nine_sites():
     # Oracle: enumerate all 512 classical configurations with a plain loop.
     n, J = 9, 1.0
     chain = model.ChainSpec(n=n, coupling=J, roles="ABABABABA")
-    lv = model.ZeemanLevels.from_delta(coupling=J, delta=100.0)
+    lv = model.ZeemanLevels(coupling=J, delta=100.0)
     energies = model.site_energies(chain, lv)
     expected = []
     for cfg in range(2 ** n):

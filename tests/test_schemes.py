@@ -14,7 +14,7 @@ from chainlab.evolve import ZeemanSchedule, evolve
 from chainlab.linalg import expm_i
 from chainlab.model import ChainSpec, ZeemanLevels, pauli_site, site_energies
 
-LEVELS = ZeemanLevels.from_delta(coupling=1.0, delta=1000.0)
+LEVELS = ZeemanLevels(coupling=1.0, delta=1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_arch2_single_qubit_flip_rate():
     # resonant drive of the pair's upper site transfers population at rate 2J
     sub = ChainSpec(n=4, coupling=1.0, roles="CABC")
     for t in np.linspace(0.05, np.pi / 2.0, 7):
-        sched, enc = schemes.arch2_single_qubit_schedule(LEVELS, delta=0.0, t=t)
+        sched, enc = schemes.arch2_single_qubit_schedule(LEVELS, offset=0.0, t=t)
         psi = evolve(sub, sched, enc.embed_basis()[:, 0])
         p1 = abs(enc.embed_basis()[:, 1].conj() @ psi) ** 2
         assert p1 == pytest.approx(np.sin(2.0 * t) ** 2, abs=5e-6)
@@ -95,7 +95,7 @@ def test_arch2_single_qubit_flip_rate():
 
 def test_arch2_full_flip_duration():
     sub = ChainSpec(n=4, coupling=1.0, roles="CABC")
-    sched, enc = schemes.arch2_single_qubit_schedule(LEVELS, delta=0.0, t=np.pi / 4.0)
+    sched, enc = schemes.arch2_single_qubit_schedule(LEVELS, offset=0.0, t=np.pi / 4.0)
     psi = evolve(sub, sched, enc.embed_basis()[:, 0])
     p1 = abs(enc.embed_basis()[:, 1].conj() @ psi) ** 2
     assert p1 > 1.0 - 1e-5
@@ -117,7 +117,20 @@ def test_arch2_two_qubit_schedule_drive_site():
 
 def test_arch2_working_point_value():
     assert schemes.arch2_working_point(LEVELS) == pytest.approx(LEVELS.c - 1.0)
-    assert schemes.arch2_working_point(LEVELS, coupling=2.0) == pytest.approx(LEVELS.c - 2.0)
+    levels = ZeemanLevels(2.0, 1000.0)
+    assert schemes.arch2_working_point(levels) == pytest.approx(levels.c - 2.0)
+
+
+def test_layouts_take_their_coupling_from_the_levels():
+    levels = ZeemanLevels(2.0, 1000.0)
+    for layout in (schemes.arch1_section, schemes.arch2_section, schemes.arch3_section):
+        assert layout(levels).chain.coupling == 2.0
+    assert schemes.arch2_working_point(levels) == levels.c - 2.0
+    st6 = schemes.six_settings(levels)
+    assert {s.duration for s in st6} == {np.pi / 8.0, np.pi / (2.0 * np.sqrt(5.0))}
+    assert st6[1].eps_odd == st6[4].eps_even == levels.a + 2.0 == 2.0
+    with pytest.raises(ValueError, match="J = 1.0 given levels at J = 2.0"):
+        site_energies(ChainSpec(n=3, coupling=1.0, roles="ABC"), levels)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,8 @@ def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     (("--coupling", "inf"), "--coupling must be positive and finite"),
     (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out"),
     (("--coupling", "1e300", "--deltas", "1e10"), "as must 2 delta J"),
-    (("--coupling", "1e300", "--deltas", "8e7"), "chain's diagonal energy")])
+    (("--coupling", "1e300", "--deltas", "8e7"), "chain's diagonal energy"),
+    (("--coupling", "1e10", "--pad", "1e300", "--deltas", "300"), "--pad: a hold of 1e+300")])
 def test_revival_report_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("revival_report.py", tmp_path, *argv)
     assert proc.returncode == 2
@@ -138,7 +139,8 @@ def test_refocus_scan_small_run(tmp_path):
     (("--cycles", "0"), "--cycles must be >= 1"),
     (("--periods", "0.01,inf"), "segment duration must be positive and finite"),
     (("--delta", "inf"), "delta must be positive and finite"),
-    (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out")])
+    (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out"),
+    (("--periods", "1e300", "--delta", "1e300"), "a hold of 1e+300")])
 def test_refocus_scan_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("refocus_scan.py", tmp_path, *argv)
     assert proc.returncode == 2
