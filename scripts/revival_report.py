@@ -9,7 +9,7 @@ detuning whose pipeline fails gets a row with the failure reason instead.
 import argparse
 from pathlib import Path
 
-from chainlab import analysis, evolve, gates, linalg, schemes
+from chainlab import analysis, gates, linalg, schemes
 from chainlab.errors import ChainlabError
 from chainlab.model import ZeemanLevels
 
@@ -23,18 +23,11 @@ def parse_args():
     args = p.parse_args()
     if not 0 < args.coupling < float("inf"):
         p.error("--coupling must be positive and finite")
-    if not args.pad >= 0:
-        p.error("--pad must be >= 0")
     try:
-        args.sections = [schemes.arch1_section(ZeemanLevels(args.coupling, float(tok)))
+        args.sections = [schemes.arch1_section(ZeemanLevels(args.coupling, float(tok)), args.pad)
                          for tok in args.deltas.split(",")]
-    except ValueError as exc:
-        p.error(f"--deltas: {exc}")
-    try:   # refused here, not by a traceback once the run is under way
-        for arch in args.sections:
-            evolve.check_phase(arch.chain, arch.passive_energies, args.pad)
-    except ValueError as exc:
-        p.error(f"--pad: {exc}")
+    except ValueError as exc:   # the section's refusals of its pad name it first
+        p.error(f"--{exc}" if str(exc).startswith("pad") else f"--deltas: {exc}")
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -42,8 +35,8 @@ def parse_args():
     return args
 
 
-def pipeline(arch, pad):
-    t_r, p, gate, leakage, aligned = schemes.arch1_exchange_gate(arch, pad=pad)
+def pipeline(arch):
+    t_r, p, gate, leakage, aligned = schemes.arch1_exchange_gate(arch)
     return {
         "delta": arch.levels.delta,
         "revival_time": t_r,
@@ -60,7 +53,7 @@ def main():
         rows = []
         for arch in args.sections:
             try:
-                row = pipeline(arch, args.pad)
+                row = pipeline(arch)
             except ChainlabError as exc:   # no revival, or a gate too leaky to compare
                 row = {"delta": arch.levels.delta, "failure": str(exc)}
             rows.append(row)

@@ -45,13 +45,15 @@ class SweepSpec:
         object.__setattr__(self, "delta_values", dv)
         if len(dv) < 2:
             raise ConfigInvalid("delta_values needs at least 2 points")
-        try:
-            sections = tuple(arch1_section(ZeemanLevels(self.coupling, d)) for d in dv)
-        except ValueError as exc:
-            raise ConfigInvalid(f"delta_values must be positive and finite: {exc}") from exc
+        sections = []
+        for i, d in enumerate(dv):
+            try:
+                sections.append(arch1_section(ZeemanLevels(self.coupling, d)))
+            except ValueError as exc:
+                raise ConfigInvalid(f"delta_values[{i}] = {d}: {exc}") from exc
         if list(dv) != sorted(dv):
             raise ConfigInvalid("delta_values must be ascending")
-        object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "sections", tuple(sections))
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ THREADED_BLAS_COMMAND = "six-settings"
 
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
-_NONNEG = {"type": "number", "minimum": 0}
 _POSNUM = {"type": "number", "exclusiveMinimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
 
@@ -69,14 +68,14 @@ def _closed(properties: dict, **keywords) -> dict:
 
 
 # Shape only, plus the ranges that no library object judges before the run:
-# coupling, delta, delta_values, seed and the Zeno run's trials, jitter_stddev,
+# coupling, delta, pad, delta_values, seed and the Zeno run's trials, jitter_stddev,
 # collapse_every_gates and jitter_mode are judged by the constructors _build calls.
 CONFIG_SCHEMA = _closed({
     "coupling": _NUM,
     "seed": _INT,
     "threads": _POSINT,
     "output_dir": {"type": "string"},
-    "verify_g": _closed({"delta": _NUM, "tolerance": _POSNUM, "pad": _NONNEG}),
+    "verify_g": _closed({"delta": _NUM, "tolerance": _POSNUM, "pad": _NUM}),
     "verify_m": _closed({"delta": _NUM, "tolerance": _POSNUM, "target_phase": _NUM,
                          "eps": _nullable(_NUM)}),
     "sweep": _closed({"delta_values": {"type": "array", "items": _NUM},
@@ -99,7 +98,7 @@ DEFAULT_CONFIG = {
     "seed": 1234,
     "threads": 1,   # one core per run; README gives the pool's timings on 2 vCPU
     "output_dir": "chainlab_out",
-    "verify_g": {"delta": 1000.0, "tolerance": 1e-3, "pad": 0.2},
+    "verify_g": {"delta": 1000.0, "tolerance": 1e-3, "pad": schemes.DEFAULT_PAD},
     "verify_m": {"delta": 4000.0, "tolerance": 1e-3,
                  "target_phase": ENTANGLING_PHASE, "eps": None},
     "sweep": {"delta_values": list(analysis.DEFAULT_DELTA_GRID), "format": "csv"},
@@ -208,10 +207,10 @@ def _build(cfg: dict) -> dict:
     coupling, z = cfg["coupling"], cfg["zeno"]
     built, where = {}, None
     try:
-        for where, layout in (("verify_g", schemes.arch1_section),
-                              ("verify_m", schemes.arch2_section),
-                              ("six_settings", schemes.arch3_section)):
-            built[where] = layout(ZeemanLevels(coupling, cfg[where]["delta"]))
+        for where, layout, *pad in (("verify_g", schemes.arch1_section, cfg["verify_g"]["pad"]),
+                                    ("verify_m", schemes.arch2_section),
+                                    ("six_settings", schemes.arch3_section)):
+            built[where] = layout(ZeemanLevels(coupling, cfg[where]["delta"]), *pad)
         where = "sweep"
         built[where] = analysis.SweepSpec(tuple(cfg[where]["delta_values"]), coupling)
         where = "zeno"
@@ -254,7 +253,7 @@ def cmd_verify_g(cfg: dict, arch: schemes.ArchitectureOne, out: Path) -> tuple[b
     c = cfg["verify_g"]
     doc = {"delta": c["delta"], "tolerance": c["tolerance"]}
     try:
-        t_r, p, gate, leakage, al = schemes.arch1_exchange_gate(arch, pad=c["pad"])
+        t_r, p, gate, leakage, al = schemes.arch1_exchange_gate(arch)
         doc.update({"logical_unitary": _matrix_json(gate),
                     "leakage": leakage, "revival_time": t_r,
                     "revival_probability": p, "distance_to_target": al.distance})

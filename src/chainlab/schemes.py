@@ -18,13 +18,13 @@ write them as tables through analysis.emit_table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidGrouping
-from .evolve import ZeemanSchedule, apply_hold, evolve
+from .evolve import ZeemanSchedule, apply_hold, check_phase, evolve
 from .gates import (IDENTITY_INVARIANTS, EncodingMap, PhaseAlignment, align_phases,
                     exchange_gate_target, extract_gate, find_revival,
                     local_equivalence_invariants, logical_block)
@@ -55,13 +55,10 @@ class Section:
     chain: ChainSpec
     levels: ZeemanLevels
     enc: EncodingMap
+    passive_energies: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        site_energies(self.chain, self.levels)   # refuses a layout whose Hamiltonian overflows
-
-    @property
-    def passive_energies(self) -> tuple[float, ...]:
-        return tuple(site_energies(self.chain, self.levels))
+    def __post_init__(self):   # site_energies refuses a layout whose Hamiltonian overflows
+        object.__setattr__(self, "passive_energies", tuple(site_energies(self.chain, self.levels)))
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +67,34 @@ class Section:
 
 @dataclass(frozen=True)
 class ArchitectureOne(Section):
-    """Nine-site section; enc holds all four qubits."""
+    """Nine-site section; enc holds all four qubits.  Its gate is a passive hold
+    of pad (absolute time), gate_energies for a time in revival_window, and the pad
+    again; a bad pad, or a pad or window hold whose phase overflows, is refused."""
 
     enc_gate_pair: EncodingMap    # just the two qubits adjacent to ARCH1_GATE_BARRIER
+    pad: float = DEFAULT_PAD
+    gate_energies: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    revival_window: tuple[float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 <= self.pad < np.inf:
+            raise ValueError(f"pad must be >= 0 and finite, got {self.pad}")
+        gate = list(self.passive_energies)
+        gate[ARCH1_GATE_BARRIER] = self.levels.a + self.chain.coupling
+        t0 = np.pi / (3.0 * self.chain.coupling)   # the nominal gate time
+        object.__setattr__(self, "gate_energies", tuple(gate))
+        object.__setattr__(self, "revival_window", tuple(x * t0 for x in ARCH1_REVIVAL_WINDOW))
+        window = f"the revival window at coupling {self.chain.coupling}"
+        for name, energies, t in (("pad", self.passive_energies, self.pad),
+                                  (window, self.gate_energies, self.revival_window[1])):
+            try:
+                check_phase(self.chain, energies, t)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
-def arch1_section(levels: ZeemanLevels) -> ArchitectureOne:
+def arch1_section(levels: ZeemanLevels, pad: float = DEFAULT_PAD) -> ArchitectureOne:
     """Nine-site section: barriers at even sites, qubits at odd sites.
 
     Barrier references alternate down/up from the chain ends so that the
@@ -88,41 +107,27 @@ def arch1_section(levels: ZeemanLevels) -> ArchitectureOne:
     pair_refs = dict(barrier_refs)
     pair_refs.update({1: 0, 7: 0})
     enc_pair = EncodingMap.single_site(n, [3, 5], pair_refs)
-    return ArchitectureOne(chain=chain, levels=levels, enc=enc, enc_gate_pair=enc_pair)
+    return ArchitectureOne(chain=chain, levels=levels, enc=enc, enc_gate_pair=enc_pair, pad=pad)
 
 
-def _arch1_gate_energies(arch: ArchitectureOne) -> list[float]:
-    """The passive energies with the gate barrier held at A+J."""
-    gate = list(arch.passive_energies)
-    gate[ARCH1_GATE_BARRIER] = arch.levels.a + arch.chain.coupling
-    return gate
-
-
-def arch1_two_qubit_schedule(arch: ArchitectureOne, t_gate: float,
-                             pad: float) -> ZeemanSchedule:
-    """Passive hold, gate barrier at A+J for t_gate, passive hold."""
+def arch1_two_qubit_schedule(arch: ArchitectureOne, t_gate: float) -> ZeemanSchedule:
+    """Passive hold for the pad, gate barrier at A+J for t_gate, passive hold."""
     passive = arch.passive_energies
-    return _steps((pad, passive), (t_gate, _arch1_gate_energies(arch)), (pad, passive))
+    return _steps((arch.pad, passive), (t_gate, arch.gate_energies), (arch.pad, passive))
 
 
-def arch1_revival(arch: ArchitectureOne, pad: float = DEFAULT_PAD
-                  ) -> tuple[ZeemanSchedule, float, float]:
-    """Barrier revival of the section's two-qubit gate: (schedule at the
-    revival, revival time, revival probability).
-
-    The gate-barrier revival is searched on the gate pair within
-    ARCH1_REVIVAL_WINDOW times the nominal pi / (3J); raises NoRevivalFound.
-    """
-    pad_hold = _steps((pad, arch.passive_energies))
-    nominal = np.pi / (3.0 * arch.chain.coupling)
-    lo, hi = ARCH1_REVIVAL_WINDOW
-    t_r, p_r = find_revival(arch.chain, pad_hold, _arch1_gate_energies(arch), pad_hold,
-                            ARCH1_GATE_BARRIER, (lo * nominal, hi * nominal),
-                            arch.enc_gate_pair, ARCH1_REVIVAL_THRESHOLD, ARCH1_REVIVAL_DIP)
-    return arch1_two_qubit_schedule(arch, t_r, pad), t_r, p_r
+def arch1_revival(arch: ArchitectureOne) -> tuple[ZeemanSchedule, float, float]:
+    """Barrier revival of the section's two-qubit gate, searched on the gate
+    pair within its revival_window: (schedule at the revival, revival time,
+    revival probability); raises NoRevivalFound."""
+    pad_hold = _steps((arch.pad, arch.passive_energies))
+    t_r, p_r = find_revival(arch.chain, pad_hold, arch.gate_energies, pad_hold,
+                            ARCH1_GATE_BARRIER, arch.revival_window, arch.enc_gate_pair,
+                            ARCH1_REVIVAL_THRESHOLD, ARCH1_REVIVAL_DIP)
+    return arch1_two_qubit_schedule(arch, t_r), t_r, p_r
 
 
-def arch1_exchange_gate(arch: ArchitectureOne, pad: float = DEFAULT_PAD
+def arch1_exchange_gate(arch: ArchitectureOne
                         ) -> tuple[float, float, np.ndarray, float, PhaseAlignment]:
     """The section's exchange gate at the barrier revival: (revival time,
     revival probability, the gate pair's gate, its leakage, z-phase alignment
@@ -131,7 +136,7 @@ def arch1_exchange_gate(arch: ArchitectureOne, pad: float = DEFAULT_PAD
     The gate pair's block is read in the passive Zeeman frame (see
     gates.logical_block); raises NoRevivalFound or ExcessiveLeakage.
     """
-    sched, t_r, p_r = arch1_revival(arch, pad)
+    sched, t_r, p_r = arch1_revival(arch)
     block, leakage = logical_block(arch.chain, sched, arch.enc_gate_pair, arch.passive_energies)
     gate = extract_gate(block, leakage)
     return t_r, p_r, gate, leakage, align_phases(gate, exchange_gate_target())

@@ -276,8 +276,7 @@ def schedule_corpus():
     lv = ZeemanLevels(J, 1000.0)
     out = []
     arch1 = schemes.arch1_section(lv)
-    out.append((arch1.chain, schemes.arch1_two_qubit_schedule(arch1, np.pi / 3.0,
-                                                              schemes.DEFAULT_PAD)))
+    out.append((arch1.chain, schemes.arch1_two_qubit_schedule(arch1, np.pi / 3.0)))
     chain2 = ChainSpec(n=4, coupling=J, roles="CABC")
     out.append((chain2, schemes.arch2_single_qubit_schedule(lv, 0.0, np.pi / 4.0)[0]))
     arch2 = schemes.arch2_section(lv)

@@ -30,6 +30,15 @@ def test_sweep_spec_validation():
     assert all(s.chain.coupling == 2.0 for s in spec.sections)
 
 
+def test_sweep_spec_names_the_point_it_refuses():
+    # B = delta J overflows at the second point only
+    with pytest.raises(ConfigInvalid, match=r"^delta_values\[1\] = 10000000000\.0: delta must be"):
+        analysis.SweepSpec(delta_values=(300.0, 1e10), coupling=1e300)
+    # at a subnormal J the revival window pi/(3J) is inf
+    with pytest.raises(ConfigInvalid, match=r"^delta_values\[0\] = 300\.0: the revival window"):
+        analysis.SweepSpec(delta_values=(300.0, 1000.0), coupling=1e-310)
+
+
 # ---------------------------------------------------------------------------
 # the default sweep (session fixture)
 

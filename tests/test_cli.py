@@ -122,12 +122,13 @@ def numeric_leaves(schema, path=()):
 
 
 # The minima of the numeric fields whose range a library constructor judges
-# in cli._build (ChainSpec, ZeemanLevels, SweepSpec, ZenoConfig);
+# in cli._build (ChainSpec, ZeemanLevels, ArchitectureOne, SweepSpec, ZenoConfig);
 # the schema holds the minima of the others.
 LIBRARY_MINIMA = {
     ("coupling",): {"exclusiveMinimum": 0},
     ("seed",): {"minimum": 0},
     ("verify_g", "delta"): {"exclusiveMinimum": 0},
+    ("verify_g", "pad"): {"minimum": 0},
     ("verify_m", "delta"): {"exclusiveMinimum": 0},
     ("sweep", "delta_values", 0): {"exclusiveMinimum": 0},
     ("zeno", "trials"): {"minimum": 1},
@@ -251,9 +252,6 @@ def assert_finite_artifacts(out):
 OVERFLOW_REPRODUCERS = [   # (command, config): a hold whose phase w t overflows
     ("zeno", {"coupling": 1e-9, "zeno": {"trials": 35, "gates": 2, "jitter_stddev": 1e300}}),
     ("verify-m", {"coupling": 1e-300, "verify_m": {"delta": 1e6, "eps": -1e300}}),
-    ("verify-g", {"coupling": 1000.0, "verify_g": {"delta": 1e6, "pad": 1e300}}),
-    # the revival grid's own phases w t, before any hold is evolved
-    ("verify-g", {"coupling": 1e-300, "verify_g": {"delta": 1e308}}),
 ]
 
 
@@ -271,6 +269,34 @@ def test_hold_whose_phase_overflows_is_an_internal_error(tmp_path, command, doc)
     assert_finite_artifacts(out)
 
 
+# (config, the start of the refusal): an arch-1 hold whose phase overflows,
+# which the section refuses as it is built, before any output
+ARCH1_PHASE_REFUSALS = [
+    ({"coupling": 1000.0, "verify_g": {"delta": 1e6, "pad": 1e300}},
+     "pad: a hold of 1e+300 "),
+    # the revival grid's own phases w t
+    ({"coupling": 1e-300, "verify_g": {"delta": 1e308}}, "the revival window at coupling 1e-300: "),
+]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("doc, refusal", ARCH1_PHASE_REFUSALS, ids=["pad-1e300", "window-1e308"])
+def test_arch1_hold_whose_phase_overflows_is_config_error(capsys, tmp_path, command, doc,
+                                                         refusal):
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    summary = json.loads(lines[0], parse_constant=_refuse_constant)
+    assert code == summary["exit_code"] == 2
+    assert summary["reason"] == "config_invalid"
+    assert summary["detail"].startswith(f"config invalid at verify_g: {refusal}")
+    assert summary["detail"].endswith(" overflows its phase")
+    assert not out.exists()
+
+
 BUILD_RULES = [   # (config, section, field): a range that one constructor in _build judges
     ({"coupling": 0}, "verify_g", "coupling"),
     ({"verify_g": {"delta": 0}}, "verify_g", "delta"),
@@ -283,6 +309,9 @@ BUILD_RULES = [   # (config, section, field): a range that one constructor in _b
     ({"zeno": {"collapse_every_gates": 0}}, "zeno", "collapse_every_gates"),
     ({"zeno": {"jitter_mode": "x"}}, "zeno", "jitter_mode"),
     ({"seed": -1}, "zeno", "seed"),
+    ({"verify_g": {"pad": -1}}, "verify_g", "pad"),
+    # a subnormal J: the arch-1 revival window pi/(3J) is inf
+    ({"coupling": 1e-310}, "verify_g", "coupling"),
 ]
 
 
@@ -386,8 +415,8 @@ def _drop_unmet_dependencies(schema, doc):
 @given(doc=_config_strategy(cli.CONFIG_SCHEMA))
 @example(doc=OVERFLOW_REPRODUCERS[0][1])
 @example(doc=OVERFLOW_REPRODUCERS[1][1])
-@example(doc=OVERFLOW_REPRODUCERS[2][1])
-@example(doc=OVERFLOW_REPRODUCERS[3][1])
+@example(doc=ARCH1_PHASE_REFUSALS[0][0])
+@example(doc=ARCH1_PHASE_REFUSALS[1][0])
 def test_every_schema_document_ends_cleanly(command, doc):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -449,7 +478,7 @@ def test_verify_g_negative_pad_is_config_error(capsys, tmp_path):
     code, summary = run_cli(capsys, "verify-g", config=path, out=tmp_path / "out")
     assert code == 2
     assert summary["reason"] == "config_invalid"
-    assert "verify_g/pad" in summary["detail"]
+    assert summary["detail"].startswith("config invalid at verify_g: pad must be >= 0")
     assert not (tmp_path / "out").exists()
     zero = write_config(tmp_path, {"verify_g": {"pad": 0}}, name="zero.json")
     assert cli.load_config(str(zero))["verify_g"]["pad"] == 0

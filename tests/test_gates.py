@@ -168,7 +168,7 @@ def arch1_revival_case(delta):
     arch1_two_qubit_schedule, with the search settings of arch1_revival."""
     levels = model.ZeemanLevels(1.0, delta)
     arch = schemes.arch1_section(levels)
-    pad, gate, _ = schemes.arch1_two_qubit_schedule(arch, 1.0, schemes.DEFAULT_PAD).segments
+    pad, gate, _ = schemes.arch1_two_qubit_schedule(arch, 1.0).segments
     lo, hi = schemes.ARCH1_REVIVAL_WINDOW
     nominal = np.pi / 3.0
     return (arch.chain, ZeemanSchedule((pad,)), gate.energies, ZeemanSchedule((pad,)),
@@ -229,7 +229,7 @@ def test_arch1_revival_searches_its_gate_schedule():
     arch = schemes.arch1_section(model.ZeemanLevels(1.0, 100.0))
     sched, t_r, p_r = schemes.arch1_revival(arch)
     assert (t_r, p_r) == gates.find_revival(*arch1_revival_case(100.0))
-    assert sched == schemes.arch1_two_qubit_schedule(arch, t_r, schemes.DEFAULT_PAD)
+    assert sched == schemes.arch1_two_qubit_schedule(arch, t_r)
 
 
 def full_grid_search(monkeypatch, args):

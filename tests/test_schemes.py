@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainlab import analysis, cli, gates, schemes
+from chainlab import analysis, cli, gates, model, schemes
 from chainlab.errors import InvalidGrouping
 from chainlab.evolve import ZeemanSchedule, evolve
 from chainlab.linalg import expm_i
@@ -38,7 +38,7 @@ def test_arch1_section_geometry():
 def test_arch1_two_qubit_schedule_structure():
     t_gate = np.pi / 3.0
     arch = schemes.arch1_section(LEVELS)
-    sched = schemes.arch1_two_qubit_schedule(arch, t_gate, pad=0.2)
+    sched = schemes.arch1_two_qubit_schedule(arch, t_gate)
     assert len(sched.segments) == 3
     assert sched.segments[0].duration == pytest.approx(0.2)
     assert sched.segments[1].duration == pytest.approx(t_gate)
@@ -48,18 +48,37 @@ def test_arch1_two_qubit_schedule_structure():
     assert gate_energies[:4] == passive[:4]
     assert sched.segments[0].energies == passive
     # zero padding drops the bracketing segments entirely
-    bare = schemes.arch1_two_qubit_schedule(arch, t_gate, pad=0.0)
+    bare = schemes.arch1_two_qubit_schedule(schemes.arch1_section(LEVELS, pad=0.0), t_gate)
     assert len(bare.segments) == 1
 
 
-@pytest.mark.parametrize("pad", [-0.1, -1.0, float("nan")])
+@pytest.mark.parametrize("pad", [-0.1, -1.0, float("nan"), float("inf")])
 def test_arch1_schedules_refuse_a_negative_or_nan_pad(pad):
-    # only a zero-length pad is dropped; Segment refuses the rest
+    # only a zero-length pad is dropped; the section refuses the rest
+    with pytest.raises(ValueError, match="pad must be >= 0 and finite"):
+        schemes.arch1_section(LEVELS, pad=pad)
+
+
+def test_arch1_section_refuses_a_hold_whose_phase_overflows():
+    with pytest.raises(ValueError, match="^pad: a hold of 1e[+]300 .* overflows its phase$"):
+        schemes.arch1_section(ZeemanLevels(1000.0, 1e6), pad=1e300)
+    # the window pi/(3J) times ARCH1_REVIVAL_WINDOW: inf at a subnormal J, and
+    # finite at J = 1e-300 but with phases beyond float range at delta = 1e308
+    for levels in (ZeemanLevels(1e-310, 1000.0), ZeemanLevels(1e-300, 1e308)):
+        with pytest.raises(ValueError, match=f"^the revival window at coupling "
+                                             f"{levels.coupling}: a hold of "):
+            schemes.arch1_section(levels)
+
+
+def test_arch1_exchange_gate_reads_the_passive_energies_the_section_holds(monkeypatch):
     arch = schemes.arch1_section(LEVELS)
-    with pytest.raises(ValueError, match="must be positive"):
-        schemes.arch1_two_qubit_schedule(arch, np.pi / 3.0, pad=pad)
-    with pytest.raises(ValueError, match="must be positive"):
-        schemes.arch1_revival(arch, pad=pad)
+    calls = []
+    for module in (model, schemes, analysis):
+        real = module.site_energies
+        monkeypatch.setattr(module, "site_energies",
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    schemes.arch1_exchange_gate(arch)
+    assert calls == []
 
 
 def test_five_site_section_reference_state():

@@ -90,13 +90,18 @@ def test_zeno_study_rejects_bad_arguments(tmp_path, argv):
     (("--threads", "-3"), "--threads must be >= 1"),
     (("--deltas", "abc"), "--deltas takes comma-separated numbers"),
     (("--deltas", "1000,300"), "--deltas: delta_values must be ascending"),
-    (("--deltas", "nan,1000"), "--deltas: delta_values must be positive and finite"),
+    (("--deltas", "nan,1000"),
+     "--deltas: delta_values[0] = nan: delta must be positive and finite"),
     (("--coupling", "0"), "--coupling must be positive"),
     (("--coupling", "-1"), "--coupling must be positive"),
     (("--coupling", "inf"), "--coupling must be positive and finite"),
     (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out"),
     (("--coupling", "1e300", "--deltas", "1e10,2e10"), "as must 2 delta J"),
-    (("--coupling", "1e300", "--deltas", "8e7,9e7"), "chain's diagonal energy")])
+    (("--coupling", "1e300", "--deltas", "8e7,9e7"), "chain's diagonal energy"),
+    (("--coupling", "1e-310", "--deltas", "300,1000"),
+     "--deltas: delta_values[0] = 300.0: the revival window at coupling 1e-310: "),
+    (("--coupling", "1e-300", "--deltas", "300,1e308"),
+     "--deltas: delta_values[1] = 1e+308: the revival window at coupling 1e-300: ")])
 def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("sweep_defects.py", tmp_path, *argv)
     assert proc.returncode == 2
@@ -114,7 +119,11 @@ def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out"),
     (("--coupling", "1e300", "--deltas", "1e10"), "as must 2 delta J"),
     (("--coupling", "1e300", "--deltas", "8e7"), "chain's diagonal energy"),
-    (("--coupling", "1e10", "--pad", "1e300", "--deltas", "300"), "--pad: a hold of 1e+300")])
+    (("--coupling", "1e10", "--pad", "1e300", "--deltas", "300"), "--pad: a hold of 1e+300"),
+    (("--coupling", "1e-310", "--deltas", "300"),
+     "--deltas: the revival window at coupling 1e-310: "),
+    (("--coupling", "1e-300", "--deltas", "1e308"),
+     "--deltas: the revival window at coupling 1e-300: ")])
 def test_revival_report_rejects_bad_arguments(tmp_path, argv, message):
     proc = run_script("revival_report.py", tmp_path, *argv)
     assert proc.returncode == 2
