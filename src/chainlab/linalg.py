@@ -58,27 +58,34 @@ def op_distance(u, v) -> float:
     """Entrywise max norm of U - exp(i phi) V, minimized over the phase phi.
 
     Zero exactly when the operators agree up to a global phase.  The optimal
-    phase for the Frobenius norm, angle(tr(V+ U)), seeds the search; a golden
-    section pass then refines the max-norm objective, with a coarse grid as
-    fallback when the trace is degenerate.
+    phase for the Frobenius norm, angle(tr(V+ U)), and a coarse grid of 64
+    phases are scored in one array expression (the grid alone when the trace
+    is degenerate), which holds 65 operator-sized temporaries; a
+    golden-section pass then refines the max-norm objective around the first
+    best candidate.  Raises ValueError when u or v has a non-finite entry.
     """
     a = _as_square(u)
     b = _as_square(v)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    for name, mat in (("u", a), ("v", b)):
+        if not np.isfinite(mat).all():
+            raise ValueError(f"cannot take the operator distance: {name} has a non-finite entry")
 
     def dist(phi: float) -> float:
         return float(np.abs(a - np.exp(1j * phi) * b).max())
 
     overlap = np.trace(b.conj().T @ a)
-    candidates = [float(np.angle(overlap))] if abs(overlap) > 1e-12 else []
-    candidates.extend(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
-    best_phi = min(candidates, key=dist)
+    grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    phis = np.concatenate([[np.angle(overlap)], grid]) if abs(overlap) > 1e-12 else grid
+    scores = np.abs(a - np.exp(1j * phis)[:, None, None] * b).max(axis=(1, 2))
+    best = int(np.argmin(scores))
+    best_phi = phis[best]
 
     # Golden-section refinement in a bracket around the best candidate.
     span = 2.0 * np.pi / 64
     _, refined = golden_section(dist, best_phi - span, best_phi + span, PHASE_REFINE_TOL)
-    return min(dist(best_phi), refined)
+    return min(float(scores[best]), refined)
 
 
 def golden_section(f, lo: float, hi: float, tol: float,

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -558,6 +559,72 @@ def test_default_gate_alignment_distance(arch1_pipeline):
 def test_align_phases_shape_check():
     with pytest.raises(DimensionMismatch):
         gates.align_phases(np.eye(3), np.eye(3))
+
+
+@pytest.mark.parametrize("operand", ["gate", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_align_phases_refuses_a_non_finite_operand(operand, bad):
+    mats = {"gate": np.eye(4, dtype=complex), "target": gates.exchange_gate_target()}
+    mats[operand][0, 0] = bad
+    with pytest.raises(ValueError, match=f"{operand} has a non-finite entry"):
+        gates.align_phases(mats["gate"], mats["target"])
+
+
+def per_start_alignment(gate, target, two_sided):
+    """Coordinate ascent from one {0, pi} corner at a time, the strictly best
+    overlap kept in corner order: the loop that align_phases batches."""
+    n_qubits = 2 if gate.shape[0] == 4 else 1
+    signs = model.sigma_z_values(n_qubits)
+    weights = target.conj() * gate
+    sides = 2 if two_sided else 1
+
+    def dressing(x):
+        return np.outer(np.exp(-0.5j * x[0] @ signs), np.exp(-0.5j * x[1] @ signs))
+
+    best_overlap, best_x = -1.0, None
+    for corner in itertools.product((0.0, np.pi), repeat=sides * n_qubits):
+        x = np.zeros((2, n_qubits))
+        x[:sides] = np.reshape(corner, (sides, n_qubits))
+        for _ in range(gates.ALIGN_MAX_SWEEPS):
+            step = 0.0
+            for side, q in itertools.product(range(sides), range(n_qubits)):
+                sums = (weights * dressing(x)).sum(axis=1 - side)
+                delta = np.angle(sums[signs[q] > 0].sum() * np.conj(sums[signs[q] < 0].sum()))
+                x[side, q] += delta
+                step = max(step, abs(delta))
+            if step <= gates.ALIGN_ANGLE_TOL:
+                break
+        overlap = abs((weights * dressing(x)).sum())
+        if overlap > best_overlap:
+            best_overlap, best_x = overlap, x
+    dressed = gate * dressing(best_x)
+    return linalg.op_distance(dressed, target), dressed
+
+
+@functools.cache
+def alignment_cases():
+    exchange = gates.exchange_gate_target()
+    pairs = [(schemes.arch1_exchange_gate(schemes.arch1_section(
+        model.ZeemanLevels(coupling=1.0, delta=delta)))[2], exchange)
+        for delta in (20.0, 100.0, 300.0, 1000.0, 3000.0)]
+    rng = np.random.default_rng(2026)
+    for _ in range(40):
+        pairs += [(random_unitary(rng, 2), gates.ry(0.4)),
+                  (random_unitary(rng, 4), exchange), (random_unitary(rng, 4), gates.cnot_target())]
+    return [(g, t, two_sided) for g, t in pairs for two_sided in (True, False)]
+
+
+@pytest.mark.parametrize("max_sweeps", [gates.ALIGN_MAX_SWEEPS, 1, 2])
+def test_align_phases_matches_the_per_start_ascent(monkeypatch, max_sweeps):
+    # a cap of 1 or 2 sweeps stops every start mid-ascent, so the cap shows;
+    # at the default cap the starts converge at different sweeps, so the
+    # freeze mask shows; every bit must match, signed zeros too
+    monkeypatch.setattr(gates, "ALIGN_MAX_SWEEPS", max_sweeps)
+    for gate, target, two_sided in alignment_cases():
+        want_distance, want_dressed = per_start_alignment(gate, target, two_sided)
+        got = gates.align_phases(gate, target, two_sided=two_sided)
+        assert got.distance == want_distance
+        assert got.dressed.tobytes() == want_dressed.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -71,6 +71,54 @@ def test_op_distance_dimension_mismatch():
         linalg.op_distance(np.eye(2), np.eye(4))
 
 
+@pytest.mark.parametrize("operand", ["u", "v"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_op_distance_refuses_a_non_finite_operand(operand, bad):
+    mats = {"u": np.eye(4, dtype=complex), "v": np.eye(4, dtype=complex)}
+    mats[operand][0, 0] = bad
+    with pytest.raises(ValueError, match=f"{operand} has a non-finite entry"):
+        linalg.op_distance(mats["u"], mats["v"])
+
+
+def scalar_op_distance(u, v):
+    """op_distance with its phase candidates scored one at a time: the first
+    minimum of the trace phase and the 64-point grid, then golden section."""
+    a, b = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+
+    def dist(phi):
+        return float(np.abs(a - np.exp(1j * phi) * b).max())
+
+    overlap = np.trace(b.conj().T @ a)
+    candidates = [float(np.angle(overlap))] if abs(overlap) > 1e-12 else []
+    candidates.extend(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    best_phi = min(candidates, key=dist)
+    span = 2.0 * np.pi / 64
+    _, refined = linalg.golden_section(dist, best_phi - span, best_phi + span,
+                                       linalg.PHASE_REFINE_TOL)
+    return min(dist(best_phi), refined)
+
+
+def op_distance_cases():
+    rng = np.random.default_rng(17)
+    cases = [(np.eye(2), PAULI_X),                   # |tr| = 0: the grid alone
+             (np.eye(4), np.zeros((4, 4))),          # every candidate ties at max|u|
+             (np.eye(3), np.eye(3))]
+    for dim in (2, 3, 4, 8, 16):
+        for _ in range(20):
+            u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            noise = rng.normal(scale=10.0 ** rng.uniform(-12, 0), size=(dim, dim))
+            cases += [(u, np.exp(1j * rng.uniform(-3, 3)) * u + noise),
+                      (u, rng.normal(size=(dim, dim)))]
+    return cases
+
+
+def test_op_distance_scores_candidates_as_the_scalar_loop():
+    for u, v in op_distance_cases():
+        got = linalg.op_distance(u, v)
+        assert type(got) is float
+        assert got == scalar_op_distance(u, v)
+
+
 def test_polar_unitary_projects():
     rng = np.random.default_rng(11)
     h = random_hermitian(rng, 4)
