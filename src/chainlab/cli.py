@@ -21,7 +21,6 @@ import contextlib
 import copy
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -67,8 +66,8 @@ def _closed(properties: dict, **keywords) -> dict:
             **keywords}
 
 
-# Shape only, plus the ranges that no library object judges before the run:
-# coupling, delta, pad, delta_values, seed and the Zeno run's trials, jitter_stddev,
+# Shape only, plus the ranges that no library object judges before the run: coupling,
+# delta, pad, eps, tol_identity, delta_values, seed and the Zeno run's trials, jitter_stddev,
 # collapse_every_gates and jitter_mode are judged by the constructors _build calls.
 CONFIG_SCHEMA = _closed({
     "coupling": _NUM,
@@ -207,31 +206,19 @@ def _build(cfg: dict) -> dict:
     coupling, z = cfg["coupling"], cfg["zeno"]
     built, where = {}, None
     try:
-        for where, layout, *pad in (("verify_g", schemes.arch1_section, cfg["verify_g"]["pad"]),
-                                    ("verify_m", schemes.arch2_section),
-                                    ("six_settings", schemes.arch3_section)):
-            built[where] = layout(ZeemanLevels(coupling, cfg[where]["delta"]), *pad)
+        for where, layout, key in (("verify_g", schemes.arch1_section, "pad"),
+                                   ("verify_m", schemes.arch2_section, "eps"),
+                                   ("six_settings", schemes.arch3_section, "tol_identity")):
+            built[where] = layout(ZeemanLevels(coupling, cfg[where]["delta"]), cfg[where][key])
         where = "sweep"
         built[where] = analysis.SweepSpec(tuple(cfg[where]["delta_values"]), coupling)
         where = "zeno"
         built[where] = schemes.ZenoConfig(
             collapse_every_gates=z["collapse_every_gates"], jitter_stddev=z["jitter_stddev"],
             trials=z["trials"], seed=cfg["seed"], jitter_mode=z["jitter_mode"])
-        where = "six_settings"
-        if not math.isfinite(_tol_identity(cfg)):
-            raise ValueError(f"the default tol_identity 10 J/delta overflows at J = {coupling!r}, "
-                             f"delta = {cfg[where]['delta']!r}; set tol_identity")
     except (ConfigInvalid, ValueError) as exc:
         raise ConfigInvalid(f"config invalid at {where}: {exc}") from exc
     return built
-
-
-def _tol_identity(cfg: dict) -> float:
-    """six_settings.tol_identity, by default 10 J/delta."""
-    c = cfg["six_settings"]
-    if c["tol_identity"] is not None:
-        return c["tol_identity"]
-    return 10.0 * cfg["coupling"] / c["delta"]
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -266,16 +253,13 @@ def cmd_verify_g(cfg: dict, arch: schemes.ArchitectureOne, out: Path) -> tuple[b
     return ok, {"distance": doc.get("distance_to_target")}
 
 
-def cmd_verify_m(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool, dict]:
-    """Run the paired-encoding pipeline at the simultaneous-revival working
-    point and check the conditional phase of the extracted gate."""
+def cmd_verify_m(cfg: dict, arch: schemes.ArchitectureTwo, out: Path) -> tuple[bool, dict]:
+    """Run the section's paired-encoding gate, by default at the simultaneous-revival
+    working point, and check the conditional phase of the extracted gate."""
     c = cfg["verify_m"]
-    eps = c["eps"] if c["eps"] is not None else schemes.arch2_working_point(arch.levels)
-    t_gate = np.pi / (np.sqrt(5.0) * arch.levels.coupling)
-    sched = schemes.arch2_two_qubit_schedule(arch, t_gate, eps)
-    doc = {"delta": c["delta"], "eps": eps, "t_gate": t_gate,
+    doc = {"delta": c["delta"], "eps": arch.eps, "t_gate": arch.gate.total_duration,
            "target_phase": c["target_phase"], "tolerance": c["tolerance"]}
-    block, doc["leakage"] = logical_block(arch.chain, sched, arch.enc, arch.passive_energies)
+    block, doc["leakage"] = logical_block(arch.chain, arch.gate, arch.enc, arch.passive_energies)
     try:
         _, _, phi, resid = derive_local_corrections(extract_gate(block, doc["leakage"]))
         doc.update({"conditional_phase": phi, "off_diagonal_residual": resid})
@@ -356,7 +340,7 @@ def _distance_to_diagonal(u: np.ndarray) -> float:
     return op_distance(u, np.diag(d))
 
 
-# One row per setting of schemes.six_settings, in that order: setting; parked
+# One row per setting of schemes.ArchitectureThree.settings, in that order: setting; parked
 # qubits, which must stay diagonal; driven group, its mismatch key and the
 # (setting, group) whose gate it must equal; an edge key and group compared with
 # the driven group but only reported, since qubit 0 sits at the open chain's
@@ -372,7 +356,7 @@ _SIX_CHECKS = (
 )
 
 
-def cmd_six_settings(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool, dict]:
+def cmd_six_settings(cfg: dict, arch: schemes.ArchitectureThree, out: Path) -> tuple[bool, dict]:
     """Enumerate the six global settings on a 12-site chain and verify that
     each drives exactly its own parity group.
 
@@ -384,12 +368,8 @@ def cmd_six_settings(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool,
     pair maps stay product across the pair/rest cut.
     """
     c = cfg["six_settings"]
-    delta = c["delta"]
-    tol_id = _tol_identity(cfg)
-    tol_same = c["tol_same"]
-    settings = schemes.six_settings(arch.levels)
     logical = [logical_block(arch.chain, schemes.arch3_apply(arch, s), arch.enc,
-                             arch.passive_energies)[0] for s in settings]
+                             arch.passive_energies)[0] for s in arch.settings]
 
     @functools.cache
     def factor(setting, group):
@@ -397,7 +377,7 @@ def cmd_six_settings(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool,
 
     results = []
     for k, parked, driven, key, ref, edge_key, edge, product, note in _SIX_CHECKS:
-        entry = {"label": settings[k].label}
+        entry = {"label": arch.settings[k].label}
         if parked:
             entry["parked_distance_to_diagonal"] = max(
                 _distance_to_diagonal(factor(k, (q,))[0]) for q in parked)
@@ -409,11 +389,12 @@ def cmd_six_settings(cfg: dict, arch: schemes.Section, out: Path) -> tuple[bool,
             entry["pair_schmidt_weight"] = min(factor(k, g)[1] for g in product)
         if note:
             entry["note"] = note
-        entry["passed"] = bool(entry.get("parked_distance_to_diagonal", 0.0) < tol_id
-                               and entry.get(key, 0.0) < tol_same
+        entry["passed"] = bool(entry.get("parked_distance_to_diagonal", 0.0) < arch.tol_identity
+                               and entry.get(key, 0.0) < c["tol_same"]
                                and entry.get("pair_schmidt_weight", 1.0) > 1 - 1e-6)
         results.append(entry)
-    doc = {"delta": delta, "tol_identity": tol_id, "tol_same": tol_same, "settings": results}
+    doc = {"delta": c["delta"], "tol_identity": arch.tol_identity, "tol_same": c["tol_same"],
+           "settings": results}
     analysis.emit_json(doc, out / "six_settings.json")
     passed = [r["passed"] for r in results]
     return all(passed), {"passed": passed}

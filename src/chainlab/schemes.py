@@ -3,8 +3,8 @@ the six-setting global switch, the barrier-collapse trajectory engine, and
 the refocusing demo.
 
 Each architecture's layout is built once as a Section (chain, passive
-levels, encoding); its schedule builders take that section and return only
-a schedule.
+levels, encoding and its own parameters) that refuses a bad parameter or an
+overflowing hold; its schedule builders take it and return only a schedule.
 
 Architecture 1 places qubits on alternate sites of an ...ABAB... chain with
 barrier spins between them (guards up, the gate-mediating barrier down);
@@ -60,6 +60,15 @@ class Section:
     def __post_init__(self):   # site_energies refuses a layout whose Hamiltonian overflows
         object.__setattr__(self, "passive_energies", tuple(site_energies(self.chain, self.levels)))
 
+    def _check_holds(self, *holds: tuple[str, Sequence[float], float]) -> None:
+        """Refuse (ValueError, prefixed with its name) the first named hold
+        (name, energies, duration) whose phase overflows on this chain."""
+        for name, energies, t in holds:
+            try:
+                check_phase(self.chain, energies, t)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+
 
 # ---------------------------------------------------------------------------
 # architecture 1: single-site qubits on alternate spins
@@ -86,12 +95,8 @@ class ArchitectureOne(Section):
         object.__setattr__(self, "gate_energies", tuple(gate))
         object.__setattr__(self, "revival_window", tuple(x * t0 for x in ARCH1_REVIVAL_WINDOW))
         window = f"the revival window at coupling {self.chain.coupling}"
-        for name, energies, t in (("pad", self.passive_energies, self.pad),
-                                  (window, self.gate_energies, self.revival_window[1])):
-            try:
-                check_phase(self.chain, energies, t)
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+        self._check_holds(("pad", self.passive_energies, self.pad),
+                          (window, self.gate_energies, self.revival_window[1]))
 
 
 def arch1_section(levels: ZeemanLevels, pad: float = DEFAULT_PAD) -> ArchitectureOne:
@@ -146,13 +151,41 @@ def arch1_exchange_gate(arch: ArchitectureOne
 # architecture 2: paired-site qubits on an ABC chain
 
 
-def arch2_section(levels: ZeemanLevels, n_triples: int = 2) -> Section:
-    """ABC triples; each qubit is the (A, B) pair of a triple, guarded by its
-    C barrier held up."""
+def _abc_layout(levels: ZeemanLevels, n_triples: int) -> dict:
+    """Section fields of n_triples ABC triples: a qubit per (A, B) pair, its C barrier up."""
     chain = ChainSpec(n=3 * n_triples, coupling=levels.coupling, roles="ABC" * n_triples)
     pairs = [(3 * k, 3 * k + 1) for k in range(n_triples)]
     refs = {3 * k + 2: 0 for k in range(n_triples)}
-    return Section(chain=chain, levels=levels, enc=EncodingMap.paired(chain.n, pairs, refs))
+    return {"chain": chain, "levels": levels, "enc": EncodingMap.paired(chain.n, pairs, refs)}
+
+
+def _pair_gate_time(levels: ZeemanLevels) -> float:
+    """The nominal two-qubit revival time of a paired-site gate, pi / (sqrt(5) J)."""
+    return np.pi / (np.sqrt(5.0) * levels.coupling)
+
+
+@dataclass(frozen=True)
+class ArchitectureTwo(Section):
+    """Two ABC triples; enc holds both paired-site qubits.  Its gate holds the
+    left qubit's upper site at eps for pi / (sqrt(5) J); both logical branches
+    revive together at the working point eps = C - J.  A gate hold whose phase
+    overflows is refused."""
+
+    eps: float
+    gate: ZeemanSchedule = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        energies = list(self.passive_energies)
+        energies[1] = self.eps
+        object.__setattr__(self, "gate", _steps((_pair_gate_time(self.levels), energies)))
+        self._check_holds(("the gate hold", energies, self.gate.total_duration))
+
+
+def arch2_section(levels: ZeemanLevels, eps: float | None = None) -> ArchitectureTwo:
+    """The two-qubit paired-site section; eps defaults to the working point C - J."""
+    return ArchitectureTwo(**_abc_layout(levels, 2),
+                           eps=levels.c - levels.coupling if eps is None else eps)
 
 
 def arch2_single_qubit_schedule(levels: ZeemanLevels, offset: float,
@@ -164,22 +197,6 @@ def arch2_single_qubit_schedule(levels: ZeemanLevels, offset: float,
     gate = list(site_energies(chain, levels))
     gate[2] = levels.a + offset
     return _steps((t, gate)), enc
-
-
-def arch2_working_point(levels: ZeemanLevels) -> float:
-    """Tunable-site energy giving equal two-level detunings on both logical
-    branches of the two-qubit gate, hence a simultaneous barrier revival."""
-    return levels.c - levels.coupling
-
-
-def arch2_two_qubit_schedule(arch: Section, t_gate: float, eps: float) -> ZeemanSchedule:
-    """The left qubit's upper site tuned to eps for t_gate.
-
-    Both logical branches revive together at eps = arch2_working_point (C - J).
-    """
-    gate = list(arch.passive_energies)
-    gate[1] = eps
-    return _steps((t_gate, gate))
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +211,49 @@ class SixSetting:
     duration: float
 
 
-def six_settings(levels: ZeemanLevels) -> tuple[SixSetting, ...]:
-    """The six (eps_even, eps_odd) pairs driving universal control.
+@dataclass(frozen=True)
+class ArchitectureThree(Section):
+    """Four ABC triples; qubits 0 and 2 form the even group, 1 and 3 the odd
+    group.  It holds the six (eps_even, eps_odd) settings driving universal
+    control and tol_identity, a parked qubit's largest distance to diagonal;
+    a non-finite tol_identity or a setting hold whose phase overflows is refused.
 
     One side always idles at B.  Resonant and shifted single-qubit values
     (A, A+J) carry a quarter-flip duration; the entangling value (C+J)
     carries the nominal two-qubit revival duration.  The all-passive pair
     (B, B) is represented by the absence of a segment, not a setting.
     """
-    j = levels.coupling
-    t1 = np.pi / (4.0 * j)
-    t2 = np.pi / (np.sqrt(5.0) * j)
-    a, b, c = levels.a, levels.b, levels.c
-    return (
-        SixSetting("even:B odd:A", b, a, t1),
-        SixSetting("even:B odd:A+J", b, a + j, t1),
-        SixSetting("even:B odd:C+J", b, c + j, t2),
-        SixSetting("even:A odd:B", a, b, t1),
-        SixSetting("even:A+J odd:B", a + j, b, t1),
-        SixSetting("even:C+J odd:B", c + j, b, t2),
-    )
+
+    tol_identity: float
+    settings: tuple[SixSetting, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not abs(self.tol_identity) < np.inf:
+            raise ValueError(f"tol_identity must be finite, got {self.tol_identity}")
+        j = self.levels.coupling
+        t1 = np.pi / (4.0 * j)
+        t2 = _pair_gate_time(self.levels)
+        a, b, c = self.levels.a, self.levels.b, self.levels.c
+        object.__setattr__(self, "settings", (
+            SixSetting("even:B odd:A", b, a, t1),
+            SixSetting("even:B odd:A+J", b, a + j, t1),
+            SixSetting("even:B odd:C+J", b, c + j, t2),
+            SixSetting("even:A odd:B", a, b, t1),
+            SixSetting("even:A+J odd:B", a + j, b, t1),
+            SixSetting("even:C+J odd:B", c + j, b, t2),
+        ))
+        self._check_holds(*((s.label, seg.energies, seg.duration) for s in self.settings
+                            for seg in arch3_apply(self, s).segments))
 
 
-def arch3_section(levels: ZeemanLevels) -> Section:
-    """Four-qubit architecture-2 section; qubits 0 and 2 form the even group,
-    qubits 1 and 3 the odd group."""
-    return arch2_section(levels, n_triples=4)
+def arch3_section(levels: ZeemanLevels, tol_identity: float | None = None) -> ArchitectureThree:
+    """The four-qubit paired-site section; tol_identity defaults to 10 J/delta."""
+    return ArchitectureThree(**_abc_layout(levels, 4), tol_identity=(
+        10.0 * levels.coupling / levels.delta if tol_identity is None else tol_identity))
 
 
-def arch3_apply(arch: Section, setting: SixSetting) -> ZeemanSchedule:
+def arch3_apply(arch: ArchitectureThree, setting: SixSetting) -> ZeemanSchedule:
     """Schedule moving the tunable (upper) site of every even-group qubit to
     eps_even and of every odd-group one to eps_odd for the setting's duration."""
     energies = list(arch.passive_energies)

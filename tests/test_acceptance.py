@@ -89,10 +89,8 @@ def test_criterion_2_revival_time_and_ratio():
 
 def pair_gate_corrections(delta, eps_offset):
     levels = ZeemanLevels(J, delta)
-    arch = schemes.arch2_section(levels)
-    t_gate = np.pi / (np.sqrt(5.0) * J)
-    sched = schemes.arch2_two_qubit_schedule(arch, t_gate, eps=levels.c + eps_offset)
-    gate = gates.extract_gate(*gates.logical_block(arch.chain, sched, arch.enc,
+    arch = schemes.arch2_section(levels, eps=levels.c + eps_offset)
+    gate = gates.extract_gate(*gates.logical_block(arch.chain, arch.gate, arch.enc,
                                                    arch.passive_energies))
     return gates.derive_local_corrections(gate)
 
@@ -185,7 +183,7 @@ def test_criterion_7_six_setting_isolation():
     delta = 1000.0
     levels = ZeemanLevels(J, delta)
     arch = schemes.arch3_section(levels)
-    setting = schemes.six_settings(levels)[1]
+    setting = arch.settings[1]
     assert setting.eps_even == levels.b and setting.eps_odd == levels.a + J
     sched = schemes.arch3_apply(arch, setting)
     logical, _ = gates.logical_block(arch.chain, sched, arch.enc, arch.passive_energies)
@@ -279,11 +277,8 @@ def schedule_corpus():
     out.append((arch1.chain, schemes.arch1_two_qubit_schedule(arch1, np.pi / 3.0)))
     chain2 = ChainSpec(n=4, coupling=J, roles="CABC")
     out.append((chain2, schemes.arch2_single_qubit_schedule(lv, 0.0, np.pi / 4.0)[0]))
-    arch2 = schemes.arch2_section(lv)
-    t2 = np.pi / np.sqrt(5.0)
-    out.append((arch2.chain, schemes.arch2_two_qubit_schedule(arch2, t2, eps=lv.c + J)))
-    out.append((arch2.chain, schemes.arch2_two_qubit_schedule(
-        arch2, t2, eps=schemes.arch2_working_point(lv))))
+    for arch2 in (schemes.arch2_section(lv, eps=lv.c + J), schemes.arch2_section(lv)):
+        out.append((arch2.chain, arch2.gate))
     chain3, _ = reduced_chain()
     out.append((chain3, ZeemanSchedule.from_steps([(np.pi / 3.0, (lv.a + J,) * 3)])))
     chain_pair = ChainSpec(n=2, coupling=J, roles="AB")

@@ -123,7 +123,9 @@ def numeric_leaves(schema, path=()):
 
 # The minima of the numeric fields whose range a library constructor judges
 # in cli._build (ChainSpec, ZeemanLevels, ArchitectureOne, SweepSpec, ZenoConfig);
-# the schema holds the minima of the others.
+# the schema holds the minima of the others.  ArchitectureTwo judges only that its
+# gate hold at eps stays finite, and ArchitectureThree only that tol_identity is
+# finite, so eps has no minimum and tol_identity's stays in the schema.
 LIBRARY_MINIMA = {
     ("coupling",): {"exclusiveMinimum": 0},
     ("seed",): {"minimum": 0},
@@ -249,9 +251,10 @@ def assert_finite_artifacts(out):
                 pass
 
 
-OVERFLOW_REPRODUCERS = [   # (command, config): a hold whose phase w t overflows
+# (command, config): a hold whose phase w t overflows, found only as it runs: zeno
+# draws each trial's hold durations, so no constructor sees them
+OVERFLOW_REPRODUCERS = [
     ("zeno", {"coupling": 1e-9, "zeno": {"trials": 35, "gates": 2, "jitter_stddev": 1e300}}),
-    ("verify-m", {"coupling": 1e-300, "verify_m": {"delta": 1e6, "eps": -1e300}}),
 ]
 
 
@@ -269,20 +272,29 @@ def test_hold_whose_phase_overflows_is_an_internal_error(tmp_path, command, doc)
     assert_finite_artifacts(out)
 
 
-# (config, the start of the refusal): an arch-1 hold whose phase overflows,
-# which the section refuses as it is built, before any output
-ARCH1_PHASE_REFUSALS = [
-    ({"coupling": 1000.0, "verify_g": {"delta": 1e6, "pad": 1e300}},
+# (config, section, the start of the refusal): a layout's hold whose phase
+# overflows, which its section refuses as it is built, before any output
+PHASE_REFUSALS = [
+    ({"coupling": 1000.0, "verify_g": {"delta": 1e6, "pad": 1e300}}, "verify_g",
      "pad: a hold of 1e+300 "),
     # the revival grid's own phases w t
-    ({"coupling": 1e-300, "verify_g": {"delta": 1e308}}, "the revival window at coupling 1e-300: "),
+    ({"coupling": 1e-300, "verify_g": {"delta": 1e308}}, "verify_g",
+     "the revival window at coupling 1e-300: "),
+    # the paired-site gate time pi/(sqrt(5) J) under the default working point
+    ({"coupling": 1e-300, "verify_m": {"delta": 1e308}}, "verify_m", "the gate hold: a hold of "),
+    ({"coupling": 1e-300, "six_settings": {"delta": 1e308, "tol_identity": 1.0}}, "six_settings",
+     "even:B odd:A: a hold of "),
+    ({"coupling": 1e-300, "verify_m": {"delta": 1e6, "eps": -1e300}}, "verify_m",
+     "the gate hold: a hold of "),
 ]
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
-@pytest.mark.parametrize("doc, refusal", ARCH1_PHASE_REFUSALS, ids=["pad-1e300", "window-1e308"])
-def test_arch1_hold_whose_phase_overflows_is_config_error(capsys, tmp_path, command, doc,
-                                                         refusal):
+@pytest.mark.parametrize("doc, section, refusal", PHASE_REFUSALS,
+                         ids=["pad-1e300", "window-1e308", "gate-1e308", "settings-1e308",
+                              "eps-1e300"])
+def test_hold_whose_phase_overflows_is_config_error(capsys, tmp_path, command, doc, section,
+                                                   refusal):
     out = tmp_path / "out"
     code = cli.main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
     captured = capsys.readouterr()
@@ -292,7 +304,7 @@ def test_arch1_hold_whose_phase_overflows_is_config_error(capsys, tmp_path, comm
     summary = json.loads(lines[0], parse_constant=_refuse_constant)
     assert code == summary["exit_code"] == 2
     assert summary["reason"] == "config_invalid"
-    assert summary["detail"].startswith(f"config invalid at verify_g: {refusal}")
+    assert summary["detail"].startswith(f"config invalid at {section}: {refusal}")
     assert summary["detail"].endswith(" overflows its phase")
     assert not out.exists()
 
@@ -414,9 +426,11 @@ def _drop_unmet_dependencies(schema, doc):
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=_config_strategy(cli.CONFIG_SCHEMA))
 @example(doc=OVERFLOW_REPRODUCERS[0][1])
-@example(doc=OVERFLOW_REPRODUCERS[1][1])
-@example(doc=ARCH1_PHASE_REFUSALS[0][0])
-@example(doc=ARCH1_PHASE_REFUSALS[1][0])
+@example(doc=PHASE_REFUSALS[0][0])
+@example(doc=PHASE_REFUSALS[1][0])
+@example(doc=PHASE_REFUSALS[2][0])
+@example(doc=PHASE_REFUSALS[3][0])
+@example(doc=PHASE_REFUSALS[4][0])
 def test_every_schema_document_ends_cleanly(command, doc):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"

@@ -407,11 +407,8 @@ def arch1_gate_case(delta):
 
 
 def verify_m_gate_case():
-    levels = model.ZeemanLevels(1.0, 4000.0)
-    arch = schemes.arch2_section(levels)
-    sched = schemes.arch2_two_qubit_schedule(arch, np.pi / np.sqrt(5.0),
-                                             eps=schemes.arch2_working_point(levels))
-    return arch.chain, sched, arch.enc, arch.passive_energies
+    arch = schemes.arch2_section(model.ZeemanLevels(1.0, 4000.0))
+    return arch.chain, arch.gate, arch.enc, arch.passive_energies
 
 
 @pytest.mark.parametrize("case", [lambda: arch1_gate_case(100.0),

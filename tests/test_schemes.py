@@ -94,7 +94,7 @@ def test_five_site_section_reference_state():
 
 
 def test_arch2_section_geometry():
-    arch = schemes.arch2_section(LEVELS, n_triples=2)
+    arch = schemes.arch2_section(LEVELS)
     assert arch.chain.roles == "ABCABC"
     assert arch.enc.qubit_sites == ((0, 1), (3, 4))
     assert dict(arch.enc.barrier_refs) == {2: 0, 5: 0}
@@ -122,30 +122,42 @@ def test_arch2_full_flip_duration():
 
 def test_arch2_two_qubit_schedule_drive_site():
     t = np.pi / np.sqrt(5.0)
-    arch = schemes.arch2_section(LEVELS)
-    sched = schemes.arch2_two_qubit_schedule(arch, t, eps=LEVELS.c + 1.0)
+    arch = schemes.arch2_section(LEVELS, eps=LEVELS.c + 1.0)
+    sched = arch.gate
+    assert sched.total_duration == t
     assert arch.enc.qubit_sites == ((0, 1), (3, 4))
     assert sched.segments[0].energies[1] == pytest.approx(LEVELS.c + 1.0)
     # only the left qubit's upper site leaves its passive level
     passive = arch.passive_energies
     assert sched.segments[0].energies[:1] + sched.segments[0].energies[2:] == (
         passive[:1] + passive[2:])
-    at_wp = schemes.arch2_two_qubit_schedule(arch, t, eps=schemes.arch2_working_point(LEVELS))
+    at_wp = schemes.arch2_section(LEVELS).gate
     assert at_wp.segments[0].energies[1] == pytest.approx(LEVELS.c - 1.0)
 
 
 def test_arch2_working_point_value():
-    assert schemes.arch2_working_point(LEVELS) == pytest.approx(LEVELS.c - 1.0)
+    # eps defaults to the working point C - J
+    assert schemes.arch2_section(LEVELS).eps == LEVELS.c - LEVELS.coupling
     levels = ZeemanLevels(2.0, 1000.0)
-    assert schemes.arch2_working_point(levels) == pytest.approx(levels.c - 2.0)
+    assert schemes.arch2_section(levels).eps == levels.c - levels.coupling
+    assert schemes.arch2_section(levels, eps=0.5).eps == 0.5
+
+
+def test_arch3_tol_identity_default():
+    levels = ZeemanLevels(2.0, 1000.0)
+    assert schemes.arch3_section(levels).tol_identity == 10.0 * 2.0 / 1000.0
+    assert schemes.arch3_section(levels, tol_identity=0.5).tol_identity == 0.5
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol_identity must be finite"):
+            schemes.arch3_section(levels, tol_identity=bad)
 
 
 def test_layouts_take_their_coupling_from_the_levels():
     levels = ZeemanLevels(2.0, 1000.0)
     for layout in (schemes.arch1_section, schemes.arch2_section, schemes.arch3_section):
         assert layout(levels).chain.coupling == 2.0
-    assert schemes.arch2_working_point(levels) == levels.c - 2.0
-    st6 = schemes.six_settings(levels)
+    assert schemes.arch2_section(levels).eps == levels.c - 2.0
+    st6 = schemes.arch3_section(levels).settings
     assert {s.duration for s in st6} == {np.pi / 8.0, np.pi / (2.0 * np.sqrt(5.0))}
     assert st6[1].eps_odd == st6[4].eps_even == levels.a + 2.0 == 2.0
     with pytest.raises(ValueError, match="J = 1.0 given levels at J = 2.0"):
@@ -158,7 +170,7 @@ def test_layouts_take_their_coupling_from_the_levels():
 
 def test_six_settings_literal_values():
     a, b, c = LEVELS.a, LEVELS.b, LEVELS.c
-    st6 = schemes.six_settings(LEVELS)
+    st6 = schemes.arch3_section(LEVELS).settings
     assert len(st6) == 6
     got = {(s.eps_even, s.eps_odd) for s in st6}
     assert got == {(b, a), (b, a + 1), (b, c + 1), (a, b), (a + 1, b), (c + 1, b)}
@@ -185,7 +197,7 @@ def test_arch3_section_grouping():
 
 def test_arch3_apply_sets_both_groups():
     arch = schemes.arch3_section(LEVELS)
-    setting = schemes.six_settings(LEVELS)[4]  # even:A+J odd:B
+    setting = arch.settings[4]  # even:A+J odd:B
     sched = schemes.arch3_apply(arch, setting)
     assert len(sched.segments) == 1
     assert sched.segments[0].duration == pytest.approx(setting.duration)

@@ -3,8 +3,9 @@
 J has one source, the ZeemanLevels that set a layout's energies: a function
 that takes levels reads J from them; one that also took a coupling could
 build a chain at one J with energies set at another.  Likewise the arch-1
-pad is held by its section, which judges it once, as it is built; a function
-that took an arch and a pad would run a hold that no section judged.
+pad and the arch-2 eps are held by their sections, which judge them once, as
+they are built; a function that took an arch and a pad, or an arch and an
+eps, would run a hold that no section judged.
 """
 
 import ast
@@ -34,3 +35,8 @@ def test_no_function_takes_both_levels_and_coupling():
 def test_no_function_takes_both_an_arch_and_a_pad():
     both = functions_taking("arch", "pad")
     assert not both, "take both arch and pad: " + ", ".join(both)
+
+
+def test_no_function_takes_both_an_arch_and_an_eps():
+    both = functions_taking("arch", "eps")
+    assert not both, "take both arch and eps: " + ", ".join(both)
