@@ -40,7 +40,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
+    chain, enc, gate, _, psi0 = schemes.zeno_gate_train(1.0)
 
     rows = []
     for tok, cfg in args.runs:

@@ -10,7 +10,7 @@ Submodules:
             (of states, or of the identity for a unitary), the Zeeman frame
   gates     revival search, gate readout, invariants, CNOT synthesis
   schemes   the three chain architectures, each built once as a section
-            (chain, levels, encoding) that its schedule builders act on;
+            (chain, levels, encoding) that holds the schedules it runs;
             the arch-1 exchange-gate pipeline, Zeno runs, refocusing demo
   analysis  detuning sweeps, Ising-limit convergence, the artifact writers
   cli       the `chainlab` command line tool

@@ -37,7 +37,7 @@ class SweepSpec:
     arch-1 section of each detuning, built here once."""
 
     delta_values: tuple[float, ...]
-    coupling: float = 1.0
+    coupling: float
     sections: tuple[ArchitectureOne, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,7 +153,7 @@ class IsingFit:
     leakage_slope: float
 
 
-def ising_convergence(delta_grid: Sequence[float], coupling: float = 1.0) -> IsingFit:
+def ising_convergence(delta_grid: Sequence[float], coupling: float) -> IsingFit:
     """Full-chain vs effective-Ising propagators on a passive alternating
     chain of ISING_CHAIN_SITES held for ISING_HOLD_TIME.  Leakage (population
     escaping each computational basis state) falls off two decades per

@@ -66,9 +66,9 @@ def _closed(properties: dict, **keywords) -> dict:
             **keywords}
 
 
-# Shape only, plus the ranges that no library object judges before the run: coupling,
-# delta, pad, eps, tol_identity, delta_values, seed and the Zeno run's trials, jitter_stddev,
-# collapse_every_gates and jitter_mode are judged by the constructors _build calls.
+# Shape only, plus the ranges that no library object judges before the run.  The constructors
+# _build calls judge coupling, delta, pad, eps, tol_identity (given or defaulted), delta_values,
+# seed and the Zeno run's trials, jitter_stddev, collapse_every_gates and jitter_mode.
 CONFIG_SCHEMA = _closed({
     "coupling": _NUM,
     "seed": _INT,
@@ -88,7 +88,7 @@ CONFIG_SCHEMA = _closed({
     "zeno": _closed({"gates": _POSINT, "trials": _INT, "jitter_stddev": _NUM,
                      "collapse_every_gates": _nullable(_INT),
                      "jitter_mode": {"type": "string"}, "min_fidelity": _NUM}),
-    "six_settings": _closed({"delta": _NUM, "tol_identity": _nullable(_POSNUM),
+    "six_settings": _closed({"delta": _NUM, "tol_identity": _nullable(_NUM),
                              "tol_same": _POSNUM}),
 })
 
@@ -368,8 +368,8 @@ def cmd_six_settings(cfg: dict, arch: schemes.ArchitectureThree, out: Path) -> t
     pair maps stay product across the pair/rest cut.
     """
     c = cfg["six_settings"]
-    logical = [logical_block(arch.chain, schemes.arch3_apply(arch, s), arch.enc,
-                             arch.passive_energies)[0] for s in arch.settings]
+    logical = [logical_block(arch.chain, s.schedule, arch.enc, arch.passive_energies)[0]
+               for s in arch.settings]
 
     @functools.cache
     def factor(setting, group):

@@ -311,15 +311,15 @@ class PhaseAlignment:
     dressed: np.ndarray
 
 
-def align_phases(gate: np.ndarray, target: np.ndarray, two_sided: bool = True) -> PhaseAlignment:
+def align_phases(gate: np.ndarray, target: np.ndarray) -> PhaseAlignment:
     """Dress a gate with per-qubit z-rotations to best match a target.
 
-    Maximizes |tr(target^dag Z_post gate Z_pre)| over the z-angles (post
-    only, if two_sided is false) by exact coordinate ascent: the dressed gate
-    is gate * (p q^T) for the dressings' diagonals p and q, so each angle
-    enters the trace as a e^{-i theta/2} + b e^{i theta/2} and moves straight
-    to its maximizer theta = arg a - arg b.  The ascent runs from every
-    corner of {0, pi}^k for the k free angles at once, the starts along a
+    Maximizes |tr(target^dag Z_post gate Z_pre)| over the z-angles by exact
+    coordinate ascent: the dressed gate is gate * (p q^T) for the dressings'
+    diagonals p and q, so each angle enters the trace as
+    a e^{-i theta/2} + b e^{i theta/2} and moves straight to its maximizer
+    theta = arg a - arg b.  The ascent runs from every corner of
+    {0, pi}^(2n) for the 2n angles of n qubits at once, the starts along a
     leading array axis; a start whose sweep moved no angle by more than
     ALIGN_ANGLE_TOL is frozen by a mask (its updates are 0).  The first start
     with the best overlap wins; the reported distance is op_distance at that
@@ -341,7 +341,6 @@ def align_phases(gate: np.ndarray, target: np.ndarray, two_sided: bool = True) -
     n_qubits = 2 if gate.shape[0] == 4 else 1
     signs = sigma_z_values(n_qubits)
     weights = target.conj() * gate
-    sides = 2 if two_sided else 1
 
     def diagonal(angles: np.ndarray) -> np.ndarray:   # (..., n_qubits) -> (..., 2^n)
         # angles @ signs sums at most two exact terms, so this equals
@@ -352,14 +351,13 @@ def align_phases(gate: np.ndarray, target: np.ndarray, two_sided: bool = True) -
     def weighted(post: np.ndarray, pre: np.ndarray) -> np.ndarray:
         return weights * (post[..., :, None] * pre[..., None, :])
 
-    corners = np.array(list(itertools.product((0.0, np.pi), repeat=sides * n_qubits)))
-    x = np.zeros((len(corners), 2, n_qubits))   # x[:, 0] post angles, x[:, 1] pre angles
-    x[:, :sides] = corners.reshape(-1, sides, n_qubits)
+    corners = np.array(list(itertools.product((0.0, np.pi), repeat=2 * n_qubits)))
+    x = corners.reshape(-1, 2, n_qubits)   # x[:, 0] post angles, x[:, 1] pre angles
     diagonals = [diagonal(x[:, 0]), diagonal(x[:, 1])]
     active = np.ones(len(x), dtype=bool)
     for _ in range(ALIGN_MAX_SWEEPS):
         step = np.zeros(len(x))
-        for side, q in itertools.product(range(sides), range(n_qubits)):
+        for side, q in itertools.product(range(2), range(n_qubits)):
             # post angles weigh the rows of the dressed trace, pre angles the columns
             sums = weighted(*diagonals).sum(axis=2 - side)
             ups = sums[:, signs[q] > 0].sum(axis=1)

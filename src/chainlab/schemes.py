@@ -3,8 +3,8 @@ the six-setting global switch, the barrier-collapse trajectory engine, and
 the refocusing demo.
 
 Each architecture's layout is built once as a Section (chain, passive
-levels, encoding and its own parameters) that refuses a bad parameter or an
-overflowing hold; its schedule builders take it and return only a schedule.
+levels, encoding and its own parameters) that holds the schedules it runs
+and refuses a bad parameter or an overflowing hold.
 
 Architecture 1 places qubits on alternate sites of an ...ABAB... chain with
 barrier spins between them (guards up, the gate-mediating barrier down);
@@ -115,21 +115,16 @@ def arch1_section(levels: ZeemanLevels, pad: float = DEFAULT_PAD) -> Architectur
     return ArchitectureOne(chain=chain, levels=levels, enc=enc, enc_gate_pair=enc_pair, pad=pad)
 
 
-def arch1_two_qubit_schedule(arch: ArchitectureOne, t_gate: float) -> ZeemanSchedule:
-    """Passive hold for the pad, gate barrier at A+J for t_gate, passive hold."""
-    passive = arch.passive_energies
-    return _steps((arch.pad, passive), (t_gate, arch.gate_energies), (arch.pad, passive))
-
-
 def arch1_revival(arch: ArchitectureOne) -> tuple[ZeemanSchedule, float, float]:
     """Barrier revival of the section's two-qubit gate, searched on the gate
-    pair within its revival_window: (schedule at the revival, revival time,
-    revival probability); raises NoRevivalFound."""
-    pad_hold = _steps((arch.pad, arch.passive_energies))
+    pair within its revival_window: (schedule at the revival: pad, gate barrier
+    at A+J, pad; revival time, revival probability); raises NoRevivalFound."""
+    pad = (arch.pad, arch.passive_energies)
+    pad_hold = _steps(pad)
     t_r, p_r = find_revival(arch.chain, pad_hold, arch.gate_energies, pad_hold,
                             ARCH1_GATE_BARRIER, arch.revival_window, arch.enc_gate_pair,
                             ARCH1_REVIVAL_THRESHOLD, ARCH1_REVIVAL_DIP)
-    return arch1_two_qubit_schedule(arch, t_r), t_r, p_r
+    return _steps(pad, (t_r, arch.gate_energies), pad), t_r, p_r
 
 
 def arch1_exchange_gate(arch: ArchitectureOne
@@ -209,6 +204,7 @@ class SixSetting:
     eps_even: float
     eps_odd: float
     duration: float
+    schedule: ZeemanSchedule = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -216,7 +212,8 @@ class ArchitectureThree(Section):
     """Four ABC triples; qubits 0 and 2 form the even group, 1 and 3 the odd
     group.  It holds the six (eps_even, eps_odd) settings driving universal
     control and tol_identity, a parked qubit's largest distance to diagonal;
-    a non-finite tol_identity or a setting hold whose phase overflows is refused.
+    a tol_identity that is not positive and finite, given or defaulted, or a
+    setting hold whose phase overflows is refused.
 
     One side always idles at B.  Resonant and shifted single-qubit values
     (A, A+J) carry a quarter-flip duration; the entangling value (C+J)
@@ -229,37 +226,36 @@ class ArchitectureThree(Section):
 
     def __post_init__(self):
         super().__post_init__()
-        if not abs(self.tol_identity) < np.inf:
-            raise ValueError(f"tol_identity must be finite, got {self.tol_identity}")
+        if not 0 < self.tol_identity < np.inf:
+            raise ValueError(f"tol_identity must be positive and finite, got {self.tol_identity}")
         j = self.levels.coupling
         t1 = np.pi / (4.0 * j)
         t2 = _pair_gate_time(self.levels)
         a, b, c = self.levels.a, self.levels.b, self.levels.c
+
+        def setting(label: str, eps_even: float, eps_odd: float, duration: float) -> SixSetting:
+            # every even-group qubit's tunable (upper) site at eps_even, every odd one's at eps_odd
+            energies = list(self.passive_energies)
+            for q, (_, upper) in enumerate(self.enc.qubit_sites):
+                energies[upper] = eps_odd if q % 2 else eps_even
+            return SixSetting(label, eps_even, eps_odd, duration, _steps((duration, energies)))
+
         object.__setattr__(self, "settings", (
-            SixSetting("even:B odd:A", b, a, t1),
-            SixSetting("even:B odd:A+J", b, a + j, t1),
-            SixSetting("even:B odd:C+J", b, c + j, t2),
-            SixSetting("even:A odd:B", a, b, t1),
-            SixSetting("even:A+J odd:B", a + j, b, t1),
-            SixSetting("even:C+J odd:B", c + j, b, t2),
+            setting("even:B odd:A", b, a, t1),
+            setting("even:B odd:A+J", b, a + j, t1),
+            setting("even:B odd:C+J", b, c + j, t2),
+            setting("even:A odd:B", a, b, t1),
+            setting("even:A+J odd:B", a + j, b, t1),
+            setting("even:C+J odd:B", c + j, b, t2),
         ))
         self._check_holds(*((s.label, seg.energies, seg.duration) for s in self.settings
-                            for seg in arch3_apply(self, s).segments))
+                            for seg in s.schedule.segments))
 
 
 def arch3_section(levels: ZeemanLevels, tol_identity: float | None = None) -> ArchitectureThree:
     """The four-qubit paired-site section; tol_identity defaults to 10 J/delta."""
     return ArchitectureThree(**_abc_layout(levels, 4), tol_identity=(
         10.0 * levels.coupling / levels.delta if tol_identity is None else tol_identity))
-
-
-def arch3_apply(arch: ArchitectureThree, setting: SixSetting) -> ZeemanSchedule:
-    """Schedule moving the tunable (upper) site of every even-group qubit to
-    eps_even and of every odd-group one to eps_odd for the setting's duration."""
-    energies = list(arch.passive_energies)
-    for q, (_, upper) in enumerate(arch.enc.qubit_sites):
-        energies[upper] = setting.eps_odd if q % 2 else setting.eps_even
-    return _steps((setting.duration, energies))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +308,7 @@ class ZenoStats:
         return float(self.fidelity.mean())
 
 
-def zeno_gate_train(coupling: float = 1.0
+def zeno_gate_train(coupling: float
                     ) -> tuple[ChainSpec, EncodingMap, ZeemanSchedule, float, np.ndarray]:
     """Three-spin gate train of the Zeno study: (chain, encoding, gate,
     gate time, input state).

@@ -40,7 +40,7 @@ def arch1_pipeline():
 @pytest.fixture(scope="session")
 def default_sweep():
     """Defect sweep over the default detuning grid."""
-    spec = analysis.SweepSpec(delta_values=analysis.DEFAULT_DELTA_GRID)
+    spec = analysis.SweepSpec(delta_values=analysis.DEFAULT_DELTA_GRID, coupling=1.0)
     return analysis.defect_sweep(spec)
 
 

@@ -169,7 +169,7 @@ def test_criterion_5_defect_trend(default_sweep):
 
 
 def test_criterion_6_ising_leakage_slope():
-    fit = analysis.ising_convergence((10.0, 30.0, 100.0, 300.0, 1000.0))
+    fit = analysis.ising_convergence((10.0, 30.0, 100.0, 300.0, 1000.0), J)
     assert fit.leakage_slope == pytest.approx(-2.0, abs=0.3)
     print(f"criterion 6: PASS leakage log-log slope {fit.leakage_slope:.3f} "
           f"within -2 +- 0.3 (unitary-distance slope {fit.distance_slope:.3f})")
@@ -185,8 +185,7 @@ def test_criterion_7_six_setting_isolation():
     arch = schemes.arch3_section(levels)
     setting = arch.settings[1]
     assert setting.eps_even == levels.b and setting.eps_odd == levels.a + J
-    sched = schemes.arch3_apply(arch, setting)
-    logical, _ = gates.logical_block(arch.chain, sched, arch.enc, arch.passive_energies)
+    logical, _ = gates.logical_block(arch.chain, setting.schedule, arch.enc, arch.passive_energies)
     blocks = [gates.operator_schmidt_factor(logical, 4, (q,))[0] for q in range(4)]
     odd_mismatch = linalg.op_distance(blocks[1], blocks[3])
     assert odd_mismatch < 1e-6
@@ -274,7 +273,9 @@ def schedule_corpus():
     lv = ZeemanLevels(J, 1000.0)
     out = []
     arch1 = schemes.arch1_section(lv)
-    out.append((arch1.chain, schemes.arch1_two_qubit_schedule(arch1, np.pi / 3.0)))
+    pad = (arch1.pad, arch1.passive_energies)
+    out.append((arch1.chain, ZeemanSchedule.from_steps(
+        [pad, (np.pi / 3.0, arch1.gate_energies), pad])))
     chain2 = ChainSpec(n=4, coupling=J, roles="CABC")
     out.append((chain2, schemes.arch2_single_qubit_schedule(lv, 0.0, np.pi / 4.0)[0]))
     for arch2 in (schemes.arch2_section(lv, eps=lv.c + J), schemes.arch2_section(lv)):

@@ -18,11 +18,11 @@ from chainlab.model import ChainSpec, build_heisenberg, classical_ising_energies
 
 def test_sweep_spec_validation():
     with pytest.raises(ConfigInvalid):
-        analysis.SweepSpec(delta_values=(10.0,))
+        analysis.SweepSpec(delta_values=(10.0,), coupling=1.0)
     with pytest.raises(ConfigInvalid):
-        analysis.SweepSpec(delta_values=(10.0, -1.0))
+        analysis.SweepSpec(delta_values=(10.0, -1.0), coupling=1.0)
     with pytest.raises(ConfigInvalid):
-        analysis.SweepSpec(delta_values=(100.0, 10.0))
+        analysis.SweepSpec(delta_values=(100.0, 10.0), coupling=1.0)
     spec = analysis.SweepSpec(delta_values=[10, 100], coupling=2.0)
     assert spec.delta_values == (10.0, 100.0)
     # one arch-1 section per detuning, built once for the sweep to use
@@ -75,7 +75,7 @@ def test_sweep_revival_time_approaches_nominal(default_sweep):
 
 
 def test_sweep_has_rows_even_at_strong_coupling():
-    recs = analysis.defect_sweep(analysis.SweepSpec(delta_values=(0.3, 1.0)))
+    recs = analysis.defect_sweep(analysis.SweepSpec(delta_values=(0.3, 1.0), coupling=1.0))
     assert len(recs) == 2
     # in this regime the trend inverts; downstream monotonicity checks flag it
     assert recs[0].defect_worst < recs[1].defect_worst
@@ -121,7 +121,7 @@ def test_walsh_residual_immune_to_branch_cuts():
 
 
 def test_ising_convergence_slopes():
-    fit = analysis.ising_convergence((10.0, 30.0, 100.0, 300.0, 1000.0))
+    fit = analysis.ising_convergence((10.0, 30.0, 100.0, 300.0, 1000.0), 1.0)
     assert fit.distance_slope == pytest.approx(-0.9967, abs=0.02)
     assert fit.leakage_slope == pytest.approx(-2.0284, abs=0.05)
     by_delta = {r.delta: r for r in fit.records}
@@ -131,9 +131,9 @@ def test_ising_convergence_slopes():
 
 def test_ising_convergence_grid_validation():
     with pytest.raises(ConfigInvalid):
-        analysis.ising_convergence((10.0, 20.0))
+        analysis.ising_convergence((10.0, 20.0), 1.0)
     with pytest.raises(ConfigInvalid):
-        analysis.ising_convergence((10.0, 20.0, 40.0))
+        analysis.ising_convergence((10.0, 20.0, 40.0), 1.0)
 
 
 def test_effective_ising_fails_at_equal_levels():

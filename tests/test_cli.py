@@ -122,10 +122,10 @@ def numeric_leaves(schema, path=()):
 
 
 # The minima of the numeric fields whose range a library constructor judges
-# in cli._build (ChainSpec, ZeemanLevels, ArchitectureOne, SweepSpec, ZenoConfig);
-# the schema holds the minima of the others.  ArchitectureTwo judges only that its
-# gate hold at eps stays finite, and ArchitectureThree only that tol_identity is
-# finite, so eps has no minimum and tol_identity's stays in the schema.
+# in cli._build (ChainSpec, ZeemanLevels, ArchitectureOne, ArchitectureThree,
+# SweepSpec, ZenoConfig); the schema holds the minima of the others.  ArchitectureTwo
+# judges only that its gate hold at eps stays finite, so eps has no minimum, and
+# ArchitectureThree judges tol_identity, given or defaulted, as positive and finite.
 LIBRARY_MINIMA = {
     ("coupling",): {"exclusiveMinimum": 0},
     ("seed",): {"minimum": 0},
@@ -137,6 +137,7 @@ LIBRARY_MINIMA = {
     ("zeno", "jitter_stddev"): {"minimum": 0},
     ("zeno", "collapse_every_gates"): {"minimum": 1},
     ("six_settings", "delta"): {"exclusiveMinimum": 0},
+    ("six_settings", "tol_identity"): {"exclusiveMinimum": 0},
 }
 
 
@@ -324,6 +325,9 @@ BUILD_RULES = [   # (config, section, field): a range that one constructor in _b
     ({"verify_g": {"pad": -1}}, "verify_g", "pad"),
     # a subnormal J: the arch-1 revival window pi/(3J) is inf
     ({"coupling": 1e-310}, "verify_g", "coupling"),
+    ({"six_settings": {"tol_identity": 0}}, "six_settings", "tol_identity"),
+    # the default tol_identity 10 J/delta underflows to 0.0
+    ({"coupling": 1e-300, "six_settings": {"delta": 1e300}}, "six_settings", "tol_identity"),
 ]
 
 

@@ -113,9 +113,6 @@ def test_reduced_model_reproduces_exchange_gate():
     assert leakage < 1e-12
     aligned = gates.align_phases(gate, gates.exchange_gate_target())
     assert aligned.distance < 1e-9
-    # post-only dressing cannot absorb the frame phases accumulated on input
-    one_sided = gates.align_phases(gate, gates.exchange_gate_target(), two_sided=False)
-    assert one_sided.distance == pytest.approx(2.0 / np.sqrt(5.0), abs=1e-4)
 
 
 def test_reduced_model_revival_time():
@@ -165,14 +162,14 @@ def pointwise_revival(chain, head, hold, tail, site, window, enc, threshold, dip
 
 
 def arch1_revival_case(delta):
-    """The arch-1 gate schedule's (pad, gate hold, pad) parts, as published by
-    arch1_two_qubit_schedule, with the search settings of arch1_revival."""
+    """The arch-1 gate schedule's (pad, gate hold, pad) parts, as held by its
+    section, with the search settings of arch1_revival."""
     levels = model.ZeemanLevels(1.0, delta)
     arch = schemes.arch1_section(levels)
-    pad, gate, _ = schemes.arch1_two_qubit_schedule(arch, 1.0).segments
+    pad = ZeemanSchedule.from_steps([(arch.pad, arch.passive_energies)])
     lo, hi = schemes.ARCH1_REVIVAL_WINDOW
     nominal = np.pi / 3.0
-    return (arch.chain, ZeemanSchedule((pad,)), gate.energies, ZeemanSchedule((pad,)),
+    return (arch.chain, pad, arch.gate_energies, pad,
             schemes.ARCH1_GATE_BARRIER, (lo * nominal, hi * nominal), arch.enc_gate_pair,
             schemes.ARCH1_REVIVAL_THRESHOLD, schemes.ARCH1_REVIVAL_DIP)
 
@@ -230,7 +227,8 @@ def test_arch1_revival_searches_its_gate_schedule():
     arch = schemes.arch1_section(model.ZeemanLevels(1.0, 100.0))
     sched, t_r, p_r = schemes.arch1_revival(arch)
     assert (t_r, p_r) == gates.find_revival(*arch1_revival_case(100.0))
-    assert sched == schemes.arch1_two_qubit_schedule(arch, t_r)
+    pad = (arch.pad, arch.passive_energies)
+    assert sched == ZeemanSchedule.from_steps([pad, (t_r, arch.gate_energies), pad])
 
 
 def full_grid_search(monkeypatch, args):
@@ -524,23 +522,23 @@ def z_diagonal(angles):
 
 @pytest.mark.parametrize("dim, target", [(2, gates.ry(0.4)), (4, gates.exchange_gate_target()),
                                          (4, gates.cnot_target())])
-@pytest.mark.parametrize("two_sided", [True, False])
+@pytest.mark.parametrize("two_sided", [True])
 def test_align_phases_reaches_multistart_trace_optimum(dim, target, two_sided):
     rng = np.random.default_rng(dim + 10 * two_sided)
     n_qubits = dim // 2
-    n_par = n_qubits * (2 if two_sided else 1)
+    n_par = 2 * n_qubits
     for _ in range(2):
         gate = random_unitary(rng, dim)
 
         def cost(x):
-            pre = z_diagonal(x[n_qubits:] if two_sided else np.zeros(n_qubits))
+            pre = z_diagonal(x[n_qubits:])
             dressed = z_diagonal(x[:n_qubits])[:, None] * gate * pre
             return -abs(np.vdot(target, dressed))
 
         reference = min(minimize(cost, rng.uniform(-np.pi, np.pi, n_par), method="Powell",
                                  options={"xtol": 1e-10, "ftol": 1e-14}).fun
                         for _ in range(8))
-        aligned = gates.align_phases(gate, target, two_sided=two_sided)
+        aligned = gates.align_phases(gate, target)
         ratio = aligned.dressed / gate   # a z dressing multiplies entry (j, k) by p_j q_k
         assert np.allclose(np.abs(ratio), 1.0)
         assert np.allclose(ratio * ratio[0, 0], np.outer(ratio[:, 0], ratio[0]))
@@ -567,24 +565,22 @@ def test_align_phases_refuses_a_non_finite_operand(operand, bad):
         gates.align_phases(mats["gate"], mats["target"])
 
 
-def per_start_alignment(gate, target, two_sided):
+def per_start_alignment(gate, target):
     """Coordinate ascent from one {0, pi} corner at a time, the strictly best
     overlap kept in corner order: the loop that align_phases batches."""
     n_qubits = 2 if gate.shape[0] == 4 else 1
     signs = model.sigma_z_values(n_qubits)
     weights = target.conj() * gate
-    sides = 2 if two_sided else 1
 
     def dressing(x):
         return np.outer(np.exp(-0.5j * x[0] @ signs), np.exp(-0.5j * x[1] @ signs))
 
     best_overlap, best_x = -1.0, None
-    for corner in itertools.product((0.0, np.pi), repeat=sides * n_qubits):
-        x = np.zeros((2, n_qubits))
-        x[:sides] = np.reshape(corner, (sides, n_qubits))
+    for corner in itertools.product((0.0, np.pi), repeat=2 * n_qubits):
+        x = np.reshape(corner, (2, n_qubits))
         for _ in range(gates.ALIGN_MAX_SWEEPS):
             step = 0.0
-            for side, q in itertools.product(range(sides), range(n_qubits)):
+            for side, q in itertools.product(range(2), range(n_qubits)):
                 sums = (weights * dressing(x)).sum(axis=1 - side)
                 delta = np.angle(sums[signs[q] > 0].sum() * np.conj(sums[signs[q] < 0].sum()))
                 x[side, q] += delta
@@ -608,7 +604,7 @@ def alignment_cases():
     for _ in range(40):
         pairs += [(random_unitary(rng, 2), gates.ry(0.4)),
                   (random_unitary(rng, 4), exchange), (random_unitary(rng, 4), gates.cnot_target())]
-    return [(g, t, two_sided) for g, t in pairs for two_sided in (True, False)]
+    return pairs
 
 
 @pytest.mark.parametrize("max_sweeps", [gates.ALIGN_MAX_SWEEPS, 1, 2])
@@ -617,9 +613,9 @@ def test_align_phases_matches_the_per_start_ascent(monkeypatch, max_sweeps):
     # at the default cap the starts converge at different sweeps, so the
     # freeze mask shows; every bit must match, signed zeros too
     monkeypatch.setattr(gates, "ALIGN_MAX_SWEEPS", max_sweeps)
-    for gate, target, two_sided in alignment_cases():
-        want_distance, want_dressed = per_start_alignment(gate, target, two_sided)
-        got = gates.align_phases(gate, target, two_sided=two_sided)
+    for gate, target in alignment_cases():
+        want_distance, want_dressed = per_start_alignment(gate, target)
+        got = gates.align_phases(gate, target)
         assert got.distance == want_distance
         assert got.dressed.tobytes() == want_dressed.tobytes()
 

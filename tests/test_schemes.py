@@ -35,10 +35,9 @@ def test_arch1_section_geometry():
     assert arch.passive_energies == (b, a, b, a, b, a, b, a, b)
 
 
-def test_arch1_two_qubit_schedule_structure():
-    t_gate = np.pi / 3.0
+def test_arch1_revival_schedule_structure():
     arch = schemes.arch1_section(LEVELS)
-    sched = schemes.arch1_two_qubit_schedule(arch, t_gate)
+    sched, t_gate, _ = schemes.arch1_revival(arch)
     assert len(sched.segments) == 3
     assert sched.segments[0].duration == pytest.approx(0.2)
     assert sched.segments[1].duration == pytest.approx(t_gate)
@@ -48,7 +47,7 @@ def test_arch1_two_qubit_schedule_structure():
     assert gate_energies[:4] == passive[:4]
     assert sched.segments[0].energies == passive
     # zero padding drops the bracketing segments entirely
-    bare = schemes.arch1_two_qubit_schedule(schemes.arch1_section(LEVELS, pad=0.0), t_gate)
+    bare, _, _ = schemes.arch1_revival(schemes.arch1_section(LEVELS, pad=0.0))
     assert len(bare.segments) == 1
 
 
@@ -147,9 +146,12 @@ def test_arch3_tol_identity_default():
     levels = ZeemanLevels(2.0, 1000.0)
     assert schemes.arch3_section(levels).tol_identity == 10.0 * 2.0 / 1000.0
     assert schemes.arch3_section(levels, tol_identity=0.5).tol_identity == 0.5
-    for bad in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="tol_identity must be finite"):
+    for bad in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol_identity must be positive and finite"):
             schemes.arch3_section(levels, tol_identity=bad)
+    # the default 10 J/delta underflows to 0.0 at J = 1e-300, delta = 1e300
+    with pytest.raises(ValueError, match="^tol_identity must be positive and finite, got 0.0$"):
+        schemes.arch3_section(ZeemanLevels(1e-300, 1e300))
 
 
 def test_layouts_take_their_coupling_from_the_levels():
@@ -188,17 +190,17 @@ ODD_SITES = (4, 10)
 def test_arch3_section_grouping():
     arch = schemes.arch3_section(LEVELS)
     assert arch.chain.n == 12
-    probe = schemes.SixSetting("probe", eps_even=1.0, eps_odd=2.0, duration=0.1)
-    energies = schemes.arch3_apply(arch, probe).segments[0].energies
-    assert tuple(i for i, e in enumerate(energies) if e == 1.0) == EVEN_SITES
-    assert tuple(i for i, e in enumerate(energies) if e == 2.0) == ODD_SITES
+    # A + J = 1.0 is no passive level: setting 4 puts it on the even group, setting 1 on the odd
+    for k, sites in ((4, EVEN_SITES), (1, ODD_SITES)):
+        energies = arch.settings[k].schedule.segments[0].energies
+        assert tuple(i for i, e in enumerate(energies) if e == 1.0) == sites
     assert arch.enc.qubit_sites == ((0, 1), (3, 4), (6, 7), (9, 10))
 
 
-def test_arch3_apply_sets_both_groups():
+def test_arch3_setting_schedule_sets_both_groups():
     arch = schemes.arch3_section(LEVELS)
     setting = arch.settings[4]  # even:A+J odd:B
-    sched = schemes.arch3_apply(arch, setting)
+    sched = setting.schedule
     assert len(sched.segments) == 1
     assert sched.segments[0].duration == pytest.approx(setting.duration)
     energies = sched.segments[0].energies
@@ -373,7 +375,7 @@ def two_barrier_train():
 @pytest.mark.parametrize("train", ["three_spin", "two_barrier"])
 def test_zeno_run_matches_dense_per_trial_oracle(monkeypatch, train, seed, mode, k):
     if train == "three_spin":
-        chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
+        chain, enc, gate, _, psi0 = schemes.zeno_gate_train(1.0)
         seq = [gate] * 20
     else:
         chain, enc, seq, psi0 = two_barrier_train()
@@ -398,7 +400,7 @@ def test_zeno_run_matches_dense_per_trial_oracle(monkeypatch, train, seed, mode,
 def test_zeno_fidelity_is_bitwise_independent_of_a_large_block(monkeypatch, mode):
     # 2053 trials in one block against 294 blocks of 7, the last of 2: a product
     # this wide is one BLAS may split between threads and kernels
-    chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
+    chain, enc, gate, _, psi0 = schemes.zeno_gate_train(1.0)
     cfg = schemes.ZenoConfig(collapse_every_gates=3, jitter_stddev=0.05, trials=2053, seed=1234,
                              jitter_mode=mode)
     assert cfg.trials <= schemes._ZENO_BLOCK_TRIALS
@@ -413,7 +415,7 @@ def test_zeno_fidelity_is_bitwise_independent_of_a_large_block(monkeypatch, mode
 def test_zeno_collapse_with_an_empty_half_warns_nothing(index, off_reference):
     # all spins alike is an eigenstate of every gate: one half of the barrier
     # split carries exactly zero probability at each collapse
-    chain, enc, gate, _, _ = schemes.zeno_gate_train()
+    chain, enc, gate, _, _ = schemes.zeno_gate_train(1.0)
     psi0 = np.zeros(chain.dim, dtype=complex)
     psi0[index] = 1.0
     cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=256, seed=9)
@@ -427,7 +429,7 @@ def test_zeno_collapse_with_an_empty_half_warns_nothing(index, off_reference):
 def test_zeno_run_memory_is_one_block_plus_per_trial_results():
     # 50 000 trials collapsing after each of 20 gates: the collapse uniforms
     # take 8 MB; holding every trial's state at once peaked near 48 MB
-    chain, enc, gate, _, psi0 = schemes.zeno_gate_train()
+    chain, enc, gate, _, psi0 = schemes.zeno_gate_train(1.0)
     cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=50_000, seed=1)
     tracemalloc.start()
     try:
@@ -443,7 +445,7 @@ def test_zeno_run_leaves_blas_workers_idle(blas_worker_ticks):
     # pin; a threaded one keeps a worker spinning through the run, about as
     # busy as the main thread
     worker_ticks, cpu_s = blas_worker_ticks(
-        "chain, enc, gate, _, psi0 = schemes.zeno_gate_train()\n"
+        "chain, enc, gate, _, psi0 = schemes.zeno_gate_train(1.0)\n"
         "cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=30_000,"
         " seed=1)\n"
         "schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)")
