@@ -6,11 +6,11 @@ Also prints the unpulsed baseline at the largest period for contrast.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from chainlab import analysis, gates, schemes
+from chainlab import analysis, gates, schemes   # first: chainlab loads numpy on one BLAS thread
 from chainlab.evolve import Segment, check_phase
 from chainlab.model import ChainSpec, ZeemanLevels, site_energies
+
+import numpy as np
 
 
 def parse_args():

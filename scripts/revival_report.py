@@ -49,7 +49,7 @@ def pipeline(arch):
 
 def main():
     args = parse_args()
-    with linalg.single_blas_thread():   # as in cli.main: a second thread only spins
+    with linalg.blas_threads(1):   # as in cli.main: a second thread only spins
         rows = []
         for arch in args.sections:
             try:

@@ -10,7 +10,9 @@ main prints them as a single JSON summary line to stdout with the exit code:
 0 success, 1 scientific-tolerance failure, 2 configuration error, 3 internal
 error.  Reruns with identical config on one machine produce byte-identical
 artifacts.  Every command but six-settings (THREADED_BLAS_COMMAND) runs on
-one BLAS thread, so its artifacts do not depend on the BLAS thread count;
+one BLAS thread, so its artifacts do not depend on the BLAS thread count.
+six-settings runs on OpenBLAS's own default count when chainlab pinned BLAS
+to one thread at import, and on the count the user set otherwise;
 six_settings.json follows that count in its last digits.
 """
 
@@ -26,13 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, schemes
+from . import BLAS_PINNED_AT_IMPORT, analysis, schemes
 from .errors import (ConfigInvalid, ExcessiveLeakage, IoFailure, NoRevivalFound,
                      NotDiagonalizableLocally, NotUnitary, SynthesisFailed)
 from .gates import (SYNTH_SUCCESS_FIDELITY, controlled_phase, derive_local_corrections,
                     exchange_gate_target, extract_gate, logical_block,
                     operator_schmidt_factor, synthesize_cnot)
-from .linalg import op_distance, single_blas_thread
+from .linalg import blas_threads, op_distance
 from .model import ZeemanLevels
 
 EXIT_OK = 0
@@ -42,7 +44,8 @@ EXIT_INTERNAL = 3
 
 ENTANGLING_PHASE = 2.0 * np.pi / np.sqrt(5.0)  # measured conditional phase of the pair gate
 
-# The one command that keeps OpenBLAS's own thread count; main runs every
+# The one command that runs on OpenBLAS's own thread count (grown back from
+# the one thread the import pinned, or as the user set it); main runs every
 # other one on a single BLAS thread, since a second one only spins beside the
 # main thread (sweep, 2 vCPU: CPU 0.64 -> 0.32 s per run, wall unchanged).
 # six-settings' 12-site sector eigh calls are the one place a second thread
@@ -449,8 +452,13 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoFailure(f"cannot create output directory: {exc}") from exc
-        with (contextlib.nullcontext() if args.command == THREADED_BLAS_COMMAND
-              else single_blas_thread()):
+        if args.command != THREADED_BLAS_COMMAND:
+            blas = blas_threads(1)
+        elif BLAS_PINNED_AT_IMPORT:
+            blas = blas_threads()   # OpenBLAS's own count, as an unpinned process has
+        else:
+            blas = contextlib.nullcontext()   # the count the user set
+        with blas:
             ok, fields = COMMANDS[args.command](cfg, built.get(section), out)
         summary = _summary(args.command, EXIT_OK if ok else EXIT_TOLERANCE,
                            None if ok else "tolerance_exceeded", **fields)

@@ -128,11 +128,23 @@ def check_phase(chain: ChainSpec, energies: Sequence[float], t) -> None:
                          "overflows its phase")
 
 
+def phases(w: np.ndarray, t) -> np.ndarray:
+    """exp(-i w[:, None] t) for real eigenvalues w and one duration or an
+    array of them, bit for bit, from one real cos and one real sin of
+    y = -w t instead of a complex exp.  The 0.0 - keeps the sign of zero the
+    complex product gives where w or t is exactly 0."""
+    y = 0.0 - w[:, None] * t
+    out = np.empty(y.shape, dtype=complex)
+    np.cos(y, out=out.real)
+    np.sin(y, out=out.imag)
+    return out
+
+
 def _rotate(w: np.ndarray, v: np.ndarray, t, block: np.ndarray) -> np.ndarray:
     """exp(-i H t) on the C-contiguous complex columns of one sector block,
     from the block's eigensystem (w, v)."""
     amp = (v.T @ block.view(float)).view(complex)
-    amp *= np.exp(-1j * w[:, None] * t)
+    amp *= phases(w, t)
     return (v @ amp.view(float)).view(complex)
 
 

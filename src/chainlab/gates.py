@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                      NotDiagonalizableLocally, NotUnitary, SynthesisFailed)
-from .evolve import ZeemanSchedule, check_phase, evolve, hold_modes, zeeman_frame
+from .evolve import ZeemanSchedule, check_phase, evolve, hold_modes, phases, zeeman_frame
 from .linalg import minimize
 from .model import ChainSpec, basis_index, sigma_z_values
 
@@ -119,7 +119,7 @@ def _revival_populations(modes: list, n_in: int, times: np.ndarray) -> np.ndarra
     given as (live inputs, w, their amplitudes a, C) as in find_revival."""
     pops = np.zeros((n_in, len(times)))
     for live, w, amp, c in modes:
-        phased = amp[:, :, None] * np.exp(-1j * w[:, None, None] * times)
+        phased = amp[:, :, None] * phases(w, times)[:, None, :]
         out = c @ phased.reshape(len(w), -1)
         pops[live] += (np.abs(out) ** 2).sum(axis=0).reshape(len(live), len(times))
     return pops

@@ -2,8 +2,8 @@
 
 The nine-site extraction and the default detuning sweep take seconds each;
 they are computed once per session and reused by the unit and acceptance
-tests.  blas_worker_ticks runs a statement in a fresh interpreter and counts
-the CPU time BLAS worker threads spend on it.
+tests.  blas_worker_ticks runs a statement in a fresh interpreter that has
+a BLAS worker and counts the CPU time BLAS worker threads spend on it.
 """
 
 import json
@@ -77,11 +77,14 @@ print(json.dumps([n_threads, worker_ticks() - before, time.process_time() - star
 def blas_worker_ticks():
     """run(statement) -> (worker ticks, CPU s): the statement runs in a fresh
     interpreter, with chainlab's cli and schemes imported, once the BLAS
-    workers have gone to sleep.  Skips where there is no /proc to read
+    workers have gone to sleep.  The interpreter is started with
+    OPENBLAS_NUM_THREADS=2, a count chosen by the user, which chainlab keeps
+    instead of pinning one thread at import, so OpenBLAS starts a worker for
+    the statement to leave idle.  Skips where there is no /proc to read
     per-thread CPU time from, or where BLAS starts no worker."""
     if not Path("/proc/self/task").is_dir():
         pytest.skip("no /proc to read per-thread CPU time from")
-    env = dict(os.environ)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
     src = str(Path(chainlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import chainlab
-from chainlab import cli, schemes
+from chainlab import cli, linalg, schemes
 
 
 def run_cli(capsys, command, config=None, out=None, extra=()):
@@ -845,8 +845,9 @@ def test_console_script_runs(tmp_path, chainlab_on_path):
 
 def python(*argv, **environ):
     """Run a fresh interpreter on the imported package's source tree, with
-    environ added to this process's environment."""
-    env = {**os.environ, **environ}
+    environ added to this process's environment (a None value removes the
+    variable)."""
+    env = {k: v for k, v in {**os.environ, **environ}.items() if v is not None}
     src = str(Path(chainlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv],
@@ -962,12 +963,73 @@ def test_command_leaves_blas_workers_idle(blas_worker_ticks, tmp_path, command):
     assert worker_ticks <= 2, f"BLAS workers took {worker_ticks} ticks of {cpu_s:.2f} CPU s"
 
 
-@pytest.mark.parametrize("command", ["sweep", "verify-g"])
+@pytest.mark.parametrize("command", ["sweep", "verify-g", cli.THREADED_BLAS_COMMAND])
 def test_pinned_artifacts_match_a_one_thread_process(capsys, tmp_path, command):
     # in process, cli.main pins whatever thread count this process has; a
-    # process started with OPENBLAS_NUM_THREADS=1 never had a second thread
-    code, _ = run_cli(capsys, command, out=tmp_path / "in_process")
+    # process started with OPENBLAS_NUM_THREADS=1 never had a second thread.
+    # six-settings grows the count that the import pinned back to OpenBLAS's
+    # own: a default process writes what one started with that count writes
+    if command == cli.THREADED_BLAS_COMMAND:
+        binding = linalg._openblas_threads()
+        if binding is None:
+            pytest.skip("numpy's BLAS exports no thread-count functions here")
+        first = python("-m", "chainlab", command, "--out", str(tmp_path / "first"), **NO_BLAS_COUNT)
+        assert first.returncode == 0, first.stderr
+        code, threads = first.returncode, str(binding[2]())
+    else:
+        code, _ = run_cli(capsys, command, out=tmp_path / "first")
+        threads = "1"
     proc = python("-m", "chainlab", command, "--out", str(tmp_path / "fresh"),
-                  OPENBLAS_NUM_THREADS="1")
+                  OPENBLAS_NUM_THREADS=threads)
     assert code == proc.returncode == 0, proc.stderr
-    assert artifacts(tmp_path / "in_process") == artifacts(tmp_path / "fresh")
+    assert artifacts(tmp_path / "first") == artifacts(tmp_path / "fresh")
+
+
+# The pin at import: OpenBLAS loads on one thread, and the environment is
+# left as the user set it.
+NO_BLAS_COUNT = dict.fromkeys(chainlab.BLAS_THREAD_VARIABLES)   # all three unset
+
+BLAS_STATE = """
+import json, os, sys
+from pathlib import Path
+exec(sys.argv[1])
+import chainlab.cli
+from chainlab import linalg
+binding = linalg._openblas_threads()
+tasks = Path("/proc/self/task")
+print(json.dumps({"pinned": chainlab.BLAS_PINNED_AT_IMPORT,
+                  "threads": len(list(tasks.iterdir())) if tasks.is_dir() else None,
+                  "count": binding[0]() if binding else None,
+                  "environ_kept": dict(os.environ) == before}))
+"""
+
+
+def blas_state(before="", **environ):
+    """The pin, thread and count state of a fresh process right after
+    `import chainlab.cli`, which runs after the statement before; environ_kept
+    tells whether os.environ then equals its copy taken just before the
+    import."""
+    proc = python("-c", BLAS_STATE, before + "\nbefore = dict(os.environ)", **environ)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_pins_blas_to_one_thread_and_restores_the_environment():
+    state = blas_state(**NO_BLAS_COUNT)
+    assert state["pinned"] and state["environ_kept"]
+    if state["threads"] is None:
+        pytest.skip("no /proc to count this process's threads")
+    assert state["threads"] == 1, "OpenBLAS started a worker at import"
+
+
+def test_import_keeps_a_blas_count_the_user_set():
+    state = blas_state(**{**NO_BLAS_COUNT, "OPENBLAS_NUM_THREADS": "2"})
+    assert not state["pinned"] and state["environ_kept"]
+    if state["count"] is None:
+        pytest.skip("numpy's BLAS exports no thread-count functions here")
+    assert state["count"] == 2
+
+
+def test_import_after_numpy_leaves_the_environment_untouched():
+    state = blas_state("import numpy", **NO_BLAS_COUNT)
+    assert not state["pinned"] and state["environ_kept"]

@@ -74,6 +74,21 @@ def test_eigenstate_acquires_pure_phase():
     assert np.allclose(psi, np.exp(-1j * w[0] * t) * psi0, atol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e2, 1e5])
+@pytest.mark.parametrize("t", [0.0, 0.37, 123.4, "per-column"])
+def test_phases_match_the_complex_exp_bit_for_bit(scale, t):
+    # the kernel's artifacts stay byte-identical only if cos and sin of -w t
+    # give exactly the complex exp's bits, signed zeros included
+    rng = np.random.default_rng(7)
+    w = np.concatenate([rng.normal(size=200) * scale, [0.0, -0.0]])
+    if t == "per-column":
+        t = np.concatenate([rng.uniform(0.0, 10.0, 40), [0.0]])
+    got = evolve.phases(w, t)
+    want = np.exp(-1j * w[:, None] * t)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(deadline=None, max_examples=15)
 @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.floats(0.01, 5.0))
 def test_norm_and_magnetization_conserved(seed, n, t):

@@ -217,26 +217,38 @@ def test_minimize_is_deterministic():
     assert f1 == f2 and x1.tobytes() == x2.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("raises", [False, True])
-def test_single_blas_thread_restores_the_previous_count(monkeypatch, raises):
+def test_blas_threads_restores_the_previous_count(monkeypatch, raises, n):
     threads = [3]   # every count set, the current one last
-    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (lambda: threads[-1], threads.append))
+    monkeypatch.setattr(linalg, "_openblas_threads",
+                        lambda: (lambda: threads[-1], threads.append, lambda: 4))
     with pytest.raises(KeyError) if raises else contextlib.nullcontext():
-        with linalg.single_blas_thread():
-            assert threads == [3, 1]
+        with linalg.blas_threads(n):
+            assert threads == [3, n]
             if raises:
                 raise KeyError("body")
-    assert threads == [3, 1, 3]
+    assert threads == [3, n, 3]
 
 
-def test_single_blas_thread_sets_numpys_openblas_to_one_thread():
+def test_blas_threads_defaults_to_openblas_own_count(monkeypatch):
+    threads = [1]
+    monkeypatch.setattr(linalg, "_openblas_threads",
+                        lambda: (lambda: threads[-1], threads.append, lambda: 4))
+    with linalg.blas_threads():
+        assert threads == [1, 4]
+    assert threads == [1, 4, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_blas_threads_sets_numpys_openblas_count(n):
     binding = linalg._openblas_threads()
     if binding is None:
         pytest.skip("numpy's BLAS exports no thread-count functions here")
-    get, _ = binding
+    get, _, _ = binding
     before = get()
-    with linalg.single_blas_thread():
-        assert get() == 1
+    with linalg.blas_threads(n):
+        assert get() == n
     assert get() == before
 
 
@@ -246,11 +258,11 @@ def _no_library(path):
 
 @pytest.mark.parametrize("cdll", [lambda path: object(), _no_library],
                          ids=["symbols-missing", "library-missing"])
-def test_single_blas_thread_is_a_silent_no_op_when_unbound(monkeypatch, cdll):
+def test_blas_threads_is_a_silent_no_op_when_unbound(monkeypatch, cdll):
     monkeypatch.setattr(linalg.ctypes, "CDLL", cdll)
     assert linalg._openblas_threads() is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with linalg.single_blas_thread():
+        with linalg.blas_threads(1):
             product = np.eye(2) @ np.eye(2)
     assert np.array_equal(product, np.eye(2))
