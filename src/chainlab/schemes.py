@@ -339,25 +339,25 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
     so runs with different k see identical timing noise.
 
     The trials run through the whole train in blocks of _ZENO_BLOCK_TRIALS,
-    so peak memory is one block's states and duration factors plus about
-    8 bytes per trial and collapse point (the collapse uniforms) and
-    9 bytes per trial (fidelity and wrong_collapse).  Each trial's column
-    is computed on its own, and its overlap with the ideal state is summed
-    in one fixed order, so the block size changes no outcome: every
-    wrong_collapse and every fidelity is bitwise the same for any block size.
+    so peak memory is one block's states, duration factors and uniforms plus
+    9 bytes per trial (fidelity and wrong_collapse), whatever the number of
+    collapse points: the collapse uniforms are those of one
+    (points, barriers, trials) draw, which no block holds whole.  Each
+    trial's column is computed on its own, and its overlap with the ideal
+    state is summed in one fixed order, so the block size changes no outcome:
+    every wrong_collapse and every fidelity is bitwise the same for any
+    block size.
     """
     n_gates = len(base_schedule_sequence)
     trials = cfg.trials
     every = n_gates if cfg.collapse_every_gates is None else cfg.collapse_every_gates
     flags = [(g + 1) % every == 0 or g == n_gates - 1 for g in range(n_gates)]
     n_points = sum(flags)
-    barriers = enc.barrier_refs
     noise_cols = n_gates if cfg.jitter_mode == "independent" else 1
 
     rng_jit = np.random.default_rng([cfg.seed, 1])
     rng_col = np.random.default_rng([cfg.seed, 2])
-    # trials are the last axis of this draw, so it is drawn whole and sliced per block
-    uniforms = rng_col.random((n_points, len(barriers), trials))
+    col_start = rng_col.bit_generator.state
     psi0 = np.asarray(psi0, dtype=complex)
     ideal = psi0
     for sched in base_schedule_sequence:
@@ -367,30 +367,39 @@ def zeno_run(chain: ChainSpec, base_schedule_sequence: Sequence[ZeemanSchedule],
     fid = np.empty(trials)
     for lo in range(0, trials, _ZENO_BLOCK_TRIALS):
         hi = min(lo + _ZENO_BLOCK_TRIALS, trials)
-        # the block's rows of one (trials, noise_cols) draw; one contiguous
-        # row of duration factors per gate
-        noise = np.broadcast_to(rng_jit.standard_normal((hi - lo, noise_cols)), (hi - lo, n_gates))
+        # the block's rows of one (trials, noise_cols) draw, scaled in place into
+        # one contiguous row of duration factors per gate (one for every gate
+        # when systematic): the operations of clip(1 + stddev * noise, 0.05)
+        factors = rng_jit.standard_normal((hi - lo, noise_cols)).T.copy()
         with np.errstate(over="ignore"):   # an overflowing factor is inf, which apply_hold refuses
-            factors = np.clip(1.0 + cfg.jitter_stddev * noise, 0.05, None).T.copy()
+            factors *= cfg.jitter_stddev
+            factors += 1.0
+            np.clip(factors, 0.05, None, out=factors)
+        factors = np.broadcast_to(factors, (n_gates, hi - lo))
+        # entry (point, b, j) of a whole (points, barriers, trials) draw of the
+        # collapse stream is its output (point * n_barriers + b) * trials + j,
+        # one 64-bit output per float: the block draws its columns of each row
+        # and jumps over the other trials' ones
+        rng_col.bit_generator.state = col_start
+        rng_col.bit_generator.advance(lo)
         psi = np.repeat(psi0[:, None], hi - lo, axis=1)
-        point = 0
         for g, sched in enumerate(base_schedule_sequence):
             for seg in sched.segments:
                 with np.errstate(over="ignore"):   # likewise an overflowing duration
                     durations = seg.duration * factors[g]
                 psi = apply_hold(chain, seg.energies, durations, psi)
             if flags[g]:
-                for b, (site, ref) in enumerate(barriers):
+                for site, ref in enc.barrier_refs:
                     # collapse in place on the two half views; where= skips 1/sqrt(p) of
                     # the dropped half, which may hold no probability at all
                     split = psi.reshape(1 << site, 2, -1, hi - lo, copy=False)
                     halves = split[:, ref], split[:, 1 - ref]
                     probs = [(np.abs(h) ** 2).sum(axis=(0, 1)) for h in halves]
-                    hit_ref = uniforms[point, b, lo:hi] < probs[0]
+                    hit_ref = rng_col.random(hi - lo) < probs[0]
+                    rng_col.bit_generator.advance(trials - (hi - lo))
                     wrong[lo:hi] |= ~hit_ref
                     for half, p, hit in zip(halves, probs, (hit_ref, ~hit_ref)):
                         half *= np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=hit)
-                point += 1
         # einsum's own loop, not a BLAS gemv: each column is summed in one
         # fixed order, and no BLAS worker thread is woken for the block
         fid[lo:hi] = np.abs(np.einsum("i,ij->j", ideal.conj(), psi)) ** 2

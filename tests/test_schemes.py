@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainlab import analysis, cli, gates, model, schemes
 from chainlab.errors import InvalidGrouping
-from chainlab.evolve import ZeemanSchedule, evolve
+from chainlab.evolve import ZeemanSchedule, apply_hold, evolve
 from chainlab.linalg import expm_i
 from chainlab.model import ChainSpec, ZeemanLevels, pauli_site, site_energies
 
@@ -426,18 +427,99 @@ def test_zeno_collapse_with_an_empty_half_warns_nothing(index, off_reference):
     assert np.abs(stats.fidelity - 1.0).max() < 1e-12
 
 
-def test_zeno_run_memory_is_one_block_plus_per_trial_results():
-    # 50 000 trials collapsing after each of 20 gates: the collapse uniforms
-    # take 8 MB; holding every trial's state at once peaked near 48 MB
+def whole_draw_zeno_run(chain, seq, enc, cfg, psi0):
+    """zeno_run as it was with every collapse uniform drawn at once: one
+    (points, barriers, trials) draw sliced per block, and the duration factors
+    from clip(1 + stddev * noise) with its temporaries."""
+    n_gates, trials = len(seq), cfg.trials
+    every = n_gates if cfg.collapse_every_gates is None else cfg.collapse_every_gates
+    flags = [(g + 1) % every == 0 or g == n_gates - 1 for g in range(n_gates)]
+    barriers = enc.barrier_refs
+    noise_cols = n_gates if cfg.jitter_mode == "independent" else 1
+    rng_jit = np.random.default_rng([cfg.seed, 1])
+    uniforms = np.random.default_rng([cfg.seed, 2]).random((sum(flags), len(barriers), trials))
+    psi0 = np.asarray(psi0, dtype=complex)
+    ideal = psi0
+    for sched in seq:
+        ideal = evolve(chain, sched, ideal)
+    wrong = np.zeros(trials, dtype=bool)
+    fid = np.empty(trials)
+    for lo in range(0, trials, schemes._ZENO_BLOCK_TRIALS):
+        hi = min(lo + schemes._ZENO_BLOCK_TRIALS, trials)
+        noise = np.broadcast_to(rng_jit.standard_normal((hi - lo, noise_cols)), (hi - lo, n_gates))
+        with np.errstate(over="ignore"):
+            factors = np.clip(1.0 + cfg.jitter_stddev * noise, 0.05, None).T.copy()
+        psi = np.repeat(psi0[:, None], hi - lo, axis=1)
+        point = 0
+        for g, sched in enumerate(seq):
+            for seg in sched.segments:
+                with np.errstate(over="ignore"):
+                    durations = seg.duration * factors[g]
+                psi = apply_hold(chain, seg.energies, durations, psi)
+            if flags[g]:
+                for b, (site, ref) in enumerate(barriers):
+                    split = psi.reshape(1 << site, 2, -1, hi - lo, copy=False)
+                    halves = split[:, ref], split[:, 1 - ref]
+                    probs = [(np.abs(h) ** 2).sum(axis=(0, 1)) for h in halves]
+                    hit_ref = uniforms[point, b, lo:hi] < probs[0]
+                    wrong[lo:hi] |= ~hit_ref
+                    for half, p, hit in zip(halves, probs, (hit_ref, ~hit_ref)):
+                        half *= np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=hit)
+                point += 1
+        fid[lo:hi] = np.abs(np.einsum("i,ij->j", ideal.conj(), psi)) ** 2
+    return wrong, fid
+
+
+@pytest.mark.parametrize("k", [1, 3, pytest.param(None, id="inf")])
+@pytest.mark.parametrize("mode", ["independent", "systematic"])
+@pytest.mark.parametrize("train", ["three_spin", "two_barrier"])
+def test_zeno_run_matches_the_whole_draw_run_at_the_real_block_size(train, mode, k):
+    # two full blocks and a short third: each block jumps into every row of
+    # the collapse stream, and its factors are scaled in place; every bit must
+    # match the run that drew all uniforms at once
+    if train == "three_spin":
+        chain, enc, gate, _, psi0 = schemes.zeno_gate_train(1.0)
+        seq = [gate] * 20
+    else:
+        chain, enc, seq, psi0 = two_barrier_train()
+    cfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=0.05,
+                             trials=2 * schemes._ZENO_BLOCK_TRIALS + 3, seed=77, jitter_mode=mode)
+    stats = schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0)
+    wrong, fid = whole_draw_zeno_run(chain, seq, enc, cfg, psi0)
+    assert np.array_equal(stats.wrong_collapse, wrong)
+    assert np.array_equal(stats.fidelity, fid)
+    assert 0 < wrong.sum() < cfg.trials
+
+
+def traced_zeno_peak(k, trials, n_gates):
+    """tracemalloc's peak over one zeno_run of the three-spin train, after an
+    untraced run has filled the sector eigensystem cache."""
     chain, enc, gate, _, psi0 = schemes.zeno_gate_train(1.0)
-    cfg = schemes.ZenoConfig(collapse_every_gates=1, jitter_stddev=0.05, trials=50_000, seed=1)
+    seq = [gate] * n_gates
+    cfg = schemes.ZenoConfig(collapse_every_gates=k, jitter_stddev=0.05, trials=trials, seed=1)
+    schemes.zeno_run(chain, seq, enc, dataclasses.replace(cfg, trials=2), psi0=psi0)
     tracemalloc.start()
     try:
-        schemes.zeno_run(chain, [gate] * 20, enc, cfg, psi0=psi0)
-        peak = tracemalloc.get_traced_memory()[1]
+        schemes.zeno_run(chain, seq, enc, cfg, psi0=psi0)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+
+
+def test_zeno_run_memory_is_one_block_plus_per_trial_results():
+    # 50 000 trials: a whole draw of the collapse uniforms would take 8 MB at
+    # a collapse after each of 20 gates, 0.4 MB with the final readout only;
+    # holding every trial's state at once peaked near 48 MB
+    every_gate = traced_zeno_peak(1, 50_000, 20)
+    final_only = traced_zeno_peak(None, 50_000, 20)
+    assert abs(every_gate - final_only) < 1.5e6
+    assert every_gate < 6e6 and final_only < 6e6
+
+
+def test_zeno_run_memory_does_not_grow_with_the_gate_count():
+    # 1000 collapse points of 8 trials: one collapse generator per run; one
+    # per collapse row held about 1 MB here
+    assert traced_zeno_peak(1, 8, 1000) < 0.5e6
 
 
 def test_zeno_run_leaves_blas_workers_idle(blas_worker_ticks):
