@@ -6,7 +6,7 @@ Submodules:
             exp(-iHt) the tests check against
   model     chain spec, Zeeman levels (J, delta and the energies they set),
             Heisenberg sector blocks and the classical (effective-Ising) energies
-  evolve    piecewise-constant schedules, cached sector-blocked evolution
+  evolve    piecewise-constant schedules, LRU-cached sector-blocked evolution
             (of states, or of the identity for a unitary), the Zeeman frame
   gates     revival search, gate readout, invariants, CNOT synthesis
   schemes   the three chain architectures, each built once as a section

@@ -4,7 +4,7 @@ Control is a sequence of (duration, per-site energies) segments with abrupt
 switching between them.  Every segment Hamiltonian commutes with total
 sigma^z and is real in the z basis, so it is diagonalized one real
 magnetization-sector block at a time, only for the sectors the evolved state
-occupies, and the eigensystems are kept in a byte-bounded LRU cache; time
+occupies, and the eigensystems are kept in a bounded LRU cache; time
 evolution for any duration is then a cheap phase rotation.  Every energy
 vector is held to the chain's length by model.check_energies.
 """
@@ -12,8 +12,6 @@ vector is held to the chain's length by model.check_energies.
 from __future__ import annotations
 
 import functools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -47,14 +45,10 @@ class ZeemanSchedule:
 
 
 # ---------------------------------------------------------------------------
-# the sector kernel: real eigensystems per (n, J, energies, sector), filled
-# lazily and kept in an LRU cache under a byte budget
+# the sector kernel: real eigensystems per (chain, energies, sector), filled
+# lazily and kept in an LRU cache; at 12 sites 16 entries hold at most 109 MB
 
-EIG_CACHE_BYTES = 128 << 20
-
-_EIG_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_EIG_LOCK = threading.Lock()
-_eig_bytes = 0
+EIG_CACHE_ENTRIES = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,26 +60,10 @@ def _sectors(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return down, tuple(np.flatnonzero(down == k) for k in range(n + 1))
 
 
+@functools.lru_cache(maxsize=EIG_CACHE_ENTRIES)
 def _sector_eig(chain: ChainSpec, energies: tuple[float, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and real eigenvectors of the block of sector k (k spins
-    down), from the cache or from one eigh whose result is then cached."""
-    global _eig_bytes
-    key = (chain.n, chain.coupling, energies, k)
-    with _EIG_LOCK:
-        hit = _EIG_CACHE.get(key)
-        if hit is not None:
-            _EIG_CACHE.move_to_end(key)
-            return hit
-    wv = np.linalg.eigh(heisenberg_block(chain, energies, _sectors(chain.n)[1][k]))
-    with _EIG_LOCK:
-        if key not in _EIG_CACHE:
-            _EIG_CACHE[key] = wv
-            _eig_bytes += wv[0].nbytes + wv[1].nbytes
-        wv = _EIG_CACHE[key]
-        while _eig_bytes > EIG_CACHE_BYTES:
-            w, v = _EIG_CACHE.popitem(last=False)[1]
-            _eig_bytes -= w.nbytes + v.nbytes
-    return wv
+    """Eigenvalues and real eigenvectors of the block of sector k (k spins down)."""
+    return np.linalg.eigh(heisenberg_block(chain, energies, _sectors(chain.n)[1][k]))
 
 
 def _apply(chain: ChainSpec, energies: tuple[float, ...], t, psi: np.ndarray) -> np.ndarray:
@@ -113,6 +91,13 @@ def _occupied(chain: ChainSpec, psi: np.ndarray, *energies: tuple[float, ...]
     # bincount, not np.unique: unique imports numpy.ma on its first call
     return [(int(k), sector_rows[k])
             for k in np.flatnonzero(np.bincount(down[psi.any(axis=1)]))]
+
+
+def _check_rows(chain: ChainSpec, psi: np.ndarray) -> np.ndarray:
+    """psi, or LengthMismatch unless it has one row per basis state."""
+    if psi.shape[:1] != (chain.dim,):
+        raise LengthMismatch(f"expected {chain.dim} state rows, got shape {psi.shape}")
+    return psi
 
 
 def check_phase(chain: ChainSpec, energies: Sequence[float], t) -> None:
@@ -156,7 +141,7 @@ def evolve(chain: ChainSpec, schedule: ZeemanSchedule, psi0: np.ndarray) -> np.n
 
     An empty schedule is the zero-duration limit and returns the input.
     """
-    psi = np.array(psi0, dtype=complex, order="C")
+    psi = _check_rows(chain, np.array(psi0, dtype=complex, order="C"))
     cols = psi.reshape(psi.shape[0], -1)
     for seg in schedule.segments:
         cols = _apply(chain, seg.energies, seg.duration, cols)
@@ -171,7 +156,7 @@ def apply_hold(chain: ChainSpec, energies: Sequence[float], durations: np.ndarra
     where every trajectory sees the same Hamiltonian for a different time.
     """
     durations = np.asarray(durations, dtype=float)
-    psi = np.ascontiguousarray(psi, dtype=complex)
+    psi = _check_rows(chain, np.ascontiguousarray(psi, dtype=complex))
     if psi.ndim != 2 or durations.shape != (psi.shape[1],):
         raise LengthMismatch("durations must match the number of state columns")
     return _apply(chain, tuple(float(x) for x in energies), durations, psi)
@@ -189,7 +174,7 @@ def hold_modes(chain: ChainSpec, energies: Sequence[float], after: ZeemanSchedul
     modes @ (exp(-i w t)[:, None] * amp) on those rows, for any t.
     """
     energies = tuple(float(x) for x in energies)
-    psi = np.ascontiguousarray(psi, dtype=complex)
+    psi = _check_rows(chain, np.ascontiguousarray(psi, dtype=complex))
     for seg in after.segments:
         check_phase(chain, seg.energies, seg.duration)
     for k, rows in _occupied(chain, psi, energies, *(seg.energies for seg in after.segments)):

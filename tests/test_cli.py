@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import chainlab
-from chainlab import cli, linalg, schemes
+from chainlab import cli, evolve, linalg, schemes
 
 
 def run_cli(capsys, command, config=None, out=None, extra=()):
@@ -945,6 +945,24 @@ def test_default_thread_count_starts_no_pool(capsys, tmp_path, monkeypatch):
     assert code == 0
     code, _ = run_cli(capsys, "synthesize", config=path, out=tmp_path / "synth")
     assert code in (0, 1)
+
+
+# At default config a command reads an eigensystem again after at most 9 other
+# keys (sweep), so evolve's cache of EIG_CACHE_ENTRIES evicts none it reads again.
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_no_command_solves_an_eigensystem_twice(capsys, tmp_path, monkeypatch, command):
+    built = []
+    block = evolve.heisenberg_block
+
+    def recording_block(chain, energies, states):
+        built.append((chain, tuple(energies), np.asarray(states).tobytes()))
+        return block(chain, energies, states)
+
+    monkeypatch.setattr(evolve, "heisenberg_block", recording_block)
+    evolve._sector_eig.cache_clear()
+    code, _ = run_cli(capsys, command, out=tmp_path)
+    assert code == 0
+    assert evolve._sector_eig.cache_info().misses == len(set(built))
 
 
 # ---------------------------------------------------------------------------

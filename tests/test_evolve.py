@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -259,28 +260,38 @@ def test_product_state_diagonalizes_only_its_sector(monkeypatch):
     assert np.abs(psi - dense).max() < 1e-10
 
 
-def test_eig_cache_stays_within_byte_budget(monkeypatch):
-    budget = 40_000
-    monkeypatch.setattr(evolve, "EIG_CACHE_BYTES", budget)
+def test_eig_cache_stays_within_byte_budget():
+    # the largest sector block anywhere is C(12, 6) = 924 states, and an entry
+    # is its eigenvalues and eigenvectors in float64
+    biggest = math.comb(model.MAX_SITES, model.MAX_SITES // 2)
+    assert evolve.EIG_CACHE_ENTRIES * (biggest ** 2 + biggest) * 8 <= 128 << 20
+    assert evolve._sector_eig.cache_info().maxsize == evolve.EIG_CACHE_ENTRIES
     chain = model.ChainSpec(n=6, coupling=1.3, roles="A" * 6)
     rng = np.random.default_rng(29)
-    vectors = [tuple(rng.uniform(-4, 4, 6)) for _ in range(12)]
-    for energies in vectors:
+    vectors = [tuple(rng.uniform(-4, 4, 6)) for _ in range(evolve.EIG_CACHE_ENTRIES + 1)]
+    w, v = evolve._sector_eig(chain, vectors[0], 3)
+    assert w.nbytes + v.nbytes == (20 ** 2 + 20) * 8     # C(6, 3) = 20 states
+    for energies in vectors[1:-1]:        # the cache now holds these 16 keys alone
+        evolve._sector_eig(chain, energies, 3)
+    evolve._sector_eig(chain, vectors[0], 3)    # a hit: vectors[1] is now the oldest
+    evolve._sector_eig(chain, vectors[-1], 3)   # one key more evicts it
+    info = evolve._sector_eig.cache_info()
+    assert info.currsize == evolve.EIG_CACHE_ENTRIES
+    for energies in [vectors[0]] + vectors[2:]:
+        evolve._sector_eig(chain, energies, 3)
+    assert evolve._sector_eig.cache_info().misses == info.misses
+    evolve._sector_eig(chain, vectors[1], 3)
+    assert evolve._sector_eig.cache_info().misses == info.misses + 1
+    for energies in vectors[:3]:          # a whole propagator fills all seven sectors
         u = evolve.evolve(chain, evolve.ZeemanSchedule.from_steps([(0.7, energies)]),
                           np.eye(chain.dim))
-        held = sum(w.nbytes + v.nbytes for w, v in evolve._EIG_CACHE.values())
-        assert 0 < held <= budget
-        # the sector used last (all spins down) is the newest entry
-        assert next(reversed(evolve._EIG_CACHE)) == (6, 1.3, energies, 6)
+        assert evolve._sector_eig.cache_info().currsize <= evolve.EIG_CACHE_ENTRIES
         assert np.abs(u - linalg.expm_i(model.build_heisenberg(chain, energies), 0.7)).max() < 1e-10
-    # one propagator fills all seven sectors (7904 bytes), so the oldest went
-    assert not any(key[2] == vectors[0] for key in evolve._EIG_CACHE)
 
 
-def test_eig_cache_byte_count_survives_concurrent_fills(monkeypatch):
-    # more workers than cores, switching threads as often as possible: a lost
-    # update to the running byte count would leave it off the entries' sum
-    monkeypatch.setattr(evolve, "EIG_CACHE_BYTES", 30_000)
+def test_eig_cache_survives_concurrent_fills():
+    # more workers than cores, switching threads as often as possible, on more
+    # keys than the cache holds: every fill evicts while others read
     chain = model.ChainSpec(n=6, coupling=0.9, roles="A" * 6)
     rng = np.random.default_rng(31)
     vectors = [tuple(rng.uniform(-4, 4, 6)) for _ in range(24)]
@@ -293,6 +304,77 @@ def test_eig_cache_byte_count_survives_concurrent_fills(monkeypatch):
             units = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    held = sum(w.nbytes + v.nbytes for w, v in evolve._EIG_CACHE.values())
-    assert evolve._eig_bytes == held <= 30_000
-    assert max(linalg.unitarity_defect(u) for u in units) < 1e-10
+    info = evolve._sector_eig.cache_info()
+    assert info.currsize <= info.maxsize == evolve.EIG_CACHE_ENTRIES
+    for e, u in zip(vectors, units):
+        assert np.abs(u - linalg.expm_i(model.build_heisenberg(chain, e), 0.4)).max() < 1e-10
+
+
+@pytest.mark.parametrize("rows", [8, 32])
+@pytest.mark.parametrize("entry", ["evolve", "evolve-empty", "apply_hold", "hold_modes"])
+def test_state_of_the_wrong_length_is_refused(entry, rows):
+    chain = model.ChainSpec(n=4, coupling=1.0, roles="A" * 4)
+    energies = (0.3, -1.1, 2.0, 0.7)
+    sched = evolve.ZeemanSchedule.from_steps([(0.5, energies)])
+    psi = np.ones((rows, 2), dtype=complex)
+    call = {
+        "evolve": lambda: evolve.evolve(chain, sched, psi),
+        "evolve-empty": lambda: evolve.evolve(chain, evolve.ZeemanSchedule(()), psi),
+        "apply_hold": lambda: evolve.apply_hold(chain, energies, np.ones(2), psi),
+        "hold_modes": lambda: list(evolve.hold_modes(chain, energies, sched, psi)),
+    }[entry]
+    with pytest.raises(LengthMismatch, match="expected 16 state rows"):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# symmetries of H = sum_i E_i sigma^z_i + J sum_i vec(sigma)_i . vec(sigma)_{i+1}
+# that the sector kernel must keep: each compares two evolve runs, no oracle
+
+def random_steps_and_state(seed, n, n_segments):
+    chain, _, rng = random_chain_and_energies(seed, n)
+    steps = [(float(rng.uniform(0.05, 3.0)), tuple(rng.uniform(-4, 4, n)))
+             for _ in range(n_segments)]
+    psi0 = rng.normal(size=(chain.dim, 2)) + 1j * rng.normal(size=(chain.dim, 2))
+    return chain, steps, psi0 / np.linalg.norm(psi0, axis=0), rng
+
+
+def run(chain, steps, psi0):
+    return evolve.evolve(chain, evolve.ZeemanSchedule.from_steps(steps), psi0)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 3), st.floats(0.1, 10.0))
+def test_evolve_is_unchanged_by_scaling_coupling_and_energies_against_time(seed, n, n_segments, lam):
+    # lambda H for t / lambda is H for t: every duration is in units of 1/J
+    chain, steps, psi0, _ = random_steps_and_state(seed, n, n_segments)
+    scaled = model.ChainSpec(n=n, coupling=lam * chain.coupling, roles=chain.roles)
+    scaled_steps = [(t / lam, tuple(lam * x for x in e)) for t, e in steps]
+    assert np.abs(run(scaled, scaled_steps, psi0) - run(chain, steps, psi0)).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 3))
+def test_reversing_the_sites_conjugates_evolve_by_the_bit_reversal(seed, n, n_segments):
+    chain, steps, psi0, _ = random_steps_and_state(seed, n, n_segments)
+    idx = np.arange(chain.dim)
+    mirror = sum(((idx >> i) & 1) << (n - 1 - i) for i in range(n))   # an involution
+    reversed_chain = model.ChainSpec(n=n, coupling=chain.coupling, roles=chain.roles[::-1])
+    reversed_steps = [(t, e[::-1]) for t, e in steps]
+    got = run(reversed_chain, reversed_steps, psi0[mirror])
+    assert np.abs(got - run(chain, steps, psi0)[mirror]).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 3))
+def test_flipping_every_spin_negates_the_energies_and_maps_sector_k_to_n_minus_k(
+        seed, n, n_segments):
+    chain, steps, psi0, rng = random_steps_and_state(seed, n, n_segments)
+    mz = model.sigma_z_values(n).sum(axis=0)      # n - 2k in sector k
+    k = int(rng.integers(0, n + 1))
+    psi0[mz != n - 2 * k, 0] = 0.0        # column 0 lies in sector k alone
+    psi0[:, 0] /= np.linalg.norm(psi0[:, 0])
+    flipped_steps = [(t, tuple(-x for x in e)) for t, e in steps]
+    got = run(chain, flipped_steps, psi0[::-1])   # index i flips to dim - 1 - i
+    assert np.abs(got - run(chain, steps, psi0)[::-1]).max() < 1e-12
+    assert not got[mz != 2 * k - n, 0].any()   # sector n - k alone
