@@ -18,7 +18,8 @@ def parse_args():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--deltas", default="100,300,1000,3000")
     p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--pad", type=float, default=schemes.DEFAULT_PAD)
+    p.add_argument("--pad", type=float, default=schemes.DEFAULT_PAD,
+                   help="passive hold on each side of the gate, in units of 1/J")
     p.add_argument("--out", type=Path, default="revival_out")
     args = p.parse_args()
     if not 0 < args.coupling < float("inf"):
@@ -49,7 +50,7 @@ def pipeline(arch):
 
 def main():
     args = parse_args()
-    with linalg.blas_threads(1):   # as in cli.main: a second thread only spins
+    with linalg.single_blas_thread():   # as in cli.main
         rows = []
         for arch in args.sections:
             try:

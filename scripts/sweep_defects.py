@@ -43,7 +43,7 @@ def main():
     args = parse_args()
     deltas = args.spec.delta_values
 
-    with linalg.blas_threads(1):   # as in cli.main: a second thread only spins
+    with linalg.single_blas_thread():   # as in cli.main
         records = analysis.defect_sweep(args.spec, threads=args.threads)
         for r in records:
             print(f"delta={r.delta:8.1f}  t_r={r.t_r:.9f}  defect={r.defect_worst:.6e}  "

@@ -2,7 +2,7 @@
 
 Submodules:
   linalg    operator distance, unitarity, polar projection, golden-section
-            search, BFGS minimize, blas_threads; the dense spectral
+            search, BFGS minimize, single_blas_thread; the dense spectral
             exp(-iHt) the tests check against
   model     chain spec, Zeeman levels (J, delta and the energies they set),
             Heisenberg sector blocks and the classical (effective-Ising) energies
@@ -21,7 +21,8 @@ eigensolves here are too small for a second one.  It does so only when numpy
 is not loaded yet and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
 OMP_NUM_THREADS is set; it sets OPENBLAS_NUM_THREADS=1 for the import alone,
 so child processes see the environment unchanged.  BLAS_PINNED_AT_IMPORT
-records whether it did; linalg.blas_threads changes the count for a block.
+records whether it did.  Whatever count the user set, every command runs
+inside linalg.single_blas_thread, so its artifacts do not depend on it.
 """
 
 import os

@@ -1,8 +1,8 @@
 """Dense linear algebra for small spin chains.
 
 Unitarity checks, the phase-invariant operator distance, polar projection,
-golden-section search, a BFGS minimizer, and blas_threads, which runs a
-block on a given number of OpenBLAS threads.  expm_i, the dense spectral
+golden-section search, a BFGS minimizer, and single_blas_thread, which runs
+a block on one OpenBLAS thread.  expm_i, the dense spectral
 exp(-i H t) = V exp(-i D t) V+ of a Hermitian H, is the independent reference
 that the tests hold the sector kernel of evolve to; the package itself never
 calls it.
@@ -153,35 +153,31 @@ def minimize(fun, x0) -> tuple[float, np.ndarray]:
 
 
 def _openblas_threads():
-    """The (get, set, default) thread-count functions of the OpenBLAS that
-    numpy's own extension links, or None where that library does not export
-    all three.  default returns OpenBLAS's own count, the one a process that
-    sets no thread variable starts with."""
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's own
+    extension links, or None where that library does not export both."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         get = lib.scipy_openblas_get_num_threads64_
         put = lib.scipy_openblas_set_num_threads64_
-        default = lib.scipy_openblas_get_num_procs64_
     except (AttributeError, OSError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
-    default.argtypes, default.restype = [], ctypes.c_int
-    return get, put, default
+    return get, put
 
 
 @contextlib.contextmanager
-def blas_threads(n: int | None = None):
-    """Run the block on n OpenBLAS threads, or on OpenBLAS's own default
-    count when n is None, and restore the previous count on exit, also when
-    the block raises.  Does nothing where the thread count cannot be bound."""
+def single_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the previous count on
+    exit, also when the block raises.  Does nothing where the thread count
+    cannot be bound."""
     binding = _openblas_threads()
     if binding is None:
         yield
         return
-    get, put, default = binding
+    get, put = binding
     previous = get()
-    put(default() if n is None else n)
+    put(1)
     try:
         yield
     finally:

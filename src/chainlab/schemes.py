@@ -32,7 +32,7 @@ from .model import ChainSpec, ZeemanLevels, pauli_site, site_energies
 
 ARCH1_SECTION_SITES = 9
 ARCH1_GATE_BARRIER = 4
-DEFAULT_PAD = 0.2
+DEFAULT_PAD = 0.2                   # in units of 1/J
 ARCH1_REVIVAL_WINDOW = (0.4, 2.2)   # in units of the nominal gate time pi / (3J)
 ARCH1_REVIVAL_THRESHOLD = 0.5       # strongly detuned points never reach 0.999
 ARCH1_REVIVAL_DIP = 0.85
@@ -77,8 +77,9 @@ class Section:
 @dataclass(frozen=True)
 class ArchitectureOne(Section):
     """Nine-site section; enc holds all four qubits.  Its gate is a passive hold
-    of pad (absolute time), gate_energies for a time in revival_window, and the pad
-    again; a bad pad, or a pad or window hold whose phase overflows, is refused."""
+    of pad / J (pad is in units of 1/J), gate_energies for a time in revival_window,
+    and the pad again; a bad pad, or a pad or window hold whose phase overflows, is
+    refused."""
 
     enc_gate_pair: EncodingMap    # just the two qubits adjacent to ARCH1_GATE_BARRIER
     pad: float = DEFAULT_PAD
@@ -95,8 +96,8 @@ class ArchitectureOne(Section):
         object.__setattr__(self, "gate_energies", tuple(gate))
         object.__setattr__(self, "revival_window", tuple(x * t0 for x in ARCH1_REVIVAL_WINDOW))
         window = f"the revival window at coupling {self.chain.coupling}"
-        self._check_holds(("pad", self.passive_energies, self.pad),
-                          (window, self.gate_energies, self.revival_window[1]))
+        self._check_holds((window, self.gate_energies, self.revival_window[1]),
+                          ("pad", self.passive_energies, self.pad / self.chain.coupling))
 
 
 def arch1_section(levels: ZeemanLevels, pad: float = DEFAULT_PAD) -> ArchitectureOne:
@@ -119,7 +120,7 @@ def arch1_revival(arch: ArchitectureOne) -> tuple[ZeemanSchedule, float, float]:
     """Barrier revival of the section's two-qubit gate, searched on the gate
     pair within its revival_window: (schedule at the revival: pad, gate barrier
     at A+J, pad; revival time, revival probability); raises NoRevivalFound."""
-    pad = (arch.pad, arch.passive_energies)
+    pad = (arch.pad / arch.chain.coupling, arch.passive_energies)
     pad_hold = _steps(pad)
     t_r, p_r = find_revival(arch.chain, pad_hold, arch.gate_energies, pad_hold,
                             ARCH1_GATE_BARRIER, arch.revival_window, arch.enc_gate_pair,
@@ -253,9 +254,10 @@ class ArchitectureThree(Section):
 
 
 def arch3_section(levels: ZeemanLevels, tol_identity: float | None = None) -> ArchitectureThree:
-    """The four-qubit paired-site section; tol_identity defaults to 10 J/delta."""
+    """The four-qubit paired-site section; tol_identity defaults to 10/delta
+    (delta is in units of J)."""
     return ArchitectureThree(**_abc_layout(levels, 4), tol_identity=(
-        10.0 * levels.coupling / levels.delta if tol_identity is None else tol_identity))
+        10.0 / levels.delta if tol_identity is None else tol_identity))
 
 
 # ---------------------------------------------------------------------------

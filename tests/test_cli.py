@@ -212,9 +212,8 @@ SHAPE_ERRORS = [   # (command, config document, path of the offending field)
     ("verify-g", {"sweep": {"delta_values": [1000, 300]}}, "sweep/delta_values"),
     # levels finite, but the nine-site chain's diagonal sum of |E_i| overflows
     ("verify-g", {"coupling": 1e300, "verify_g": {"delta": 8e7}}, "verify_g/delta"),
-    # B = delta J is 1, but six-settings' default tol_identity 10 J/delta overflows
-    ("six-settings", {"coupling": 1e300, "six_settings": {"delta": 1e-300}},
-     "six_settings/tol_identity"),
+    # B = delta J is finite, but six-settings' default tol_identity 10/delta overflows
+    ("six-settings", {"six_settings": {"delta": 5e-324}}, "six_settings/tol_identity"),
 ]
 
 
@@ -276,7 +275,8 @@ def test_hold_whose_phase_overflows_is_an_internal_error(tmp_path, command, doc)
 # (config, section, the start of the refusal): a layout's hold whose phase
 # overflows, which its section refuses as it is built, before any output
 PHASE_REFUSALS = [
-    ({"coupling": 1000.0, "verify_g": {"delta": 1e6, "pad": 1e300}}, "verify_g",
+    # pad is in units of 1/J: 1e303 at J = 1000 is a hold of 1e300
+    ({"coupling": 1000.0, "verify_g": {"delta": 1e6, "pad": 1e303}}, "verify_g",
      "pad: a hold of 1e+300 "),
     # the revival grid's own phases w t
     ({"coupling": 1e-300, "verify_g": {"delta": 1e308}}, "verify_g",
@@ -326,8 +326,8 @@ BUILD_RULES = [   # (config, section, field): a range that one constructor in _b
     # a subnormal J: the arch-1 revival window pi/(3J) is inf
     ({"coupling": 1e-310}, "verify_g", "coupling"),
     ({"six_settings": {"tol_identity": 0}}, "six_settings", "tol_identity"),
-    # the default tol_identity 10 J/delta underflows to 0.0
-    ({"coupling": 1e-300, "six_settings": {"delta": 1e300}}, "six_settings", "tol_identity"),
+    # the default tol_identity 10/delta overflows to inf
+    ({"six_settings": {"delta": 1e-308}}, "six_settings", "tol_identity"),
 ]
 
 
@@ -966,41 +966,31 @@ def test_no_command_solves_an_eigensystem_twice(capsys, tmp_path, monkeypatch, c
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads: every command but cli.THREADED_BLAS_COMMAND runs on one
+# BLAS threads: every command runs on one
 
 
-# Left threaded, six-settings keeps a worker busy with its 12-site sector eigh
-# calls (20-28 worker ticks on 2 vCPU); on one thread its wall time rose by
-# 15-20% and 14 values of six_settings.json moved in their last digits.
-@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != cli.THREADED_BLAS_COMMAND])
+# Unpinned, a second BLAS thread spun beside the main one through sweep
+# (23-34 worker ticks, twice its wall time in CPU) and verify-g; six-settings'
+# 12-site sector eigh calls kept it busy for about 25 ticks.  On one thread
+# six-settings' CPU time fell by 42% and its wall time rose by 4-13%.
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_command_leaves_blas_workers_idle(blas_worker_ticks, tmp_path, command):
-    # unpinned, a second BLAS thread spun beside the main one through sweep
-    # (23-34 worker ticks, twice its wall time in CPU) and verify-g
     worker_ticks, cpu_s = blas_worker_ticks(
         f"cli.main([{command!r}, '--out', {str(tmp_path / 'out')!r}])")
     assert worker_ticks <= 2, f"BLAS workers took {worker_ticks} ticks of {cpu_s:.2f} CPU s"
 
 
-@pytest.mark.parametrize("command", ["sweep", "verify-g", cli.THREADED_BLAS_COMMAND])
-def test_pinned_artifacts_match_a_one_thread_process(capsys, tmp_path, command):
-    # in process, cli.main pins whatever thread count this process has; a
-    # process started with OPENBLAS_NUM_THREADS=1 never had a second thread.
-    # six-settings grows the count that the import pinned back to OpenBLAS's
-    # own: a default process writes what one started with that count writes
-    if command == cli.THREADED_BLAS_COMMAND:
-        binding = linalg._openblas_threads()
-        if binding is None:
-            pytest.skip("numpy's BLAS exports no thread-count functions here")
-        first = python("-m", "chainlab", command, "--out", str(tmp_path / "first"), **NO_BLAS_COUNT)
-        assert first.returncode == 0, first.stderr
-        code, threads = first.returncode, str(binding[2]())
-    else:
-        code, _ = run_cli(capsys, command, out=tmp_path / "first")
-        threads = "1"
-    proc = python("-m", "chainlab", command, "--out", str(tmp_path / "fresh"),
-                  OPENBLAS_NUM_THREADS=threads)
-    assert code == proc.returncode == 0, proc.stderr
-    assert artifacts(tmp_path / "first") == artifacts(tmp_path / "fresh")
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_pinned_artifacts_match_a_one_thread_process(tmp_path, command):
+    # cli.main pins a process started on four BLAS threads to one, so it
+    # writes what a process that never had a second thread writes
+    outs = {}
+    for threads in ("1", "4"):
+        outs[threads] = tmp_path / threads
+        proc = python("-m", "chainlab", command, "--out", str(outs[threads]),
+                      OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+    assert artifacts(outs["1"]) == artifacts(outs["4"])
 
 
 # The pin at import: OpenBLAS loads on one thread, and the environment is

@@ -47,6 +47,9 @@ def test_arch1_revival_schedule_structure():
     passive = arch.passive_energies
     assert gate_energies[:4] == passive[:4]
     assert sched.segments[0].energies == passive
+    # the pad is in units of 1/J: at J = 2 each pad hold lasts 0.1
+    double = schemes.arch1_revival(schemes.arch1_section(ZeemanLevels(2.0, 1000.0)))[0]
+    assert double.segments[0].duration == double.segments[2].duration == 0.1
     # zero padding drops the bracketing segments entirely
     bare, _, _ = schemes.arch1_revival(schemes.arch1_section(LEVELS, pad=0.0))
     assert len(bare.segments) == 1
@@ -60,8 +63,9 @@ def test_arch1_schedules_refuse_a_negative_or_nan_pad(pad):
 
 
 def test_arch1_section_refuses_a_hold_whose_phase_overflows():
+    # pad is in units of 1/J: 1e303 at J = 1000 is a hold of 1e300
     with pytest.raises(ValueError, match="^pad: a hold of 1e[+]300 .* overflows its phase$"):
-        schemes.arch1_section(ZeemanLevels(1000.0, 1e6), pad=1e300)
+        schemes.arch1_section(ZeemanLevels(1000.0, 1e6), pad=1e303)
     # the window pi/(3J) times ARCH1_REVIVAL_WINDOW: inf at a subnormal J, and
     # finite at J = 1e-300 but with phases beyond float range at delta = 1e308
     for levels in (ZeemanLevels(1e-310, 1000.0), ZeemanLevels(1e-300, 1e308)):
@@ -145,14 +149,14 @@ def test_arch2_working_point_value():
 
 def test_arch3_tol_identity_default():
     levels = ZeemanLevels(2.0, 1000.0)
-    assert schemes.arch3_section(levels).tol_identity == 10.0 * 2.0 / 1000.0
+    assert schemes.arch3_section(levels).tol_identity == 10.0 / 1000.0   # delta is in units of J
     assert schemes.arch3_section(levels, tol_identity=0.5).tol_identity == 0.5
     for bad in (np.inf, np.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="tol_identity must be positive and finite"):
             schemes.arch3_section(levels, tol_identity=bad)
-    # the default 10 J/delta underflows to 0.0 at J = 1e-300, delta = 1e300
-    with pytest.raises(ValueError, match="^tol_identity must be positive and finite, got 0.0$"):
-        schemes.arch3_section(ZeemanLevels(1e-300, 1e300))
+    # the default 10/delta overflows to inf at the least subnormal delta
+    with pytest.raises(ValueError, match="^tol_identity must be positive and finite, got inf$"):
+        schemes.arch3_section(ZeemanLevels(1.0, 5e-324))
 
 
 def test_layouts_take_their_coupling_from_the_levels():

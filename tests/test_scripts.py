@@ -119,7 +119,8 @@ def test_sweep_defects_rejects_bad_arguments(tmp_path, argv, message):
     (("--out", "/dev/null/out"), "--out: cannot create /dev/null/out"),
     (("--coupling", "1e300", "--deltas", "1e10"), "as must 2 delta J"),
     (("--coupling", "1e300", "--deltas", "8e7"), "chain's diagonal energy"),
-    (("--coupling", "1e10", "--pad", "1e300", "--deltas", "300"), "--pad: a hold of 1e+300"),
+    # --pad is in units of 1/J: 1e306 at J = 1e10 is a hold of 1e296
+    (("--coupling", "1e10", "--pad", "1e306", "--deltas", "300"), "--pad: a hold of 1e+296"),
     (("--coupling", "1e-310", "--deltas", "300"),
      "--deltas: the revival window at coupling 1e-310: "),
     (("--coupling", "1e-300", "--deltas", "1e308"),
