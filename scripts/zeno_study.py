@@ -5,9 +5,11 @@ intervals and both jitter models, writing zeno_curve.csv under --out.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from chainlab import analysis, schemes
+from chainlab.cli import EXIT_INTERNAL
 
 
 def parse_args():
@@ -44,7 +46,11 @@ def main():
 
     rows = []
     for tok, cfg in args.runs:
-        stats = schemes.zeno_run(chain, [gate] * args.gates, enc, cfg, psi0=psi0)
+        try:
+            stats = schemes.zeno_run(chain, [gate] * args.gates, enc, cfg, psi0=psi0)
+        except ValueError as exc:   # a jittered hold whose phase overflows: refused, as by the CLI
+            print(f"zeno_study.py: internal_error: ValueError: {exc}", file=sys.stderr)
+            sys.exit(EXIT_INTERNAL)
         rows.append({
             "mode": cfg.jitter_mode,
             "interval_gates": tok,

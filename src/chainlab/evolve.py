@@ -2,11 +2,11 @@
 
 Control is a sequence of (duration, per-site energies) segments with abrupt
 switching between them.  Every segment Hamiltonian commutes with total
-sigma^z and is real in the z basis, so it is diagonalized one real
-magnetization-sector block at a time, only for the sectors the evolved state
-occupies, and the eigensystems are kept in a bounded LRU cache; time
-evolution for any duration is then a cheap phase rotation.  Every energy
-vector is held to the chain's length by model.check_energies.
+sigma^z and is real in the z basis, so evolve, apply_hold and hold_modes
+share one sector pass: the rows of each magnetization sector the state
+occupies are gathered once, carried through every segment as phase
+rotations in the sector's real eigenbasis, and scattered once.  The
+eigensystems are kept in a bounded LRU cache.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ class Segment:
     def __post_init__(self):
         if not 0 < self.duration < np.inf:
             raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
+        object.__setattr__(self, "energies", _floats(self.energies))
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,15 @@ class ZeemanSchedule:
 
     @classmethod
     def from_steps(cls, steps: Sequence[tuple[float, Sequence[float]]]) -> "ZeemanSchedule":
-        return cls(tuple(Segment(float(d), tuple(float(x) for x in e)) for d, e in steps))
+        return cls(tuple(Segment(float(d), e) for d, e in steps))
 
     @property
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
+
+
+def _floats(energies: Sequence[float]) -> tuple[float, ...]:   # the eigensystem cache's key
+    return tuple(float(x) for x in energies)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +58,7 @@ EIG_CACHE_ENTRIES = 16
 
 @functools.lru_cache(maxsize=None)
 def _sectors(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Number of down spins of each basis index, and the basis indices of
-    each magnetization sector in ascending order."""
+    """Down spins of each basis index, and each sector's basis indices in ascending order."""
     idx = np.arange(1 << n)
     down = sum((idx >> i) & 1 for i in range(n))
     return down, tuple(np.flatnonzero(down == k) for k in range(n + 1))
@@ -66,31 +70,39 @@ def _sector_eig(chain: ChainSpec, energies: tuple[float, ...], k: int) -> tuple[
     return np.linalg.eigh(heisenberg_block(chain, energies, _sectors(chain.n)[1][k]))
 
 
-def _apply(chain: ChainSpec, energies: tuple[float, ...], t, psi: np.ndarray) -> np.ndarray:
-    """exp(-i H t) on the columns of a C-contiguous complex (dim, m) psi.
-
-    t is one duration for every column or an array of one per column.  A
-    sector is diagonalized only when some column has amplitude in it; the
-    rows of the others stay exactly zero.  The real eigenvectors act on the
-    float view of the complex columns.
-    """
-    check_phase(chain, energies, t)
-    out = np.zeros_like(psi)
-    for k, rows in _occupied(chain, psi, energies):
-        out[rows] = _rotate(*_sector_eig(chain, energies, k), t, psi[rows])
+def _steps(chain: ChainSpec, steps) -> list[tuple[tuple[float, ...], object]]:
+    """Checked steps (energies as floats, t as one duration or one per column)."""
+    out = [(_floats(energies), t) for energies, t in steps]
+    for energies, t in out:
+        check_phase(chain, energies, t)
+        check_energies(chain, energies)
     return out
 
 
-def _occupied(chain: ChainSpec, psi: np.ndarray, *energies: tuple[float, ...]
-              ) -> list[tuple[int, np.ndarray]]:
-    """(sector, its basis indices) for each sector in which some column of
-    psi has amplitude, once every segment's energies are checked to fit."""
-    for e in energies:
-        check_energies(chain, e)
+def _occupied(chain: ChainSpec, psi: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(sector, its basis indices) for each sector some column of psi occupies."""
     down, sector_rows = _sectors(chain.n)
     # bincount, not np.unique: unique imports numpy.ma on its first call
     return [(int(k), sector_rows[k])
             for k in np.flatnonzero(np.bincount(down[psi.any(axis=1)]))]
+
+
+def _carry(chain: ChainSpec, steps, k: int, block: np.ndarray) -> np.ndarray:
+    """Sector k's C-contiguous complex block through every checked step."""
+    for energies, t in steps:
+        block = _rotate(*_sector_eig(chain, energies, k), t, block)
+    return block
+
+
+def _pass(chain: ChainSpec, steps, psi: np.ndarray) -> np.ndarray:
+    """The steps in order on a state or a (dim, m) batch; unoccupied sectors stay 0."""
+    psi = _check_rows(chain, np.ascontiguousarray(psi, dtype=complex))
+    cols = psi.reshape(psi.shape[0], -1)
+    steps = _steps(chain, steps)
+    out = np.zeros_like(cols)
+    for k, rows in _occupied(chain, cols):
+        out[rows] = _carry(chain, steps, k, cols[rows])
+    return out.reshape(psi.shape)
 
 
 def _check_rows(chain: ChainSpec, psi: np.ndarray) -> np.ndarray:
@@ -126,8 +138,7 @@ def phases(w: np.ndarray, t) -> np.ndarray:
 
 
 def _rotate(w: np.ndarray, v: np.ndarray, t, block: np.ndarray) -> np.ndarray:
-    """exp(-i H t) on the C-contiguous complex columns of one sector block,
-    from the block's eigensystem (w, v)."""
+    """exp(-i H t) on one sector's C-contiguous complex block, from its eigensystem (w, v)."""
     amp = (v.T @ block.view(float)).view(complex)
     amp *= phases(w, t)
     return (v @ amp.view(float)).view(complex)
@@ -137,29 +148,19 @@ def _rotate(w: np.ndarray, v: np.ndarray, t, block: np.ndarray) -> np.ndarray:
 # public evolution API
 
 def evolve(chain: ChainSpec, schedule: ZeemanSchedule, psi0: np.ndarray) -> np.ndarray:
-    """Apply the schedule to a state or a (dim, m) batch; the identity gives its unitary.
-
-    An empty schedule is the zero-duration limit and returns the input.
-    """
-    psi = _check_rows(chain, np.array(psi0, dtype=complex, order="C"))
-    cols = psi.reshape(psi.shape[0], -1)
-    for seg in schedule.segments:
-        cols = _apply(chain, seg.energies, seg.duration, cols)
-    return cols.reshape(psi.shape)
+    """Apply the schedule to a state or a (dim, m) batch; the identity gives its
+    unitary, and an empty schedule (the zero-duration limit) returns the input."""
+    return _pass(chain, [(seg.energies, seg.duration) for seg in schedule.segments], psi0)
 
 
 def apply_hold(chain: ChainSpec, energies: Sequence[float], durations: np.ndarray,
                psi: np.ndarray) -> np.ndarray:
-    """Evolve each column of psi under one energy vector for its own duration.
-
-    durations has one entry per column; used for jittered-timing ensembles
-    where every trajectory sees the same Hamiltonian for a different time.
-    """
+    """Evolve each column of psi under one energy vector for its own duration,
+    as in jittered-timing ensembles: one Hamiltonian, a different time each."""
     durations = np.asarray(durations, dtype=float)
-    psi = _check_rows(chain, np.ascontiguousarray(psi, dtype=complex))
-    if psi.ndim != 2 or durations.shape != (psi.shape[1],):
+    if np.ndim(psi) != 2 or durations.shape != np.shape(psi)[1:]:
         raise LengthMismatch("durations must match the number of state columns")
-    return _apply(chain, tuple(float(x) for x in energies), durations, psi)
+    return _pass(chain, [(energies, durations)], psi)
 
 
 def hold_modes(chain: ChainSpec, energies: Sequence[float], after: ZeemanSchedule,
@@ -173,17 +174,14 @@ def hold_modes(chain: ChainSpec, energies: Sequence[float], after: ZeemanSchedul
     Evolving psi under the hold for t and then under `after` gives
     modes @ (exp(-i w t)[:, None] * amp) on those rows, for any t.
     """
-    energies = tuple(float(x) for x in energies)
     psi = _check_rows(chain, np.ascontiguousarray(psi, dtype=complex))
-    for seg in after.segments:
-        check_phase(chain, seg.energies, seg.duration)
-    for k, rows in _occupied(chain, psi, energies, *(seg.energies for seg in after.segments)):
-        w, v = _sector_eig(chain, energies, k)
+    # the hold is checked as a step of no duration: callers phase it for their own t
+    (hold, _), *steps = _steps(chain, [(energies, 0.0)] + [(seg.energies, seg.duration)
+                                                          for seg in after.segments])
+    for k, rows in _occupied(chain, psi):
+        w, v = _sector_eig(chain, hold, k)
         amp = (v.T @ psi[rows].view(float)).view(complex)
-        modes = v.astype(complex)
-        for seg in after.segments:
-            modes = _rotate(*_sector_eig(chain, seg.energies, k), seg.duration, modes)
-        yield rows, w, amp, modes
+        yield rows, w, amp, _carry(chain, steps, k, v.astype(complex))
 
 
 def zeeman_frame(chain: ChainSpec, energies: Sequence[float], t: float) -> np.ndarray:

@@ -310,6 +310,72 @@ def test_eig_cache_survives_concurrent_fills():
         assert np.abs(u - linalg.expm_i(model.build_heisenberg(chain, e), 0.4)).max() < 1e-10
 
 
+# ---------------------------------------------------------------------------
+# the sector pass: each call checks its steps, scans occupancy and gathers
+# each occupied sector once, and carries the sector through every step
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 4))
+def test_k_segment_evolve_equals_k_chained_one_segment_evolves(seed, n, n_segments):
+    chain, _, rng = random_chain_and_energies(seed, n)
+    steps = [(float(rng.uniform(0.05, 3.0)), tuple(rng.uniform(-4, 4, n)))
+             for _ in range(n_segments)]
+    psi0 = rng.normal(size=(chain.dim, 3)) + 1j * rng.normal(size=(chain.dim, 3))
+    psi0[model.sigma_z_values(n).sum(axis=0) == n - 2] = 0.0   # one sector left empty
+    chained = psi0
+    for step in steps:
+        chained = evolve.evolve(chain, evolve.ZeemanSchedule.from_steps([step]), chained)
+    assert np.array_equal(evolve.evolve(chain, evolve.ZeemanSchedule.from_steps(steps), psi0),
+                          chained)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(0, 3))
+def test_hold_modes_are_the_hold_eigenvectors_evolved_through_after(seed, n, n_segments):
+    chain, hold, rng = random_chain_and_energies(seed, n)
+    after = evolve.ZeemanSchedule.from_steps(
+        [(float(rng.uniform(0.05, 3.0)), tuple(rng.uniform(-4, 4, n))) for _ in range(n_segments)])
+    psi = rng.normal(size=(chain.dim, 2)) + 1j * rng.normal(size=(chain.dim, 2))
+    for rows, w, amp, modes in evolve.hold_modes(chain, hold, after, psi):
+        w_k, v = evolve._sector_eig(chain, tuple(map(float, hold)), bin(int(rows[0])).count("1"))
+        lifted = np.zeros((chain.dim, len(rows)), dtype=complex)
+        lifted[rows] = v
+        assert np.array_equal(w, w_k)
+        assert np.array_equal(modes, evolve.evolve(chain, after, lifted)[rows])
+
+
+def test_evolve_scans_occupancy_once_for_all_its_segments(monkeypatch):
+    chain, energies, rng = random_chain_and_energies(seed=41, n=5)
+    sched = evolve.ZeemanSchedule.from_steps(
+        [(0.3 * (s + 1), tuple(rng.uniform(-4, 4, 5))) for s in range(6)])
+    scans = []
+    occupied = evolve._occupied
+    monkeypatch.setattr(evolve, "_occupied", lambda *a: scans.append(1) or occupied(*a))
+    evolve.evolve(chain, sched, np.eye(chain.dim))
+    assert len(scans) == 1
+    list(evolve.hold_modes(chain, energies, sched, np.eye(chain.dim)))
+    assert len(scans) == 2
+
+
+def test_list_array_and_tuple_energies_evolve_bitwise_alike():
+    chain, energies, rng = random_chain_and_energies(seed=43, n=3)
+    psi = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    durations = np.array([0.5, 1.7])
+    runs = []
+    for kind in (tuple, list, np.array):
+        sched = evolve.ZeemanSchedule((evolve.Segment(0.5, kind(energies)),))
+        assert sched.segments[0].energies == tuple(map(float, energies))
+        assert all(type(x) is float for x in sched.segments[0].energies)
+        runs.append([evolve.evolve(chain, sched, psi),
+                     evolve.apply_hold(chain, kind(energies), durations, psi),
+                     *(a for mode in evolve.hold_modes(chain, kind(energies), sched, psi)
+                       for a in mode)])
+    for other in runs[1:]:
+        assert len(other) == len(runs[0])
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
+
+
 @pytest.mark.parametrize("rows", [8, 32])
 @pytest.mark.parametrize("entry", ["evolve", "evolve-empty", "apply_hold", "hold_modes"])
 def test_state_of_the_wrong_length_is_refused(entry, rows):

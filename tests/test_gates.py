@@ -1,16 +1,16 @@
 import functools
 import itertools
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize
 
 from chainlab import cli, gates, linalg, model, schemes
 from chainlab.errors import (DimensionMismatch, ExcessiveLeakage, NoRevivalFound,
                              NotDiagonalizableLocally, SynthesisFailed)
-from chainlab.evolve import ZeemanSchedule, evolve, zeeman_frame
+from chainlab.evolve import ZeemanSchedule, evolve, hold_modes, phases, zeeman_frame
 from chainlab.model import ChainSpec
 
 NO_SEGMENTS = ZeemanSchedule(())
@@ -524,6 +524,7 @@ def z_diagonal(angles):
                                          (4, gates.cnot_target())])
 @pytest.mark.parametrize("two_sided", [True])
 def test_align_phases_reaches_multistart_trace_optimum(dim, target, two_sided):
+    from scipy.optimize import minimize
     rng = np.random.default_rng(dim + 10 * two_sided)
     n_qubits = dim // 2
     n_par = 2 * n_qubits
@@ -747,3 +748,163 @@ def test_synthesize_rejects_nonunitary_entangler():
     from chainlab.errors import NotUnitary
     with pytest.raises(NotUnitary):
         gates.synthesize_cnot(np.eye(4) * 1.5, 1, seed=0, n_starts=1)
+
+
+# ---------------------------------------------------------------------------
+# symmetries of H = sum_i E_i sigma^z_i + J sum_i vec(sigma)_i . vec(sigma)_{i+1}
+# that the revival search and the gate readout must keep, as evolve does
+# (tests/test_evolve.py): each compares two runs on 2-6 sites, no oracle
+
+class GateCase(NamedTuple):
+    chain: ChainSpec
+    enc: gates.EncodingMap
+    head: list          # (duration, energies) steps before the hold
+    hold: tuple
+    tail: list          # steps after it
+    passive: tuple
+    site: int           # the barrier whose revival is searched for
+    window: tuple
+
+    def remap(self, coupling=None, roles=None, time=1.0, energy=lambda e: e, enc=None, site=None):
+        def steps(ss):
+            return [(t * time, energy(e)) for t, e in ss]
+        chain = ChainSpec(n=self.chain.n, coupling=coupling or self.chain.coupling,
+                          roles=roles or self.chain.roles)
+        return GateCase(chain, enc or self.enc, steps(self.head), energy(self.hold),
+                        steps(self.tail), energy(self.passive),
+                        self.site if site is None else site,
+                        tuple(time * w for w in self.window))
+
+
+def random_gate_case(seed, n, n_head):
+    rng = np.random.default_rng(seed)
+    chain = ChainSpec(n=n, coupling=float(rng.uniform(0.2, 2.0)), roles="A" * n)
+    sites = [int(s) for s in rng.permutation(n)]
+    n_barriers = int(rng.integers(1, n + 1))
+    enc = gates.EncodingMap.single_site(n, sorted(sites[n_barriers:]),
+                                        {s: int(rng.integers(0, 2)) for s in sites[:n_barriers]})
+
+    def energies():
+        return tuple(float(x) for x in rng.uniform(-4, 4, n))
+
+    def steps(k):
+        return [(float(rng.uniform(0.05, 3.0)), energies()) for _ in range(k)]
+
+    return GateCase(chain, enc, steps(n_head), energies(), steps(int(rng.integers(1, 3))),
+                    energies(), sites[0], (0.05 / chain.coupling, 5.0 / chain.coupling)), rng
+
+
+def held(case, t, psi):
+    """psi after the hold for t and then the tail, rebuilt from hold_modes."""
+    out = np.zeros_like(psi)
+    for rows, w, amp, modes in hold_modes(case.chain, case.hold,
+                                          ZeemanSchedule.from_steps(case.tail), psi):
+        out[rows] = modes @ (phases(w, t) * amp)
+    return out
+
+
+def revival(case):
+    """find_revival's (t_r, p_r), counting any grid maximum after the first
+    dip below 0.99, or which NoRevivalFound it raised."""
+    try:
+        return gates.find_revival(case.chain, ZeemanSchedule.from_steps(case.head), case.hold,
+                                  ZeemanSchedule.from_steps(case.tail), case.site, case.window,
+                                  case.enc, threshold=0.0, dip_level=0.99)
+    except NoRevivalFound as exc:
+        return "never left" if "never left" in str(exc) else "no revival"
+
+
+def same_revival(got, want, coupling, time=1.0):
+    """The same refusal, or a revival time (got's times `time`) within the
+    refinement tolerance and the same population."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert abs(got[0] * time - want[0]) <= 10 * gates.REVIVAL_REFINE_TOL / coupling
+        assert abs(got[1] - want[1]) < 1e-9
+
+
+def readout(case, t):
+    """logical_block of head, the hold for t and the tail."""
+    sched = ZeemanSchedule.from_steps(case.head + [(t, case.hold)] + case.tail)
+    return gates.logical_block(case.chain, sched, case.enc, case.passive)
+
+
+def mirrored(case):
+    n = case.chain.n
+    enc = gates.EncodingMap(n, tuple(tuple(n - 1 - s for s in g) for g in case.enc.qubit_sites),
+                            tuple((n - 1 - s, b) for s, b in case.enc.barrier_refs))
+    return case.remap(roles=case.chain.roles[::-1], energy=lambda e: e[::-1], enc=enc,
+                      site=n - 1 - case.site)
+
+
+def flipped(case):
+    # every spin flips: a single-site qubit's logical bit flips with it, so
+    # logical index j becomes (logical_dim - 1) - j
+    enc = gates.EncodingMap(case.chain.n, case.enc.qubit_sites,
+                            tuple((s, 1 - b) for s, b in case.enc.barrier_refs))
+    return case.remap(energy=lambda e: tuple(-x for x in e), enc=enc)
+
+
+GATE_CASES = (st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(0, 2),
+              st.floats(0.1, 5.0))
+
+
+@settings(deadline=None, max_examples=25)
+@given(*GATE_CASES, st.floats(0.1, 10.0))
+def test_hold_modes_and_find_revival_are_unchanged_by_scaling_coupling_and_energies_against_time(
+        seed, n, n_head, t, lam):
+    case, rng = random_gate_case(seed, n, n_head)
+    scaled = case.remap(coupling=lam * case.chain.coupling, time=1 / lam,
+                        energy=lambda e: tuple(lam * x for x in e))
+    psi = rng.normal(size=(case.chain.dim, 2)) + 1j * rng.normal(size=(case.chain.dim, 2))
+    assert np.abs(held(scaled, t / lam, psi) - held(case, t, psi)).max() < 1e-12
+    same_revival(revival(scaled), revival(case), case.chain.coupling, time=lam)
+
+
+@settings(deadline=None, max_examples=25)
+@given(*GATE_CASES)
+def test_reversing_the_sites_mirrors_hold_modes_and_find_revival(seed, n, n_head, t):
+    case, rng = random_gate_case(seed, n, n_head)
+    idx = np.arange(case.chain.dim)
+    mirror = sum(((idx >> i) & 1) << (n - 1 - i) for i in range(n))   # an involution
+    psi = rng.normal(size=(case.chain.dim, 2)) + 1j * rng.normal(size=(case.chain.dim, 2))
+    assert np.abs(held(mirrored(case), t, psi[mirror]) - held(case, t, psi)[mirror]).max() < 1e-12
+    same_revival(revival(mirrored(case)), revival(case), case.chain.coupling)
+
+
+@settings(deadline=None, max_examples=25)
+@given(*GATE_CASES)
+def test_flipping_every_spin_flips_hold_modes_and_keeps_find_revival(seed, n, n_head, t):
+    case, rng = random_gate_case(seed, n, n_head)
+    psi = rng.normal(size=(case.chain.dim, 2)) + 1j * rng.normal(size=(case.chain.dim, 2))
+    assert np.abs(held(flipped(case), t, psi[::-1]) - held(case, t, psi)[::-1]).max() < 1e-12
+    same_revival(revival(flipped(case)), revival(case), case.chain.coupling)
+
+
+@settings(deadline=None, max_examples=25)
+@given(*GATE_CASES, st.floats(0.1, 10.0))
+def test_logical_block_is_unchanged_by_scaling_coupling_and_energies_against_time(
+        seed, n, n_head, t, lam):
+    case, _ = random_gate_case(seed, n, n_head)
+    scaled = case.remap(coupling=lam * case.chain.coupling, time=1 / lam,
+                        energy=lambda e: tuple(lam * x for x in e))
+    (got, got_leak), (want, want_leak) = readout(scaled, t / lam), readout(case, t)
+    assert np.abs(got - want).max() < 1e-12 and abs(got_leak - want_leak) < 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(*GATE_CASES)
+def test_reversing_the_sites_keeps_the_logical_block(seed, n, n_head, t):
+    # the mirrored encoding keeps each qubit's place in the logical index
+    case, _ = random_gate_case(seed, n, n_head)
+    (got, got_leak), (want, want_leak) = readout(mirrored(case), t), readout(case, t)
+    assert np.abs(got - want).max() < 1e-12 and abs(got_leak - want_leak) < 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(*GATE_CASES)
+def test_flipping_every_spin_reverses_the_logical_block(seed, n, n_head, t):
+    case, _ = random_gate_case(seed, n, n_head)
+    (got, got_leak), (want, want_leak) = readout(flipped(case), t), readout(case, t)
+    assert np.abs(got - want[::-1, ::-1]).max() < 1e-12 and abs(got_leak - want_leak) < 1e-12

@@ -85,6 +85,17 @@ def test_zeno_study_rejects_bad_arguments(tmp_path, argv):
     assert not (tmp_path / "zeno_out").exists()
 
 
+def test_zeno_study_refuses_a_jitter_whose_hold_overflows(tmp_path):
+    # a stddev of 1e308 draws duration factors past 1e307, whose holds overflow their phase
+    proc = run_script("zeno_study.py", tmp_path, "--stddev", "1e308", "--trials", "10",
+                      "--gates", "2")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("zeno_study.py: internal_error: ValueError: a hold of ")
+    assert "overflows its phase" in proc.stderr
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--threads", "0"), "--threads must be >= 1"),
     (("--threads", "-3"), "--threads must be >= 1"),
